@@ -6,11 +6,11 @@ Run from a checkout of the repository: the package is imported from its
 ``src`` directory, never from an installed copy.  One client runs one
 operation at a time (a closed loop) over the seed's fixed instance set, in
 whole passes, until ``--seconds`` have passed and at least ``MIN_PASSES``
-full passes were made; after those, instances a workload lists in
-``heavy`` (operations of seconds) sit out, so the rest gather more runs.
+passes were made.
 
-With ``--trace 0`` the last stdout line reports the end-to-end metrics;
-with ``--trace 1`` it reports per-layer metrics from the outside-in tracer
+With ``--trace 0`` the last stdout line reports the end-to-end metrics,
+with times scaled to a fixed machine speed (see ``speed``); with
+``--trace 1`` it reports per-layer metrics from the outside-in tracer
 (per traced pass, set-up included).  Progress, the per-class latencies,
 the output digest and any failing instance go to stderr.
 """
@@ -18,7 +18,6 @@ the output digest and any failing instance go to stderr.
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
 import json
 import math
@@ -34,46 +33,70 @@ import time
 MIN_PASSES = 2
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from perfbench.speed import Clock  # noqa: E402
 
 
 def log(*parts):
     print(*parts, file=sys.stderr, flush=True)
 
 
-def percentile(values, q):
-    """Nearest-rank percentile of a non-empty list."""
-    ordered = sorted(values)
-    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+def quantile(values, q, steps=20):
+    """Harrell-Davis estimate of the ``q`` quantile: a weighted mean of all
+    order statistics, rank i weighing the Beta((n+1)q, (n+1)(1-q)) mass on
+    [(i-1)/n, i/n] (midpoint rule, ``steps`` points per rank).
+
+    Per-instance latencies cluster by instance class with gaps between the
+    clusters; a single order statistic jumps across a gap when a seed moves
+    one instance past the rank, where this estimate moves a little.
+    """
+    xs = sorted(values)
+    n = len(xs)
+    a, b = (n + 1) * q, (n + 1) * (1 - q)
+    logs = [[(a - 1) * math.log(t) + (b - 1) * math.log1p(-t)
+             for t in ((i + (k + 0.5) / steps) / n for k in range(steps))]
+            for i in range(n)]
+    top = max(max(row) for row in logs)
+    weights = [sum(math.exp(v - top) for v in row) for row in logs]
+    return sum(w * x for w, x in zip(weights, xs)) / sum(weights)
 
 
-def run_pass(ops):
-    """Time each operation once; an exception is the operation's result."""
-    out = []
+def run_pass(ops, clock=None):
+    """Time each operation once: [(name, scaled seconds, result, wall
+    seconds)].  An exception is the operation's result."""
+    clock = clock or Clock()
+    marks = []
     for name, fn in ops:
+        clock.tick()
         t0 = time.perf_counter()
         try:
             res = fn()
         except Exception as exc:  # the package's answer, judged by check()
             res = exc
-        out.append((name, time.perf_counter() - t0, res))
-    return out
+        marks.append((name, t0, time.perf_counter(), res))
+    clock.probe()
+    return [(name, clock.scaled(t0, t1), res, t1 - t0) for name, t0, t1, res in marks]
 
 
-def import_seconds(reps=5):
-    """Median time a fresh interpreter takes to import the package."""
+def import_seconds(clock, reps=5):
+    """Median scaled time a fresh interpreter takes to import the package."""
     code = ("import time; t = time.perf_counter(); import coxdescent; "
             "print(time.perf_counter() - t)")
     env = dict(os.environ, PYTHONPATH=SRC)
-    return statistics.median(
-        float(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout)
-        for _ in range(reps))
+    out = []
+    for _ in range(reps):
+        scaled, wall, proc = clock.run(lambda: subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60))
+        out.append(float(proc.stdout) * scaled / wall)
+    return statistics.median(out)
 
 
-def timed_setup(wl):
-    t0 = time.perf_counter()
-    state = wl.setup()
-    return time.perf_counter() - t0, state
+def timed_setup(wl, clock):
+    dt, _, state = clock.run(wl.setup)
+    return dt, state
 
 
 class Verdicts:
@@ -94,19 +117,19 @@ class Verdicts:
     def add(self, results):
         if self.first is None:
             self.first = results
-            self.texts = {name: self.wl.canon(res) for name, _, res in results}
-            text = "".join("%s\t%s\n" % (name, self.texts[name]) for name, _, _ in results)
+            self.texts = {name: self.wl.canon(res) for name, _, res, _ in results}
+            text = "".join("%s\t%s\n" % (name, self.texts[name]) for name, *_ in results)
             self.digest = hashlib.sha256(text.encode()).hexdigest()
         else:
-            for name, _, res in results:
+            for name, _, res, _ in results:
                 if name not in self.bad and self.wl.canon(res) != self.texts[name]:
                     self.bad[name] = "output differs between passes"
-        for name, _, _ in results:
+        for name, *_ in results:
             self.seen[name] = self.seen.get(name, 0) + 1
 
     def finish(self):
         """Check the first pass; return (failed op count, attempted)."""
-        for name, _, res in self.first:
+        for name, _, res, _ in self.first:
             why = self.wl.check(name, res)
             if why:
                 self.bad.setdefault(name, why)
@@ -121,63 +144,60 @@ class Verdicts:
 
 
 def measure(wl, seconds):
-    """End-to-end metrics over the instance set.
+    """End-to-end metrics over the instance set, in scaled seconds.
 
-    Each instance's latency is the 90th percentile (nearest rank) of its
-    runs in this run.  On a shared machine other tenants make the speed
-    bimodal, with fast stretches that come and go over seconds; a high
-    percentile of an instance's runs follows the machine's usual, slower
-    state, where a minimum or a mean follows whichever stretch the run
-    happened to meet.  Throughput and percentiles are then taken over the
-    instances, so the sample count is the instance count (at least 100).
+    Each instance's latency is the median of its runs in this run, each run
+    scaled to the reference machine speed (see ``speed``).  Throughput and
+    percentiles are then taken over the instances, so the sample count is
+    the instance count (at least 100).
     """
+    clock = Clock()
     # set-up runs before and after the timed loop, so its median spans the
     # machine states the run met
     before = wl.setup_reps // 2 + 1
     times = []
     for _ in range(before):
         state = None
-        t, state = timed_setup(wl)
+        t, state = timed_setup(wl, clock)
         times.append(t)
     ops = wl.ops(state)
-    light = [op for op in ops if op[0] not in wl.heavy]
     verdicts = Verdicts(wl)
-    runs = {}
+    runs, walls = {}, {}
     passes = 0
-    # the benchmark's own objects are kept out of the collector's way
-    gc.collect()
-    gc.freeze()
     t_start = time.perf_counter()
     while passes < MIN_PASSES or time.perf_counter() - t_start < seconds:
-        results = run_pass(ops if passes < MIN_PASSES else light)
+        results = run_pass(ops, clock)
         verdicts.add(results)
-        for name, dt, _ in results:
+        for name, dt, _, wall in results:
             runs.setdefault(name, []).append(dt)
+            walls.setdefault(name, []).append(wall)
         passes += 1
         del results
-    gc.unfreeze()
-    del ops, light, state
-    times += [timed_setup(wl)[0] for _ in range(wl.setup_reps - before)]
+    del ops, state
+    times += [timed_setup(wl, clock)[0] for _ in range(wl.setup_reps - before)]
     setup_s = statistics.median(times)
     if wl.name != "cli":   # the CLI's set-up process imports the package itself
-        setup_s += import_seconds()
+        setup_s += import_seconds(clock)
     if wl.name == "cli":
         rss_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     else:
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    latency = {name: percentile(dts, 0.9) for name, dts in runs.items()}
+    latency = {name: statistics.median(dts) for name, dts in runs.items()}
     by_class = {}
     for name, dt in latency.items():
         by_class.setdefault(name.rsplit(".", 1)[0], []).append(dt)
     for cls, vals in sorted(by_class.items(), key=lambda kv: -statistics.median(kv[1])):
         log("  %-40s n=%-3d median %.4f s" % (cls, len(vals), statistics.median(vals)))
     lat = list(latency.values())
-    log("%s: %d passes, %d instances" % (wl.name, passes, len(lat)))
+    wall = sum(statistics.median(dts) for dts in walls.values())
+    log("%s: %d passes, %d instances (samples), %d probes; ops_per_s %.4g scaled, "
+        "%.4g by wall time" % (wl.name, passes, len(lat), len(clock.probes),
+                               len(lat) / sum(lat), len(lat) / wall))
     failed, count = verdicts.finish()
     metrics = {
         "ops_per_s": (len(lat) / sum(lat), "1/s"),
-        "op_p50_s": (percentile(lat, 0.5), "s"),
-        "op_p90_s": (percentile(lat, 0.9), "s"),
+        "op_p50_s": (quantile(lat, 0.5), "s"),
+        "op_p90_s": (quantile(lat, 0.9), "s"),
         "setup_s": (setup_s, "s"),
         "peak_rss_mb": (rss_kb / 1024.0, "MB"),
     }
@@ -185,29 +205,63 @@ def measure(wl, seconds):
 
 
 def measure_traced(wl, seconds):
-    """Pairs of (untraced, traced) set-up plus pass; per-layer numbers are
-    per traced pass, and the overhead is traced minus untraced wall time."""
+    """Per-layer metrics, per traced pass with its set-up.
+
+    A pass sets up twice, once traced, then runs each operation on both
+    states back to back, untraced and traced, the order flipping from pass
+    to pass, so the machine's drifting speed meets both sides alike.  The
+    overhead is the pass's traced minus untraced wall time (median over
+    passes).
+    """
     from perfbench.tracer import Tracer, merge
 
+    tracer = Tracer()
+    sink = []                   # summaries reported by traced CLI processes
     summaries, overheads, import_s = [], [], []
     verdicts = Verdicts(wl)
+
+    def timed(fn, traced):
+        if traced:
+            tracer.install()
+        t0 = time.perf_counter()
+        try:
+            res = fn()
+        except Exception as exc:  # the package's answer, judged by check()
+            res = exc
+        dt = time.perf_counter() - t0
+        if traced:
+            tracer.uninstall()
+        return dt, res
+
     t_start = time.perf_counter()
     while not overheads or time.perf_counter() - t_start < seconds:
-        t0 = time.perf_counter()
-        verdicts.add(run_pass(wl.ops(wl.setup())))
-        untraced = time.perf_counter() - t0
-        sink = []
-        t0 = time.perf_counter()
-        with Tracer() as tracer:
-            results = run_pass(wl.ops(wl.setup(), traced=sink))
-        traced = time.perf_counter() - t0
-        verdicts.add(results)
+        order = (False, True) if len(overheads) % 2 == 0 else (True, False)
+        wall = {False: 0.0, True: 0.0}
+        states = {}
+        for traced in order:
+            dt, states[traced] = timed(wl.setup, traced)
+            wall[traced] += dt
+        plain_ops = wl.ops(states[False])
+        traced_ops = wl.ops(states[True], traced=sink)
+        results = {False: [], True: []}
+        for pair in zip(plain_ops, traced_ops):
+            for traced in order:
+                name, fn = pair[traced]
+                dt, res = timed(fn, traced)
+                wall[traced] += dt
+                results[traced].append((name, dt, res, dt))
+        verdicts.add(results[False])
+        verdicts.add(results[True])
+        del states, plain_ops, traced_ops, results
         summaries.append(tracer.summary())
+        tracer.clear()
         for child in sink:
             summaries.append(child["summary"])
             import_s.append(child["import_s"])
-        overheads.append(traced - untraced)
+        sink.clear()
+        overheads.append(wall[True] - wall[False])
     n = len(overheads)
+    log("%s: %d traced passes" % (wl.name, n))
     total = merge(summaries)
     failed, count = verdicts.finish()
     metrics = {}
@@ -237,7 +291,7 @@ def main(argv=None):
     if not os.path.isfile(os.path.join(SRC, "coxdescent", "__init__.py")):
         log("no package source at %s; run from a checkout of the repository" % SRC)
         return 2
-    sys.path[:0] = [SRC, ROOT]
+    sys.path.insert(0, SRC)
     import coxdescent
     if os.path.dirname(os.path.dirname(os.path.abspath(coxdescent.__file__))) != SRC:
         log("coxdescent was imported from %s, not from %s" % (coxdescent.__file__, SRC))

@@ -134,7 +134,8 @@ def _snapshot():
 
 
 def _small_ops(wl, state):
-    return [op for op in wl.ops(state) if op[0] not in wl.heavy]
+    """The workload's operations without the seconds-long baseline rows."""
+    return [op for op in wl.ops(state) if not wl.instances[op[0]].data.get("heavy")]
 
 
 def test_tracing_off_leaves_every_attribute_untouched(tmp_path):
@@ -161,6 +162,10 @@ def test_tracer_rebinds_importers_and_restores(tmp_path):
             fn()
     after = _snapshot()
     assert all(before[k] is after[k] for k in before) and before.keys() == after.keys()
+    with t:                     # installing again reuses the same wrappers
+        assert cox.saturate is groebner.saturate is not orig
+    after = _snapshot()
+    assert all(before[k] is after[k] for k in before) and before.keys() == after.keys()
     summary = t.summary()["labels"]
     assert summary["cox.is_strict_ci"]["calls"] == len(ops)
     assert summary["groebner.saturate_single"]["calls"] > 0
@@ -182,6 +187,25 @@ def test_self_time_excludes_children_and_recursion_counts_once():
     assert s["labels"]["groebner.saturate_single"]["self_s"] == 2.0
     assert s["counts"] == {"saturate_gens": 6, "singles_in_saturate": 1,
                            "intersects_in_saturate": 1}
+
+
+def test_clock_scales_by_the_probes_around_an_interval():
+    from perfbench.speed import REF_PROBE_S, Clock
+
+    clock = Clock()
+    clock.times = [0.0, 1.0, 2.0, 3.0]
+    clock.probes = [REF_PROBE_S, 2 * REF_PROBE_S, 2 * REF_PROBE_S, REF_PROBE_S]
+    assert clock.scaled(1.2, 1.8) == pytest.approx(0.6 / 2)
+    assert clock.scaled(0.5, 2.5) == pytest.approx(2.0 / 1.5)
+
+
+def test_harrell_davis_quantile_on_evenly_spaced_values():
+    from perfbench.run import quantile
+
+    xs = list(range(1, 101))
+    assert quantile(xs, 0.5) == pytest.approx(50.5)
+    assert quantile(xs, 0.9) == pytest.approx(90.5, abs=0.1)
+    assert quantile([3.0] * 7, 0.9) == pytest.approx(3.0)
 
 
 # -- workloads

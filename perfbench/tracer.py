@@ -60,7 +60,7 @@ class Tracer:
     def __init__(self):
         self.spans = []
         self._stack = []
-        self._saved = []   # (owner, attribute, original)
+        self._bindings = None   # [(owner, attribute, original, wrapper)]
 
     def _wrap(self, label, fn):
         spans, stack, clock = self.spans, self._stack, time.perf_counter
@@ -80,9 +80,10 @@ class Tracer:
                 stack.pop()
         return wrapper
 
-    def install(self):
+    def _find_bindings(self):
         modules = [m for name, m in sorted(sys.modules.items())
                    if m is not None and (name == "coxdescent" or name.startswith("coxdescent."))]
+        out = []
         for label, modname, path in TARGETS:
             mod = sys.modules.get(modname)
             if mod is None:
@@ -91,21 +92,27 @@ class Tracer:
                 cls_name, attr = path.split(".")
                 cls = getattr(mod, cls_name)
                 orig = cls.__dict__[attr]
-                self._saved.append((cls, attr, orig))
-                setattr(cls, attr, self._wrap(label, orig))
+                out.append((cls, attr, orig, self._wrap(label, orig)))
                 continue
             orig = getattr(mod, path)
             wrapper = self._wrap(label, orig)
             for m in modules:
                 for name, value in list(vars(m).items()):
                     if value is orig:
-                        self._saved.append((m, name, orig))
-                        setattr(m, name, wrapper)
+                        out.append((m, name, orig, wrapper))
+        return out
+
+    def install(self):
+        """Rebind every target; the bindings are found on the first call, so
+        installing again (e.g. around each operation) is cheap."""
+        if self._bindings is None:
+            self._bindings = self._find_bindings()
+        for owner, attr, _, wrapper in self._bindings:
+            setattr(owner, attr, wrapper)
         return self
 
     def uninstall(self):
-        while self._saved:
-            owner, attr, orig = self._saved.pop()
+        for owner, attr, orig, _ in reversed(self._bindings or []):
             setattr(owner, attr, orig)
 
     def __enter__(self):
@@ -119,6 +126,10 @@ class Tracer:
         """Per label ``calls``, ``self_s`` and ``total_s``, plus the
         saturation ratios' raw counts, as plain numbers."""
         return summarize(self.spans)
+
+    def clear(self):
+        """Forget the spans recorded so far."""
+        self.spans.clear()
 
 
 def summarize(spans):

@@ -48,7 +48,6 @@ class Workload:
 
     name = None
     setup_reps = 7
-    heavy = frozenset()     # instance names that run in the first passes only
 
     def __init__(self, cd, seed, workdir):
         self.cd = cd
@@ -89,7 +88,6 @@ class StrictCI(Workload):
     def __init__(self, cd, seed, workdir):
         super().__init__(cd, seed, workdir)
         self.instances = {i.name: i for i in gen.strict_ci_instances(seed, self.towers)}
-        self.heavy = frozenset(name for name, i in self.instances.items() if i.data.get("heavy"))
 
     def setup(self):
         ambs = Ambients(self.cd)
