@@ -100,10 +100,11 @@ def _cmd_strict_ci(problem, args):
 def _cmd_ci(problem, args):
     ideal = _pick_ideal(problem, args.ideal)
     h = height(ideal)
-    if h == len([g for g in ideal.gens if not g.is_zero()]):
+    expected = len([g for g in ideal.gens if not g.is_zero()])
+    if h == expected:
         print("CI height=%d" % h)
         return EXIT_OK
-    print("NOT_CI height=%d expected=%d" % (h, len(ideal.gens)))
+    print("NOT_CI height=%d expected=%d" % (h, expected))
     return EXIT_NOT_CI
 
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (ActionError, DescentPreconditionError, RingMismatchError)
-from .groebner import IdealHandle, ideal_equal
-from .linalg import (echelon_basis, kernel_gfp, rational_kernel, rational_solve,
-                     reduce_against)
+from .groebner import IdealHandle, defining_ideal, ideal_equal
+from .linalg import RATIONALS, echelon_basis, kernel, kernel_gfp, rational_solve, rref
 from .rings import Multidegree, Polynomial, monomials_of_degree
 
 _MAX_ORDER = 10000
@@ -68,8 +67,7 @@ class SemilinearAction:
 
     def _check_degree_compatible(self):
         grading = self.ring.grading
-        kernel = rational_kernel(list(grading))
-        for v in kernel:
+        for v in kernel(RATIONALS, grading):
             moved = [None] * len(v)
             for i, j in enumerate(self.perm):
                 moved[j] = v[i]
@@ -258,9 +256,7 @@ def _standard_monomials(ring, degree):
     monos = monomials_of_degree(ring, degree)
     if not ring.defining:
         return monos
-    jgb = IdealHandle(ring, [])  # just the defining ideal
-    okey = ring.okey
-    lts = [max(g._t, key=okey) for g in jgb.reduced_gb()]
+    lts = [lt for lt, _ in defining_ideal(ring)._pairs()]
     out = []
     for m in monos:
         e = m.leading_exponent()
@@ -282,7 +278,7 @@ def _piece_context(ring, degree):
     monos = _standard_monomials(ring, degree)
     exps = [m.leading_exponent() for m in monos]
     mono_index = {e: i for i, e in enumerate(exps)}
-    jhandle = IdealHandle(ring, []) if ring.defining else None
+    jhandle = defining_ideal(ring) if ring.defining else None
     return exps, mono_index, jhandle
 
 
@@ -364,7 +360,7 @@ def fixed_space(action, vectors, subgroup_index):
             row[index[e]] = c
         return row
 
-    basis = echelon_basis(tower, [coords(v) for v in vectors])
+    basis, pivots = rref(tower, [coords(v) for v in vectors])
     nb = len(basis)
     d = tower.d
     p = tower.p
@@ -375,37 +371,35 @@ def fixed_space(action, vectors, subgroup_index):
 
     basis_polys = [to_poly(b) for b in basis]
 
-    def in_coords(f):
-        cs, residual = reduce_against(tower, coords(f), basis)
-        if any(c != tower.c_zero for c in residual):
-            raise ActionError("space is not closed under the subgroup action")
-        return cs
-
     # GF(p)-basis: t^a * w_i; columns of the matrix of sigma^k - id
     gen = tower.gen().rep if d > 1 else None
-    mat_cols = []
+    images = []
     for i in range(nb):
         for a in range(d):
             scalar = tower.c_one if a == 0 else tower.c_pow(gen, a)
             elem = basis_polys[i] * _field_elem(tower, scalar)
-            image = action.apply(elem, k)
-            cs = in_coords(image)
-            col = []
-            for ii in range(nb):
-                cc = tower.c_coeffs(cs[ii])
-                # subtract the identity
-                for aa in range(d):
-                    v = cc[aa]
-                    if ii == i and aa == a:
-                        v = (v - 1) % p
-                    col.append(v)
-            mat_cols.append(col)
+            images.append(coords(action.apply(elem, k)))
+    if len(rref(tower, basis + images)[0]) != nb:
+        raise ActionError("space is not closed under the subgroup action")
+    mat_cols = []
+    for col_index, image in enumerate(images):
+        i, a = divmod(col_index, d)
+        col = []
+        # coordinates on the RREF basis are the entries at its pivots
+        for ii, piv in enumerate(pivots):
+            cc = tower.c_coeffs(image[piv])
+            # subtract the identity
+            for aa in range(d):
+                v = cc[aa]
+                if ii == i and aa == a:
+                    v = (v - 1) % p
+                col.append(v)
+        mat_cols.append(col)
     # rows of the matrix for kernel computation: mat[r][c]
     nrows = nb * d
     mat = [[mat_cols[c][r] for c in range(nrows)] for r in range(nrows)]
-    kernel = kernel_gfp(p, mat)
     out = []
-    for vec in kernel:
+    for vec in kernel_gfp(p, mat):
         f = ring.zero()
         for i in range(nb):
             for a in range(d):
@@ -524,15 +518,17 @@ def descend(amb, action, polys):
         current = IdealHandle(ring, work)
 
     # final verification of the advertised invariants
-    result = IdealHandle(ring, work)
-    assert ideal_equal(result, ideal)
+    if not ideal_equal(IdealHandle(ring, work), ideal):
+        raise AssertionError("descent output generates a different ideal")
     out_degs = [f.multidegree() for f in work]
-    assert out_degs == input_degs
+    if out_degs != input_degs:
+        raise AssertionError("descent output changed the generator degrees")
     orbit_blocks = list(zip(part.s_bounds[:-1], part.s_bounds[1:]))
     for (a, b) in orbit_blocks:
         block = {_monic_key(g) for g in work[a:b]}
         image = {_monic_key(action.apply(g)) for g in work[a:b]}
-        assert image == block, "orbit block is not closed under the action"
+        if image != block:
+            raise AssertionError("orbit block is not closed under the action")
     degree_log = list(zip(input_degs, out_degs))
     return DescentResult(new_gens=work, orbit_blocks=orbit_blocks,
                          degree_log=degree_log, input_order=part.order)

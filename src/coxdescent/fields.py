@@ -34,18 +34,24 @@ def _pmul(a, b, p):
     return _ptrim(out)
 
 
-def _pmod(a, m, p):
-    # m monic
-    a = list(a)
+def _pdivmod(a, m, p):
+    """Quotient and remainder of a by the monic m over GF(p)."""
+    r = list(a)
     dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        k = len(a) - 1 - dm
+    q = []
+    while len(r) > dm:
+        c = r.pop()  # the top term, cancelled by c * t^k * m
+        q.append(c)
         if c:
-            for i, mi in enumerate(m):
-                a[i + k] = (a[i + k] - c * mi) % p
-        a.pop()
-    return _ptrim(a)
+            k = len(r) - dm
+            for i in range(dm):
+                r[k + i] = (r[k + i] - c * m[i]) % p
+    q.reverse()
+    return _ptrim(q), _ptrim(r)
+
+
+def _pmod(a, m, p):
+    return _pdivmod(a, m, p)[1]
 
 
 def _ppowmod(base, e, m, p):
@@ -75,24 +81,10 @@ def _pinvmod(a, m, p):
     s0, s1 = [], [1]
     while r1:
         inv = pow(r1[-1], p - 2, p)
-        r1m = [(c * inv) % p for c in r1]
-        # quotient of r0 by r1m
-        q = []
-        r = list(r0)
-        dm = len(r1m) - 1
-        q = [0] * max(len(r) - dm, 1)
-        while len(r) - 1 >= dm and r:
-            c = r[-1]
-            k = len(r) - 1 - dm
-            q[k] = c
-            if c:
-                for i, mi in enumerate(r1m):
-                    r[i + k] = (r[i + k] - c * mi) % p
-            r.pop()
-        _ptrim(q)
-        q = [(c * inv) % p for c in q]  # undo the monic scaling
-        r0, r1 = r1, _ptrim([(x - y) % p for x, y in
-                             itertools.zip_longest(r0, _pmul(q, r1, p), fillvalue=0)])
+        # dividing by the monic r1/lc leaves the remainder of dividing by r1
+        q, r = _pdivmod(r0, [(c * inv) % p for c in r1], p)
+        q = [(c * inv) % p for c in q]
+        r0, r1 = r1, r
         s0, s1 = s1, _ptrim([(x - y) % p for x, y in
                              itertools.zip_longest(s0, _pmul(q, s1, p), fillvalue=0)])
     # r0 = gcd, should be a nonzero constant

@@ -17,8 +17,8 @@ import itertools
 import threading
 
 from .errors import (RingMismatchError, SaturationDirectionError, UnitIdealError)
-from .rings import (MultigradedRing, Polynomial, _exp_add, _exp_divides,
-                    _exp_sub, elimination_order)
+from .rings import (MultigradedRing, Polynomial, _add_scaled, _exp_add,
+                    _exp_divides, _exp_sub, elimination_order)
 
 # ---------------------------------------------------------------------------
 # engine: polynomials as dicts {exponent tuple: raw coefficient}
@@ -31,27 +31,26 @@ def _monic_dict(t, tower, okey):
     return {e: mul(inv, c) for e, c in t.items()}
 
 
+def _lead_tail(t, okey):
+    """(leading exponent, the other terms) of a nonzero term dict."""
+    lt = max(t, key=okey)
+    return lt, {e: c for e, c in t.items() if e != lt}
+
+
 def _normal_form_dict(h, gb, tower, okey):
-    """Full normal form of ``h`` against monic (lt, terms) pairs ``gb``."""
-    sub, mul, neg, zero = tower.c_sub, tower.c_mul, tower.c_neg, tower.c_zero
+    """Full normal form of ``h`` against (lt, tail) pairs ``gb``.
+
+    Each pair stands for the monic polynomial x^lt + tail.
+    """
+    neg = tower.c_neg
     work = dict(h)
     result = {}
     while work:
         m = max(work, key=okey)
         c = work.pop(m)
-        for lt, terms in gb:
+        for lt, tail in gb:
             if _exp_divides(lt, m):
-                q = _exp_sub(m, lt)
-                for e2, c2 in terms.items():
-                    if e2 == lt:
-                        continue
-                    e = _exp_add(e2, q)
-                    cur = work.get(e)
-                    nv = neg(mul(c, c2)) if cur is None else sub(cur, mul(c, c2))
-                    if nv == zero:
-                        work.pop(e, None)
-                    else:
-                        work[e] = nv
+                _add_scaled(work, tail, tower, neg(c), _exp_sub(m, lt))
                 break
         else:
             result[m] = c
@@ -60,16 +59,24 @@ def _normal_form_dict(h, gb, tower, okey):
 
 def _buchberger(tower, okey, polys):
     """Reduced Groebner basis of the ideal generated by ``polys`` (dicts)."""
-    G = []
-    lts = []
+    G, lts, tails = [], [], []
+
+    def add_to_basis(f):
+        g = _monic_dict(f, tower, okey)
+        lt, tail = _lead_tail(g, okey)
+        G.append(g)
+        lts.append(lt)
+        tails.append(tail)
+        return lt
+
     for f in polys:
         if f:
-            g = _monic_dict(f, tower, okey)
-            G.append(g)
-            lts.append(max(g, key=okey))
+            add_to_basis(f)
 
     def lcm(a, b):
         return tuple(max(x, y) for x, y in zip(a, b))
+
+    minus_one = tower.c_neg(tower.c_one)
 
     pending = set()
     heap = []
@@ -98,27 +105,15 @@ def _buchberger(tower, okey, polys):
                     break
         if skip:
             continue
-        fi, fj = G[i], G[j]
-        qi, qj = _exp_sub(l, lts[i]), _exp_sub(l, lts[j])
+        # the monic leading terms cancel, so the S-polynomial is built
+        # from the tails
         s = {}
-        add, neg, zero = tower.c_add, tower.c_neg, tower.c_zero
-        for e, c in fi.items():
-            s[_exp_add(e, qi)] = c
-        for e, c in fj.items():
-            ee = _exp_add(e, qj)
-            cur = s.get(ee)
-            nv = neg(c) if cur is None else add(cur, neg(c))
-            if nv == zero:
-                s.pop(ee, None)
-            else:
-                s[ee] = nv
-        r = _normal_form_dict(s, list(zip(lts, G)), tower, okey)
+        _add_scaled(s, tails[i], tower, q=_exp_sub(l, lts[i]))
+        _add_scaled(s, tails[j], tower, minus_one, _exp_sub(l, lts[j]))
+        r = _normal_form_dict(s, list(zip(lts, tails)), tower, okey)
         if r:
-            r = _monic_dict(r, tower, okey)
             k = len(G)
-            G.append(r)
-            ltk = max(r, key=okey)
-            lts.append(ltk)
+            ltk = add_to_basis(r)
             for i2 in range(k):
                 l2 = lcm(lts[i2], ltk)
                 heapq.heappush(heap, (okey(l2), i2, k, l2))
@@ -130,12 +125,11 @@ def _buchberger(tower, okey, polys):
     for i in order_idx:
         if not any(_exp_divides(lts[k], lts[i]) for k in kept):
             kept.append(i)
-    minimal = [(lts[i], G[i]) for i in kept]
     # reduce tails
     reduced = []
-    for idx, (lt, g) in enumerate(minimal):
-        others = [minimal[k] for k in range(len(minimal)) if k != idx]
-        r = _normal_form_dict(g, others, tower, okey) if others else dict(g)
+    for i in kept:
+        others = [(lts[k], tails[k]) for k in kept if k != i]
+        r = _normal_form_dict(G[i], others, tower, okey) if others else dict(G[i])
         reduced.append(_monic_dict(r, tower, okey))
     reduced.sort(key=lambda t: okey(max(t, key=okey)), reverse=True)
     return reduced
@@ -155,7 +149,7 @@ class IdealHandle:
         self.ring = ring
         self.gens = tuple(ring._coerce_poly(g) for g in gens)
         self._gb = _gb
-        self._gb_pairs = None  # [(lt, terms)] engine form
+        self._gb_pairs = None  # [(lt, tail)] engine form
         self._lock = threading.Lock()
 
     def reduced_gb(self):
@@ -172,7 +166,7 @@ class IdealHandle:
     def _pairs(self):
         if self._gb_pairs is None:
             okey = self.ring.okey
-            self._gb_pairs = [(max(g._t, key=okey), g._t) for g in self.reduced_gb()]
+            self._gb_pairs = [_lead_tail(g._t, okey) for g in self.reduced_gb()]
         return self._gb_pairs
 
     def normal_form(self, f):
@@ -221,30 +215,26 @@ def ideal_equal(a, b):
 # ---------------------------------------------------------------------------
 # elimination machinery
 
-_AUX_NAMES = ("aux_z", "aux_u", "aux_w")
+def _extended_ring(ring):
+    """The ring with one auxiliary variable in front, eliminated first."""
+    aux = "aux_z"
+    while aux in ring._var_index:
+        aux += "_"
+    return MultigradedRing(ring.tower, (aux,) + ring.variables, grading=None,
+                           order=elimination_order(1, ring.order))
 
 
-def _extended_ring(ring, naux):
-    names = _AUX_NAMES[:naux] + ring.variables
-    return MultigradedRing(ring.tower, names, grading=None,
-                           order=elimination_order(naux, ring.order))
+def _lift(f):
+    return {(0,) + e: c for e, c in f._t.items()}
 
 
-def _lift(ext, f, naux):
-    pad = (0,) * naux
-    return {pad + e: c for e, c in f._t.items()}
-
-
-def _eliminate(ring, ext, dicts, naux):
+def _eliminate(ring, ext, dicts):
     """GB in the elimination order, restricted to aux-free elements."""
     gb = _buchberger(ext.tower, ext.okey, dicts)
-    out = []
-    for d in gb:
-        if all(not any(e[:naux]) for e in d):
-            out.append(Polynomial(ring, {e[naux:]: c for e, c in d.items()}))
     # the aux-free part of a reduced elimination GB is the reduced GB
     # for the ring's own order
-    return out
+    return [Polynomial(ring, {e[1:]: c for e, c in d.items()})
+            for d in gb if all(e[0] == 0 for e in d)]
 
 
 def _handle_with_gb(ring, gb_polys):
@@ -256,18 +246,14 @@ def _handle_with_gb(ring, gb_polys):
 def saturate_single(ideal, g):
     """(I : g^infinity) by eliminating z from I + (1 - z*g)."""
     ring = ideal.ring
-    ext = _extended_ring(ring, 1)
-    dicts = [_lift(ext, f, 1) for f in ideal.reduced_gb()]
-    zg = _lift(ext, g, 1)
-    one = (0,) * ext.nvars
-    rel = {}
-    for e, c in zg.items():
-        rel[(e[0] + 1,) + e[1:]] = ring.tower.c_neg(c)
-    rel[one] = ring.tower.c_add(rel.get(one, ring.tower.c_zero), ring.tower.c_one)
-    if rel.get(one) == ring.tower.c_zero:
-        del rel[one]
+    ext = _extended_ring(ring)
+    tower = ring.tower
+    z = (1,) + (0,) * ring.nvars
+    dicts = [_lift(f) for f in ideal.reduced_gb()]
+    rel = {(0,) * ext.nvars: tower.c_one}
+    _add_scaled(rel, _lift(g), tower, tower.c_neg(tower.c_one), z)
     dicts.append(rel)
-    return _handle_with_gb(ring, _eliminate(ring, ext, dicts, 1))
+    return _handle_with_gb(ring, _eliminate(ring, ext, dicts))
 
 
 def intersect(a, b):
@@ -275,25 +261,16 @@ def intersect(a, b):
     ring = a.ring
     if b.ring is not ring:
         raise RingMismatchError("ideals from different rings")
-    ext = _extended_ring(ring, 1)
+    ext = _extended_ring(ring)
     tower = ring.tower
-    dicts = []
-    for f in a.reduced_gb():
-        d = _lift(ext, f, 1)
-        dicts.append({(e[0] + 1,) + e[1:]: c for e, c in d.items()})
+    u = (1,) + (0,) * ring.nvars
+    dicts = [{(1,) + e: c for e, c in f._t.items()} for f in a.reduced_gb()]
     for f in b.reduced_gb():
-        d = _lift(ext, f, 1)
-        out = dict(d)  # (1-u)*f = f - u*f
-        for e, c in d.items():
-            eu = (e[0] + 1,) + e[1:]
-            cur = out.get(eu)
-            nv = tower.c_neg(c) if cur is None else tower.c_sub(cur, c)
-            if nv == tower.c_zero:
-                out.pop(eu, None)
-            else:
-                out[eu] = nv
+        lifted = _lift(f)
+        out = dict(lifted)  # (1-u)*f = f - u*f
+        _add_scaled(out, lifted, tower, tower.c_neg(tower.c_one), u)
         dicts.append(out)
-    return _handle_with_gb(ring, _eliminate(ring, ext, dicts, 1))
+    return _handle_with_gb(ring, _eliminate(ring, ext, dicts))
 
 
 def saturate(ideal, direction):
@@ -358,13 +335,19 @@ def dimension(ideal):
     raise AssertionError("unreachable")
 
 
+def defining_ideal(ring):
+    """The ring's defining ideal, built once and kept on the ring."""
+    if ring._defining_handle is None:
+        ring._defining_handle = IdealHandle(ring, [])
+    return ring._defining_handle
+
+
 def ambient_dimension(ring):
     """Krull dimension of the (quotient) Cox ring itself."""
     if not ring.defining:
         return ring.nvars
     if ring._defining_height is None:
-        dim_quotient = dimension(IdealHandle(ring, []))
-        ring._defining_height = ring.nvars - dim_quotient
+        ring._defining_height = ring.nvars - dimension(defining_ideal(ring))
     return ring.nvars - ring._defining_height
 
 

@@ -1,22 +1,40 @@
-"""Small exact linear algebra helpers.
+"""Small exact linear algebra: one Gauss-Jordan row reducer over a field.
 
-Row reduction over the coefficient tower (for graded pieces and fixed
-spaces) and over the rationals (for grading compatibility checks).
-Vectors are plain lists; coefficients use the tower's raw representation.
+:func:`rref` works over any object with the field interface ``c_zero``,
+``c_one``, ``c_sub``, ``c_mul`` and ``c_inv``: a
+:class:`~coxdescent.fields.FieldTower` (graded pieces and fixed spaces),
+:func:`prime_field` (restriction of scalars) or :data:`RATIONALS`
+(gradings).  Kernels and solves read off its canonical result.  Vectors are
+plain lists of the field's raw coefficients.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from types import SimpleNamespace
+
+RATIONALS = SimpleNamespace(
+    c_zero=Fraction(0), c_one=Fraction(1), c_sub=operator.sub, c_mul=operator.mul,
+    c_inv=lambda a: 1 / Fraction(a))
 
 
-def echelon_basis(tower, rows):
-    """Reduced row echelon form over the field; returns the nonzero rows.
+def prime_field(p):
+    """GF(p) on plain residues, for :func:`rref`."""
+    return SimpleNamespace(
+        c_zero=0, c_one=1,
+        c_sub=lambda a, b: (a - b) % p, c_mul=lambda a, b: (a * b) % p,
+        c_inv=lambda a: pow(a, p - 2, p))
 
-    Pivots are monic and are the leftmost nonzero coordinates; the result is
-    a canonical basis of the row span.
+
+def rref(field, rows):
+    """Reduced row echelon form: (nonzero rows, their pivot columns).
+
+    Pivots are monic and are the leftmost nonzero coordinates; rows come in
+    increasing pivot order.  The result is the canonical basis of the row
+    span, whatever the order of ``rows``.
     """
-    zero, sub, mul, inv = tower.c_zero, tower.c_sub, tower.c_mul, tower.c_inv
+    zero, sub, mul, inv = field.c_zero, field.c_sub, field.c_mul, field.c_inv
     basis = []  # list of (pivot index, row)
     for row in rows:
         row = list(row)
@@ -36,116 +54,53 @@ def echelon_basis(tower, rows):
                 basis[j] = (piv2, [sub(x, mul(c, y)) for x, y in zip(b, row)])
         basis.append((piv, row))
     basis.sort(key=lambda pr: pr[0])
-    return [row for _, row in basis]
+    return [row for _, row in basis], [piv for piv, _ in basis]
 
 
-def reduce_against(tower, row, basis):
-    """Reduce a vector against an echelon basis.
+def echelon_basis(tower, rows):
+    """The nonzero rows of the reduced row echelon form over the tower."""
+    return rref(tower, rows)[0]
 
-    Returns (coords, residual): coords[i] is the coefficient of basis[i]
-    used, residual is what remains (zero iff row is in the span).
+
+def kernel(field, rows):
+    """Kernel basis of a matrix (list of rows acting on column vectors).
+
+    The canonical RREF free-variable basis, one vector per free column in
+    increasing order.
     """
-    zero, sub, mul = tower.c_zero, tower.c_sub, tower.c_mul
-    row = list(row)
-    coords = []
-    for b in basis:
-        piv = next(i for i, c in enumerate(b) if c != zero)
-        c = row[piv]
-        coords.append(c)
-        if c != zero:
-            row = [sub(x, mul(c, y)) for x, y in zip(row, b)]
-    return coords, row
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = rref(field, rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [field.c_zero] * ncols
+        v[fc] = field.c_one
+        for row, pc in zip(red, pivots):
+            v[pc] = field.c_sub(field.c_zero, row[fc])
+        basis.append(v)
+    return basis
 
 
 def kernel_gfp(p, mat):
-    """Kernel basis of a matrix over GF(p); rows of the result span it.
-
-    ``mat`` is a list of rows (the matrix acts on column vectors).  The
-    basis is the canonical RREF free-variable basis, deterministic.
-    """
-    if not mat:
-        return []
-    nrows, ncols = len(mat), len(mat[0])
-    m = [list(row) for row in mat]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if m[i][c] % p), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-m[i][fc]) % p
-        basis.append(v)
-    return basis
-
-
-def rational_rref(rows):
-    """RREF over the rationals; returns (rref rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if m[i][c]), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
-
-
-def rational_kernel(rows):
-    """Kernel basis (list of columns vectors as lists of Fractions)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = rational_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rref[i][fc]
-        basis.append(v)
-    return basis
+    """Kernel basis of a matrix over GF(p); see :func:`kernel`."""
+    return kernel(prime_field(p), mat)
 
 
 def rational_solve(rows, rhs):
-    """One solution of A x = b over the rationals, or None."""
+    """One solution of A x = b over the rationals, or None.
+
+    Free variables are set to zero.
+    """
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    rref, pivots = rational_rref(aug)
+    red, pivots = rref(RATIONALS, [list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:  # inconsistent system
+        return None
     x = [Fraction(0)] * ncols
-    for row, pc in zip(rref, pivots):
-        if pc == ncols:  # inconsistent system
-            return None
+    for row, pc in zip(red, pivots):
         x[pc] = row[-1]
     return x

@@ -12,11 +12,12 @@ internal coefficient representation.  Coefficients surface as
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from fractions import Fraction
 
 from .errors import (InhomogeneousError, ParseError, RingMismatchError)
 from .fields import FieldElement, FieldTower, format_rep
+from .linalg import RATIONALS, rational_solve, rref
 
 
 # ---------------------------------------------------------------------------
@@ -198,36 +199,21 @@ def _positive_weights(grading):
     Certifies that every graded piece is finite dimensional and yields the
     weight vector used to enumerate monomials of a given degree.  Returns a
     pair (combination, weights).
+
+    Exact: if {y : w_j(y) >= 1 for all j} is nonempty, its minimal face is
+    cut out by w_S(y) = 1 for some set S of rank-many variables, so solving
+    those square systems in turn finds a point of it.
     """
     nvars = len(grading[0])
-    candidates = [tuple(1 if i == j else 0 for j in range(len(grading)))
-                  for i in range(len(grading))]
-    candidates.append((1,) * len(grading))
-    for y in candidates:
+    rank = len(rref(RATIONALS, grading)[1])
+    for subset in itertools.combinations(range(nvars), rank):
+        y = rational_solve([[row[j] for row in grading] for j in subset], [1] * rank)
+        if y is None:
+            continue
         w = [sum(yi * row[j] for yi, row in zip(y, grading)) for j in range(nvars)]
-        if all(x > 0 for x in w):
-            return tuple(y), tuple(w)
-    # general case: feasibility LP, rationalized afterwards
-    try:
-        from scipy.optimize import linprog
-    except ImportError as exc:  # pragma: no cover
-        raise ValueError("grading positivity check needs scipy for this grading") from exc
-    import math
-    r = len(grading)
-    a_ub = [[-row[j] for row in grading] for j in range(nvars)]
-    res = linprog(c=[0] * r, A_ub=a_ub, b_ub=[-1] * nvars, bounds=[(None, None)] * r,
-                  method="highs")
-    if not res.success:
-        raise ValueError("grading admits no positive weight combination")
-    for denom in (1, 2, 4, 8, 16, 64, 1024, 10**6):
-        ys = [Fraction(v).limit_denominator(denom) for v in res.x]
-        lcm = 1
-        for y in ys:
-            lcm = lcm * y.denominator // math.gcd(lcm, y.denominator)
-        y = tuple(int(v * lcm) for v in ys)
-        w = [sum(yi * row[j] for yi, row in zip(y, grading)) for j in range(nvars)]
-        if all(x > 0 for x in w):
-            return y, tuple(w)
+        if all(x >= 1 for x in w):
+            scale = math.lcm(*(v.denominator for v in y))
+            return tuple(int(v * scale) for v in y), tuple(int(x * scale) for x in w)
     raise ValueError("grading admits no positive weight combination")
 
 
@@ -245,6 +231,29 @@ def _exp_sub(a, b):
 def _exp_divides(a, b):
     """a | b componentwise."""
     return all(x <= y for x, y in zip(a, b))
+
+
+def _add_scaled(h, g, tower, c=None, q=None):
+    """h += c * x^q * g, in place on term dicts {exponent: raw coefficient}.
+
+    ``c=None`` stands for 1 and ``q=None`` for x^0, so a plain sum pays no
+    multiplication.  Terms that cancel are deleted, keeping h free of zeros.
+    """
+    add, mul, zero = tower.c_add, tower.c_mul, tower.c_zero
+    for e, v in g.items():
+        if q is not None:
+            e = _exp_add(e, q)
+        if c is not None:
+            v = mul(c, v)
+        cur = h.get(e)
+        if cur is None:
+            h[e] = v
+        else:
+            s = add(cur, v)
+            if s == zero:
+                del h[e]
+            else:
+                h[e] = s
 
 
 class Polynomial:
@@ -341,18 +350,8 @@ class Polynomial:
         other = self._check_ring(other)
         if other is None:
             return NotImplemented
-        tw = self.ring.tower
         out = dict(self._t)
-        for e, c in other._t.items():
-            cur = out.get(e)
-            if cur is None:
-                out[e] = c
-            else:
-                s = tw.c_add(cur, c)
-                if s == tw.c_zero:
-                    del out[e]
-                else:
-                    out[e] = s
+        _add_scaled(out, other._t, self.ring.tower)
         return Polynomial(self.ring, out)
 
     __radd__ = __add__
@@ -383,24 +382,10 @@ class Polynomial:
         other = self._check_ring(other)
         if other is None:
             return NotImplemented
-        tw = self.ring.tower
-        mul, add, zero = tw.c_mul, tw.c_add, tw.c_zero
         out = {}
         small, big = (self._t, other._t) if len(self._t) <= len(other._t) else (other._t, self._t)
         for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                e = _exp_add(e1, e2)
-                prod = mul(c1, c2)
-                cur = out.get(e)
-                if cur is None:
-                    if prod != zero:
-                        out[e] = prod
-                else:
-                    s = add(cur, prod)
-                    if s == zero:
-                        del out[e]
-                    else:
-                        out[e] = s
+            _add_scaled(out, big, self.ring.tower, c1, e1)
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__

@@ -99,6 +99,17 @@ class TestDimAndCI:
         assert rc == 0
         assert out == "CI height=2\n"
 
+    def test_ci_counts_nonzero_generators(self, capsys, tmp_path):
+        path = tmp_path / "zero.prob"
+        path.write_text("field p=101\nambient product 1 1\n"
+                        "ideal line = x0, 0\n"
+                        "ideal union = x0*y0, x0*y1, 0\n")
+        rc, out, _ = run(capsys, "ci", str(path), "--ideal", "line")
+        assert (rc, out) == (0, "CI height=1\n")
+        # V(x0) is a component, so the height is 1, not 2
+        rc, out, _ = run(capsys, "ci", str(path), "--ideal", "union")
+        assert (rc, out) == (4, "NOT_CI height=1 expected=2\n")
+
 
 class TestDescend:
     def test_orbit_pair(self, capsys):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from coxdescent import (ActionError, DescentPreconditionError, IdealHandle,
@@ -5,7 +8,8 @@ from coxdescent import (ActionError, DescentPreconditionError, IdealHandle,
                         degree_orbits, descend, fixed_space,
                         graded_piece_basis, ideal_equal, is_invariant_ideal,
                         lower_piece_basis, make_product_projective,
-                        monomials_of_degree)
+                        make_segre_p1p1, monomials_of_degree)
+from coxdescent.groebner import defining_ideal
 
 from conftest import echelon, coords_of, span_equal, random_poly, seeded
 
@@ -265,3 +269,72 @@ class TestDescend:
             assert apply_action(frob_only, g) == g
         assert ideal_equal(IdealHandle(ring, res.new_gens),
                            IdealHandle(ring, fs))
+
+
+class TestSegreQuotient:
+    """Descent and graded pieces in a quotient Cox ring."""
+
+    @pytest.fixture(scope="class")
+    def segre9(self, gf9):
+        return make_segre_p1p1(gf9)
+
+    @pytest.fixture(scope="class")
+    def swap9(self, segre9):
+        # z01 <-> z10 preserves the defining quadric z00*z11 - z01*z10
+        return SemilinearAction(segre9.ring, 1, {"z01": "z10", "z10": "z01"})
+
+    def test_descend_twisted_point(self, segre9, swap9):
+        ring = segre9.ring
+        fs = [ring.parse("t*z00"), ring.parse("t*z11")]
+        # Frobenius sends t to -t, so phase 1 has to replace both generators
+        assert all(apply_action(swap9, f) == -f for f in fs)
+        res = descend(segre9, swap9, fs)
+        assert len(res.new_gens) == 2
+        for g in res.new_gens:
+            assert apply_action(swap9, g) == g
+        assert ideal_equal(IdealHandle(ring, res.new_gens), IdealHandle(ring, fs))
+        assert res.degree_log == [(Multidegree((1,)), Multidegree((1,)))] * 2
+
+    def test_graded_pieces_modulo_the_quadric(self, segre9):
+        ring = segre9.ring
+        assert defining_ideal(ring) is defining_ideal(ring)
+        ideal = IdealHandle(ring, [ring.parse("z00"), ring.parse("z11")])
+        full = graded_piece_basis(ideal, Multidegree((2,)))
+        lower = lower_piece_basis(ideal, Multidegree((2,)))
+        # of the 10 quadrics, z01*z10 is the leading term of the relation;
+        # z00*z11 is counted once, and z01^2, z10^2 are left outside the ideal
+        assert len(monomials_of_degree(ring, Multidegree((2,)))) == 10
+        assert len(full) == 7
+        assert spans_match(ring, full, lower)
+        lead = ring.parse("z01*z10").leading_exponent()
+        for f in full:
+            assert f.coefficient(lead).is_zero()
+            assert defining_ideal(ring).normal_form(f) == f
+        assert len(graded_piece_basis(ideal, Multidegree((1,)))) == 2
+        assert lower_piece_basis(ideal, Multidegree((1,))) == []
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("D.ideal_equal = lambda a, b: False",
+     "descent output generates a different ideal"),
+    ("D._monic_key = lambda f: object()",
+     "orbit block is not closed under the action"),
+])
+def test_final_checks_survive_optimized_mode(patch, message):
+    # the input needs neither phase, so only the final verification runs
+    # the patched helper; under -O a bare assert would let it pass
+    code = "\n".join([
+        "import coxdescent.descent as D",
+        "from coxdescent import FieldTower, SemilinearAction, make_product_projective",
+        "amb = make_product_projective([1, 1], FieldTower(3, 2))",
+        "swap = SemilinearAction(amb.ring, 1, {'x0': 'y0', 'x1': 'y1', 'y0': 'x0', 'y1': 'x1'})",
+        patch,
+        "try:",
+        "    D.descend(amb, swap, [amb.ring.parse('x0*y0 + x1*y1')])",
+        "except AssertionError as exc:",
+        "    print(exc)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == message + "\n"

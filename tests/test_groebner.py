@@ -126,6 +126,15 @@ class TestSaturate:
         sat = saturate(mk(ring, "x0", "x1*y0"), amb.irrelevant_ideal())
         assert [str(g) for g in sat.reduced_gb()] == ["x0", "y0"]
 
+    def test_variables_named_like_the_auxiliary_one(self, gf101):
+        # elimination adds an auxiliary variable; its name must avoid the
+        # ring's own variables
+        r = MultigradedRing(gf101, ["aux_z", "aux_z_", "y"], grading=[[1, 1, 1]])
+        sat = saturate(mk(r, "aux_z*y", "aux_z_*y^2"), mk(r, "y"))
+        assert [str(g) for g in sat.reduced_gb()] == ["aux_z", "aux_z_"]
+        both = intersect(mk(r, "aux_z"), mk(r, "y"))
+        assert [str(g) for g in both.reduced_gb()] == ["aux_z*y"]
+
     def test_nonreduced_membership(self, amb, ring):
         ideal = mk(ring, "x0*y0^2", "x1^2*y1")
         sat = saturate(ideal, amb.irrelevant_ideal())

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,13 @@ from coxdescent import (FieldTower, InhomogeneousError, Multidegree,
                         degree_leq, make_product_projective,
                         monomials_of_degree, multidegree)
 
+from coxdescent.rings import _positive_weights
+
 from conftest import random_poly, seeded
+
+# Hirzebruch surface F1: neither grading row nor their sum is positive on
+# every variable, but y = (1, 2) is.
+F1_GRADING = ((1, 1, 0, -1), (0, 0, 1, 1))
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +37,52 @@ class TestConstruction:
     def test_nonstandard_positive_grading_accepted(self, gf101):
         r = MultigradedRing(gf101, ["x", "y"], grading=[[2, -1], [-1, 1]])
         assert r.parse("x*y").multidegree() == Multidegree((1, 0))
+
+
+class TestWeightCertificate:
+    def test_hirzebruch_f1(self, gf101):
+        assert _positive_weights(F1_GRADING) == ((1, 2), (1, 1, 2, 1))
+        r = MultigradedRing(gf101, ["x0", "x1", "y0", "y1"], grading=F1_GRADING)
+        got = {str(m) for m in monomials_of_degree(r, Multidegree((1, 1)))}
+        # y1 has degree (-1, 1)
+        assert got == {"x0*y0", "x1*y0", "x0^2*y1", "x0*x1*y1", "x1^2*y1"}
+
+    def test_infeasible_rank_two(self):
+        # w = (y1, y2, -y1 - y2) is never positive everywhere
+        with pytest.raises(ValueError):
+            _positive_weights(((1, 0, -1), (0, 1, -1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda rank: st.integers(min_value=rank, max_value=6).flatmap(
+            lambda nvars: st.lists(
+                st.lists(st.integers(min_value=-2, max_value=3),
+                         min_size=nvars, max_size=nvars),
+                min_size=rank, max_size=rank))))
+    def test_certificate_is_positive_row_combination(self, grading):
+        try:
+            y, w = _positive_weights(grading)
+        except ValueError:
+            return
+        assert all(isinstance(v, int) for v in y + w)
+        assert list(w) == [sum(yi * row[j] for yi, row in zip(y, grading))
+                           for j in range(len(grading[0]))]
+        assert all(x > 0 for x in w)
+
+    def test_scipy_never_imported(self):
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from coxdescent import FieldTower, MultigradedRing\n"
+            "r = MultigradedRing(FieldTower(101), ['x0', 'x1', 'y0', 'y1'],\n"
+            "                    grading=%r)\n"
+            "print(r._weights)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            % (F1_GRADING,))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "((1, 2), (1, 1, 2, 1))\n['scipy']\n"
 
 
 class TestArithmetic:
