@@ -16,7 +16,7 @@ import sys
 from .cox import is_strict_ci, subscheme_ideal
 from .descent import descend
 from .errors import CoxDescentError, DescentPreconditionError, ParseError
-from .groebner import IdealHandle, dimension, height, saturate
+from .groebner import dimension, height, saturate
 from .problemfile import load_problem
 
 EXIT_OK = 0

@@ -9,9 +9,8 @@ intersection tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import InhomogeneousError
 from .groebner import IdealHandle, height, ideal_equal, saturate
 from .rings import MultigradedRing, Polynomial
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import (ActionError, DescentPreconditionError, RingMismatchError)
 from .groebner import IdealHandle, defining_ideal, ideal_equal
 from .linalg import RATIONALS, echelon_basis, kernel, kernel_gfp, rational_solve, rref
-from .rings import Multidegree, Polynomial, monomials_of_degree
+from .rings import Multidegree, Polynomial, _exp_divides, monomials_of_degree
 
 _MAX_ORDER = 10000
 
@@ -32,7 +32,7 @@ class SemilinearAction:
 
     def __init__(self, ring, frob_power, var_map):
         self.ring = ring
-        self.frob_power = frob_power % max(ring.tower.d, 1)
+        self.frob_power = frob_power % ring.tower.d
         tower = ring.tower
         n = ring.nvars
         perm = [None] * n
@@ -60,8 +60,8 @@ class SemilinearAction:
         self.scalars = tuple(scalars)
         if ring.grading is not None:
             self._check_degree_compatible()
-        self.order = self._compute_order()
-        self._power_cache = {}
+        self._powers = self._compute_powers()
+        self.order = len(self._powers)
 
     # -- structure
 
@@ -75,16 +75,16 @@ class SemilinearAction:
                 if sum(Fraction(a) * x for a, x in zip(row, moved)) != 0:
                     raise ActionError("variable permutation does not preserve the grading kernel")
 
-    def _compute_order(self):
-        d = max(self.ring.tower.d, 1)
-        e, perm, scalars = 0, tuple(range(self.ring.nvars)), \
-            tuple(self.ring.tower.c_one for _ in range(self.ring.nvars))
-        identity = (0, tuple(range(self.ring.nvars)), scalars)
-        state = identity
-        for n in range(1, _MAX_ORDER + 1):
-            state = self._compose(state)
+    def _compute_powers(self):
+        """[identity, a, a^2, ...] up to the action's order."""
+        n = self.ring.nvars
+        identity = (0, tuple(range(n)), (self.ring.tower.c_one,) * n)
+        powers = [identity]
+        for _ in range(_MAX_ORDER):
+            state = self._compose(powers[-1])
             if state == identity:
-                return n
+                return powers
+            powers.append(state)
         raise ActionError("action order exceeds %d" % _MAX_ORDER)
 
     def _compose(self, state):
@@ -92,22 +92,13 @@ class SemilinearAction:
         tower = self.ring.tower
         e2, p2, s2 = state
         e1, p1, s1 = self.frob_power, self.perm, self.scalars
-        d = max(tower.d, 1)
         perm = tuple(p2[p1[i]] for i in range(len(p1)))
         scalars = tuple(tower.c_mul(tower.c_frob(s1[i], e2), s2[p1[i]])
                         for i in range(len(p1)))
-        return ((e1 + e2) % d, perm, scalars)
+        return ((e1 + e2) % tower.d, perm, scalars)
 
     def _power(self, times):
-        times %= self.order
-        cached = self._power_cache.get(times)
-        if cached is None:
-            n = self.ring.nvars
-            state = (0, tuple(range(n)), tuple(self.ring.tower.c_one for _ in range(n)))
-            for _ in range(times):
-                state = self._compose(state)
-            cached = self._power_cache[times] = state
-        return cached
+        return self._powers[times % self.order]
 
     # -- application
 
@@ -137,18 +128,16 @@ class SemilinearAction:
         grading = self.ring.grading
         if grading is None:
             raise ActionError("ring is ungraded")
-        cols = [[Fraction(row[j]) for row in grading] for j in range(self.ring.nvars)]
-        x = rational_solve([[cols[j][i] for j in range(self.ring.nvars)]
-                            for i in range(len(grading))], list(degree))
+        x = rational_solve(grading, list(degree))
         if x is None:
             raise ActionError("degree %s is not in the grading lattice image" % (degree,))
         _, perm, _ = self._power(times)
-        moved = [Fraction(0)] * len(x)
+        moved = [None] * len(x)
         for i, j in enumerate(perm):
             moved[j] = x[i]
         out = []
         for row in grading:
-            v = sum(Fraction(a) * m for a, m in zip(row, moved))
+            v = sum(a * m for a, m in zip(row, moved))
             if v.denominator != 1:
                 raise ActionError("induced degree action is not integral")
             out.append(int(v))
@@ -194,7 +183,8 @@ class DegreeOrbitPartition:
     order: list
     r_bounds: list            # orbit block boundaries: 0 = r_0 < ... < r_m = s
     s_bounds: list            # sub-block boundaries: 0 = s_0 < ... < s_n = s
-    blocks: list              # per r-block: dict(beta, gamma, classes, rep_powers)
+    blocks: list              # per r-block: dict(beta, gamma, classes, rep_powers);
+                              # classes[k] is a^k(classes[0]), so rep_powers is range(beta)
 
 
 def degree_orbits(action, polys):
@@ -212,17 +202,7 @@ def degree_orbits(action, polys):
     while unassigned:
         first = unassigned[0]
         base = degs[first]
-        # classes in rep-power order: smallest power of the generator
-        classes = [base]
-        rep_powers = [0]
-        cur = base
-        for k in range(1, action.order):
-            cur = action.apply_degree(cur, 1)
-            if cur == base:
-                break
-            if cur not in classes:
-                classes.append(cur)
-                rep_powers.append(k)
+        classes = action.degree_orbit(base)
         beta = len(classes)
         members = {tuple(c): [i for i in unassigned if degs[i] == c] for c in classes}
         gammas = {c: len(v) for c, v in members.items()}
@@ -239,7 +219,7 @@ def degree_orbits(action, polys):
             s_bounds.append(len(order))
         r_bounds.append(len(order))
         blocks.append({"beta": beta, "gamma": gamma, "classes": classes,
-                       "rep_powers": rep_powers})
+                       "rep_powers": list(range(beta))})
         taken = set()
         for v in members.values():
             taken.update(v)
@@ -251,83 +231,55 @@ def degree_orbits(action, polys):
 # ---------------------------------------------------------------------------
 # graded pieces
 
-def _standard_monomials(ring, degree):
-    """Monomial basis of the degree piece of the (quotient) ring."""
-    monos = monomials_of_degree(ring, degree)
-    if not ring.defining:
-        return monos
-    lts = [lt for lt, _ in defining_ideal(ring)._pairs()]
-    out = []
-    for m in monos:
-        e = m.leading_exponent()
-        if not any(all(a >= b for a, b in zip(e, lt)) for lt in lts):
-            out.append(m)
-    return out
+def _piece_basis(ring, degree, polys):
+    """Echelonized basis of the span of ``polys`` in a degree piece.
 
-
-def _coords(ring, f, mono_index, jhandle):
-    if ring.defining:
-        f = jhandle.normal_form(f)
-    v = [ring.tower.c_zero] * len(mono_index)
-    for e, c in f._t.items():
-        v[mono_index[e]] = c
-    return v
-
-
-def _piece_context(ring, degree):
-    monos = _standard_monomials(ring, degree)
-    exps = [m.leading_exponent() for m in monos]
-    mono_index = {e: i for i, e in enumerate(exps)}
+    Coordinates are taken on the standard monomials of the (quotient) ring,
+    those outside the initial ideal of the defining ideal, after reduction
+    modulo the defining ideal.
+    """
+    exps = [m.leading_exponent() for m in monomials_of_degree(ring, degree)]
     jhandle = defining_ideal(ring) if ring.defining else None
-    return exps, mono_index, jhandle
-
-
-def _rows_to_polys(ring, rows, exps):
-    out = []
-    for row in rows:
-        t = {exps[i]: c for i, c in enumerate(row) if c != ring.tower.c_zero}
-        out.append(Polynomial(ring, t))
-    return out
+    if jhandle is not None:
+        lts = [lt for lt, _ in jhandle._pairs()]
+        exps = [e for e in exps if not any(_exp_divides(lt, e) for lt in lts)]
+    index = {e: i for i, e in enumerate(exps)}
+    zero = ring.tower.c_zero
+    rows = []
+    for f in polys:
+        if jhandle is not None:
+            f = jhandle.normal_form(f)
+        row = [zero] * len(exps)
+        for e, c in f._t.items():
+            row[index[e]] = c
+        rows.append(row)
+    return [Polynomial(ring, {exps[i]: c for i, c in enumerate(row) if c != zero})
+            for row in echelon_basis(ring.tower, rows)]
 
 
 def graded_piece_basis(ideal, degree):
     """Echelonized basis of the degree piece spanned by generator multiples."""
     ring = ideal.ring
     degree = Multidegree(degree)
-    exps, mono_index, jhandle = _piece_context(ring, degree)
-    rows = []
-    for f in ideal.gens:
-        if f.is_zero():
-            continue
-        diff = degree - f.multidegree()
-        for m in monomials_of_degree(ring, diff):
-            rows.append(_coords(ring, m * f, mono_index, jhandle))
-    rows = echelon_basis(ring.tower, rows)
-    return _rows_to_polys(ring, rows, exps)
+    return _piece_basis(ring, degree, [
+        m * f for f in ideal.gens if not f.is_zero()
+        for m in monomials_of_degree(ring, degree - f.multidegree())])
 
 
 def lower_piece_basis(ideal, degree):
     """Basis of the part of the piece reachable from strictly lower degrees.
 
-    Span of the nonconstant monomial multiples of the generators; with the
+    Span of the nonconstant monomial multiples of the generators, that is of
+    the multiples of generators of other degrees: every variable has
+    positive weight, so 1 is the only monomial of degree 0.  With the
     generators generating the ideal this is the degree piece of the ideal
     generated by all strictly lower pieces.
     """
     ring = ideal.ring
     degree = Multidegree(degree)
-    exps, mono_index, jhandle = _piece_context(ring, degree)
-    zero_exp = (0,) * ring.nvars
-    rows = []
-    for f in ideal.gens:
-        if f.is_zero():
-            continue
-        diff = degree - f.multidegree()
-        for m in monomials_of_degree(ring, diff):
-            if m.leading_exponent() == zero_exp:
-                continue
-            rows.append(_coords(ring, m * f, mono_index, jhandle))
-    rows = echelon_basis(ring.tower, rows)
-    return _rows_to_polys(ring, rows, exps)
+    return _piece_basis(ring, degree, [
+        m * f for f in ideal.gens if not f.is_zero() and f.multidegree() != degree
+        for m in monomials_of_degree(ring, degree - f.multidegree())])
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +300,14 @@ def fixed_space(action, vectors, subgroup_index):
     if not vectors:
         return []
     k = subgroup_index
+    d, p = tower.d, tower.p
+    mul, add, zero = tower.c_mul, tower.c_add, tower.c_zero
     support = sorted({e for v in vectors for e in v._t},
                      key=ring.okey, reverse=True)
     index = {e: i for i, e in enumerate(support)}
 
     def coords(f):
-        row = [tower.c_zero] * len(support)
+        row = [zero] * len(support)
         for e, c in f._t.items():
             if e not in index:
                 raise ActionError("space is not closed under the subgroup action")
@@ -362,62 +316,35 @@ def fixed_space(action, vectors, subgroup_index):
 
     basis, pivots = rref(tower, [coords(v) for v in vectors])
     nb = len(basis)
-    d = tower.d
-    p = tower.p
 
     def to_poly(row):
-        t = {support[i]: c for i, c in enumerate(row) if c != tower.c_zero}
-        return Polynomial(ring, t)
+        return Polynomial(ring, {support[i]: c for i, c in enumerate(row) if c != zero})
 
-    basis_polys = [to_poly(b) for b in basis]
-
-    # GF(p)-basis: t^a * w_i; columns of the matrix of sigma^k - id
-    gen = tower.gen().rep if d > 1 else None
-    images = []
-    for i in range(nb):
-        for a in range(d):
-            scalar = tower.c_one if a == 0 else tower.c_pow(gen, a)
-            elem = basis_polys[i] * _field_elem(tower, scalar)
-            images.append(coords(action.apply(elem, k)))
+    # GF(p)-basis t^a * w_i, a < d; t^a is the a-th unit coordinate row
+    units = [tower.c_from_coeffs([int(a == b) for b in range(d)]) for a in range(d)]
+    images = [coords(action.apply(to_poly([mul(u, x) for x in b]), k))
+              for b in basis for u in units]
     if len(rref(tower, basis + images)[0]) != nb:
         raise ActionError("space is not closed under the subgroup action")
-    mat_cols = []
-    for col_index, image in enumerate(images):
-        i, a = divmod(col_index, d)
-        col = []
-        # coordinates on the RREF basis are the entries at its pivots
-        for ii, piv in enumerate(pivots):
-            cc = tower.c_coeffs(image[piv])
-            # subtract the identity
-            for aa in range(d):
-                v = cc[aa]
-                if ii == i and aa == a:
-                    v = (v - 1) % p
-                col.append(v)
-        mat_cols.append(col)
-    # rows of the matrix for kernel computation: mat[r][c]
-    nrows = nb * d
-    mat = [[mat_cols[c][r] for c in range(nrows)] for r in range(nrows)]
+    # matrix of sigma^k - id; coordinates on the RREF basis are the entries
+    # at its pivots
+    cols = [[c for piv in pivots for c in tower.c_coeffs(image[piv])] for image in images]
+    mat = [list(row) for row in zip(*cols)]
+    for i in range(nb * d):
+        mat[i][i] = (mat[i][i] - 1) % p
     out = []
     for vec in kernel_gfp(p, mat):
-        f = ring.zero()
-        for i in range(nb):
-            for a in range(d):
-                c = vec[i * d + a]
-                if c:
-                    scalar = tower.c_from_int(c) if a == 0 else \
-                        tower.c_mul(tower.c_from_int(c), tower.c_pow(gen, a))
-                    f = f + basis_polys[i] * _field_elem(tower, scalar)
+        row = [zero] * len(support)
+        for i, b in enumerate(basis):
+            c = tower.c_from_coeffs(vec[i * d:(i + 1) * d])
+            if c != zero:
+                row = [add(x, mul(c, y)) for x, y in zip(row, b)]
+        f = to_poly(row)
         if not f.is_zero():
             if action.apply(f, k) != f:
                 raise AssertionError("fixed-space element is not fixed")
             out.append(f)
     return out
-
-
-def _field_elem(tower, rep):
-    from .fields import FieldElement
-    return FieldElement(tower, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +389,12 @@ def descend(amb, action, polys):
     part = degree_orbits(action, polys)
     work = [polys[i] for i in part.order]
     input_degs = [f.multidegree() for f in work]
-    s = len(work)
+    betas = [block["beta"] for bi, block in enumerate(part.blocks)
+             for _ in range(part.r_bounds[bi], part.r_bounds[bi + 1])]
 
     # phase 1: make every generator fixed under the stabilizer of its class
-    for t in range(s):
+    for t, beta in enumerate(betas):
         f = work[t]
-        beta = len(action.degree_orbit(f.multidegree()))
         stab_order = action.order // beta
         if stab_order == 1 or action.apply(f, beta) == f:
             continue
@@ -496,14 +423,11 @@ def descend(amb, action, polys):
         rep_powers = block["rep_powers"]
         base_class = classes[0]
         base_gens = [g for g in work[start:end] if g.multidegree() == base_class]
-        # sanity: the generators of each class complete the lower piece to
-        # a basis of the full graded piece
+        # sanity: the gamma generators of each class complete the lower
+        # piece to a basis of the full graded piece
         for cls in classes:
-            cls_gens = [g for g in work[start:end] if g.multidegree() == cls]
             piece = graded_piece_basis(current, cls)
-            lower = lower_piece_basis(current, cls)
-            delta = len(piece) - gamma
-            if len(lower) != delta or len(_span(ring, cls_gens + lower, cls)) != len(piece):
+            if len(lower_piece_basis(current, cls)) != len(piece) - gamma:
                 raise AssertionError(
                     "graded piece of degree %s is not generated as the "
                     "preconditions require" % (cls,))
@@ -536,9 +460,3 @@ def descend(amb, action, polys):
 
 def _monic_key(f):
     return frozenset(f.monic()._t.items())
-
-
-def _span(ring, polys, degree):
-    exps, mono_index, jhandle = _piece_context(ring, degree)
-    rows = [_coords(ring, f, mono_index, jhandle) for f in polys if not f.is_zero()]
-    return echelon_basis(ring.tower, rows)

@@ -94,17 +94,31 @@ def _pinvmod(a, m, p):
     return [(x * c) % p for x in s0]
 
 
+# the first 12 primes: as Miller-Rabin bases they decide every n below
+# 3.18e23 (Sorenson and Webster 2015), beyond the 2^62 bound on p
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin, exact for n < 3.18e23."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    i = 37
-    while i * i <= n:
-        if n % i == 0:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 
@@ -132,10 +146,10 @@ class FieldTower:
     """
 
     def __init__(self, p, d=1, min_poly=None):
-        if not _is_prime(p):
-            raise ValueError("p = %d is not prime" % p)
         if p >= 2**62:
             raise ValueError("p too large")
+        if not _is_prime(p):
+            raise ValueError("p = %d is not prime" % p)
         if d < 1:
             raise ValueError("extension degree must be >= 1")
         self.p = p
@@ -270,9 +284,8 @@ class FieldTower:
                 c = list(cur) + [0] * (d - len(cur))
                 cols.append(tuple(c[:d]))
                 cur = _pmod(_pmul(cur, tp, p), mp, p)
-            frob_mats = [None] * d
-            frob_mats[0] = None  # identity
-            frob_mats[1] = cols if d > 1 else None
+            frob_mats = [None] * d  # frob_mats[0], the identity, is never read
+            frob_mats[1] = cols
 
             def _apply_mat(cols_, a):
                 out = [0] * d
@@ -302,9 +315,6 @@ class FieldTower:
             self.c_from_int = lambda n: (n % p,) + (0,) * (d - 1)
             self.c_coeffs = lambda a: a
             self.c_from_coeffs = lambda cs: tuple(c % p for c in cs)
-
-    def c_is_zero(self, a):
-        return a == self.c_zero
 
     def c_pow(self, a, n):
         if n < 0:

@@ -323,7 +323,6 @@ def dimension(ideal):
     gb = ideal.reduced_gb()
     if gb and gb[0].is_constant():
         raise UnitIdealError("dimension of the unit ideal is undefined")
-    okey = ideal.ring.okey
     supports = {frozenset(i for i, a in enumerate(g.leading_exponent()) if a)
                 for g in gb}
     n = ideal.ring.nvars

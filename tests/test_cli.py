@@ -135,6 +135,14 @@ class TestErrors:
         assert rc == 2
         assert "parse error" in err
 
+    def test_modulus_too_large(self, capsys, tmp_path):
+        path = tmp_path / "big.prob"
+        path.write_text("field p=618970019642690137449562111\n"
+                        "ambient product 1 1\nideal a = x0\n")
+        rc, _, err = run(capsys, "gb", str(path))
+        assert rc == 2
+        assert "p too large" in err
+
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "gb", DATA + "/nope.prob")
         assert rc == 2

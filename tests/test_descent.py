@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from coxdescent import (ActionError, DescentPreconditionError, IdealHandle,
-                        Multidegree, SemilinearAction, apply_action,
+import coxdescent.descent as D
+from coxdescent import (ActionError, DescentPreconditionError, FieldTower,
+                        IdealHandle, Multidegree, SemilinearAction, apply_action,
                         degree_orbits, descend, fixed_space,
                         graded_piece_basis, ideal_equal, is_invariant_ideal,
                         lower_piece_basis, make_product_projective,
@@ -269,6 +270,107 @@ class TestDescend:
             assert apply_action(frob_only, g) == g
         assert ideal_equal(IdealHandle(ring, res.new_gens),
                            IdealHandle(ring, fs))
+
+
+class TestOrderBound:
+    def test_order_past_the_bound_rejected(self):
+        # disjoint cycles of lengths 2, 3, 5, 7, 11, 13 on the 41 variables
+        # of P^40: order 30030
+        amb = make_product_projective([40], FieldTower(2))
+        var_map, start = {}, 0
+        for length in (2, 3, 5, 7, 11, 13):
+            for i in range(length):
+                var_map["x%d" % (start + i)] = "x%d" % (start + (i + 1) % length)
+            start += length
+        with pytest.raises(ActionError, match="order exceeds"):
+            SemilinearAction(amb.ring, 0, var_map)
+
+
+class TestCycleOverGF16:
+    """A 3-cycle of the factors of P1xP1xP1 with Frobenius over GF(2^4).
+
+    The order is lcm(3, 4) = 12 and every class of degree (1,0,0) has an
+    orbit of length 3, so phase 1 restricts scalars with d = 4.  The plain
+    cycle fixes x0 + x1 under sigma^3; the twisted one, which also swaps
+    the coordinates once per turn, fixes the line of x0 + t^5*x1, whose
+    fixed vectors have coefficients outside GF(2).
+    """
+
+    @pytest.fixture(scope="class")
+    def amb(self):
+        return make_product_projective([1, 1, 1], FieldTower(2, 4))
+
+    @pytest.fixture(scope="class", params=[
+        ({"x0": "y0", "x1": "y1"}, "x0 + x1"),
+        ({"x0": "y1", "x1": "y0"}, "x0 + t^5*x1"),
+    ], ids=["plain", "twisted"])
+    def case(self, request, amb):
+        first, f0 = request.param
+        cycle = SemilinearAction(amb.ring, 1, dict(first, y0="z0", y1="z1",
+                                                   z0="x0", z1="x1"))
+        # twisted conjugates of f0: none is fixed by sigma^3
+        ring = amb.ring
+        gens = [apply_action(cycle, ring.parse(f0), k) * ring.tower.element(c)
+                for k, c in enumerate(["t", "t^2+1", "t^3+t"])]
+        return cycle, gens
+
+    def test_degree_orbits_in_power_order(self, case):
+        cycle, gens = case
+        assert cycle.order == 12
+        part = degree_orbits(cycle, gens)
+        assert part.order == [0, 1, 2]
+        block, = part.blocks
+        assert block["classes"] == [Multidegree((1, 0, 0)), Multidegree((0, 1, 0)),
+                                    Multidegree((0, 0, 1))]
+        assert (block["beta"], block["gamma"]) == (3, 1)
+        assert block["rep_powers"] == [0, 1, 2]
+
+    def test_descend_contract(self, amb, case, monkeypatch):
+        cycle, gens = case
+        ring = amb.ring
+        calls = []
+
+        def spy(action, vectors, subgroup_index):
+            calls.append(subgroup_index)
+            return fixed_space(action, vectors, subgroup_index)
+
+        monkeypatch.setattr(D, "fixed_space", spy)
+        assert all(apply_action(cycle, g, 3) != g for g in gens)
+        res = descend(amb, cycle, gens)
+        assert calls == [3, 3, 3]
+        assert [d for d, _ in res.degree_log] == [g.multidegree() for g in gens]
+        assert [f.multidegree() for f in res.new_gens] == [g.multidegree() for g in gens]
+        assert res.orbit_blocks == [(0, 3)]
+        block = {str(g.monic()) for g in res.new_gens}
+        assert {str(apply_action(cycle, g).monic()) for g in res.new_gens} == block
+        assert ideal_equal(IdealHandle(ring, res.new_gens), IdealHandle(ring, gens))
+        for g in res.new_gens:
+            assert apply_action(cycle, g, 3) == g
+
+
+def test_frobenius_fixed_space_over_gf27_against_exhaustive_oracle():
+    amb = make_product_projective([1, 1], FieldTower(3, 3))
+    ring = amb.ring
+    frob = SemilinearAction(ring, 1, {})
+    u, v = ring.parse("x0*y0 + x1*y1"), ring.parse("x0*y1 - x1*y0")
+    t = ring.tower.gen()
+    vecs = [u * t + v, u * t**2 + v * 2]
+    got = fixed_space(frob, vecs, 1)
+    assert len(got) == 2
+    for g in got:
+        assert apply_action(frob, g) == g
+    # oracle: every fixed element of the GF(27)-span of vecs
+    els = list(ring.tower.elements())
+    fixed = set()
+    for a in els:
+        for b in els:
+            w = vecs[0] * a + vecs[1] * b
+            if not w.is_zero() and apply_action(frob, w) == w:
+                fixed.add(str(w))
+    gf3_combos = {str(got[0] * c0 + got[1] * c1)
+                  for c0 in range(3) for c1 in range(3) if (c0, c1) != (0, 0)}
+    assert gf3_combos == fixed
+    assert len(fixed) == 8
 
 
 class TestSegreQuotient:

@@ -1,9 +1,11 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coxdescent import FieldTower, TowerMismatchError, frobenius
+from coxdescent.fields import _is_prime
 
 
 def elems(tower):
@@ -27,6 +29,35 @@ class TestConstruction:
         assert FieldTower(3, 2) == FieldTower(3, 2)
         assert hash(FieldTower(3, 2)) == hash(FieldTower(3, 2))
         assert FieldTower(3, 2) != FieldTower(3, 1)
+
+
+class TestPrimality:
+    def test_large_mersenne_prime_accepted_quickly(self):
+        start = time.perf_counter()
+        tower = FieldTower(2**61 - 1)
+        assert time.perf_counter() - start < 1.0
+        assert tower.element(2**61 - 2) + tower.one() == tower.zero()
+
+    def test_modulus_past_the_bound_rejected_before_the_test(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("primality test ran")
+        monkeypatch.setattr("coxdescent.fields._is_prime", refuse)
+        with pytest.raises(ValueError, match="p too large"):
+            FieldTower(2**89 - 1)
+
+    def test_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+        assert [n for n in range(10**5) if _is_prime(n)] == \
+            [n for n in range(10**5) if trial(n)]
+
+    @pytest.mark.parametrize("n", [561, 41041, 3215031751, 3825123056546413051])
+    def test_pseudoprimes_rejected(self, n):
+        # two Carmichael numbers, a strong pseudoprime to the bases 2..7 and
+        # one to every prime base up to 31, which only the base 37 exposes
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="not prime"):
+            FieldTower(n)
 
 
 class TestArithmetic:
