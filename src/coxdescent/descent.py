@@ -126,8 +126,6 @@ class SemilinearAction:
     def apply_degree(self, degree, times=1):
         """The induced action on multidegrees."""
         grading = self.ring.grading
-        if grading is None:
-            raise ActionError("ring is ungraded")
         x = rational_solve(grading, list(degree))
         if x is None:
             raise ActionError("degree %s is not in the grading lattice image" % (degree,))

@@ -164,7 +164,6 @@ class FieldTower:
             self.min_poly = tuple(coeffs)
             if not self._is_irreducible(list(coeffs)):
                 raise ValueError("min_poly is not irreducible over GF(%d)" % p)
-        self.size = p**d
         self._setup_ops()
 
     # -- construction helpers
@@ -194,9 +193,10 @@ class FieldTower:
         return True
 
     def _find_min_poly(self):
-        # smallest irreducible in lexicographic coefficient order (a_0,...,a_{d-1})
+        # smallest irreducible in lexicographic coefficient order (a_0,...,a_{d-1});
+        # for d >= 2, t divides every candidate with a_0 = 0
         p, d = self.p, self.d
-        for tail in itertools.product(range(p), repeat=d):
+        for tail in itertools.product(range(1, p), *[range(p)] * (d - 1)):
             f = list(tail) + [1]
             if self._is_irreducible(f):
                 return f

@@ -17,24 +17,20 @@ import itertools
 import threading
 
 from .errors import (RingMismatchError, SaturationDirectionError, UnitIdealError)
-from .rings import (MultigradedRing, Polynomial, _add_scaled, _exp_add,
-                    _exp_divides, _exp_sub, elimination_order)
+from .rings import (Polynomial, _add_scaled, _exp_add, _exp_divides, _exp_sub,
+                    _grevlex_key)
 
 # ---------------------------------------------------------------------------
-# engine: polynomials as dicts {exponent tuple: raw coefficient}
+# engine: polynomials as dicts {exponent tuple: raw coefficient}; a monic
+# polynomial x^lt + tail as the pair (lt, tail)
 
 
-def _monic_dict(t, tower, okey):
-    lead = max(t, key=okey)
-    inv = tower.c_inv(t[lead])
-    mul = tower.c_mul
-    return {e: mul(inv, c) for e, c in t.items()}
-
-
-def _lead_tail(t, okey):
-    """(leading exponent, the other terms) of a nonzero term dict."""
+def _monic_pair(t, tower, okey):
+    """(leading exponent, the other terms) of a nonzero term dict, made monic."""
     lt = max(t, key=okey)
-    return lt, {e: c for e, c in t.items() if e != lt}
+    inv = tower.c_inv(t[lt])
+    mul = tower.c_mul
+    return lt, {e: mul(inv, c) for e, c in t.items() if e != lt}
 
 
 def _normal_form_dict(h, gb, tower, okey):
@@ -58,13 +54,12 @@ def _normal_form_dict(h, gb, tower, okey):
 
 
 def _buchberger(tower, okey, polys):
-    """Reduced Groebner basis of the ideal generated by ``polys`` (dicts)."""
-    G, lts, tails = [], [], []
+    """Reduced Groebner basis of the ideal generated by ``polys`` (dicts),
+    as (lt, tail) pairs in decreasing order of lt."""
+    lts, tails = [], []
 
     def add_to_basis(f):
-        g = _monic_dict(f, tower, okey)
-        lt, tail = _lead_tail(g, okey)
-        G.append(g)
+        lt, tail = _monic_pair(f, tower, okey)
         lts.append(lt)
         tails.append(tail)
         return lt
@@ -80,7 +75,7 @@ def _buchberger(tower, okey, polys):
 
     pending = set()
     heap = []
-    for i in range(len(G)):
+    for i in range(len(lts)):
         for j in range(i):
             l = lcm(lts[i], lts[j])
             heapq.heappush(heap, (okey(l), j, i, l))
@@ -94,7 +89,7 @@ def _buchberger(tower, okey, polys):
             continue
         # chain criterion
         skip = False
-        for k in range(len(G)):
+        for k in range(len(lts)):
             if k == i or k == j:
                 continue
             if _exp_divides(lts[k], l):
@@ -112,7 +107,7 @@ def _buchberger(tower, okey, polys):
         _add_scaled(s, tails[j], tower, minus_one, _exp_sub(l, lts[j]))
         r = _normal_form_dict(s, list(zip(lts, tails)), tower, okey)
         if r:
-            k = len(G)
+            k = len(lts)
             ltk = add_to_basis(r)
             for i2 in range(k):
                 l2 = lcm(lts[i2], ltk)
@@ -120,18 +115,16 @@ def _buchberger(tower, okey, polys):
                 pending.add((i2, k))
 
     # minimal basis: drop elements whose lt is divisible by another lt
-    order_idx = sorted(range(len(G)), key=lambda i: okey(lts[i]))
     kept = []
-    for i in order_idx:
+    for i in sorted(range(len(lts)), key=lambda i: okey(lts[i])):
         if not any(_exp_divides(lts[k], lts[i]) for k in kept):
             kept.append(i)
-    # reduce tails
+    kept.reverse()
+    # reduce tails: no kept lt divides another, so each x^lt stays as it is
     reduced = []
     for i in kept:
         others = [(lts[k], tails[k]) for k in kept if k != i]
-        r = _normal_form_dict(G[i], others, tower, okey) if others else dict(G[i])
-        reduced.append(_monic_dict(r, tower, okey))
-    reduced.sort(key=lambda t: okey(max(t, key=okey)), reverse=True)
+        reduced.append((lts[i], _normal_form_dict(tails[i], others, tower, okey)))
     return reduced
 
 
@@ -145,11 +138,11 @@ class IdealHandle:
     computation, so all results are canonical representatives modulo it.
     """
 
-    def __init__(self, ring, gens, _gb=None):
+    def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple(ring._coerce_poly(g) for g in gens)
-        self._gb = _gb
         self._gb_pairs = None  # [(lt, tail)] engine form
+        self._gb = None
         self._lock = threading.Lock()
 
     def reduced_gb(self):
@@ -157,16 +150,15 @@ class IdealHandle:
         if self._gb is None:
             with self._lock:
                 if self._gb is None:
-                    polys = [g._t for g in self.gens if g._t]
-                    polys += [f._t for f in self.ring.defining if f._t]
-                    dicts = _buchberger(self.ring.tower, self.ring.okey, polys)
-                    self._gb = [Polynomial(self.ring, d) for d in dicts]
+                    if self._gb_pairs is None:
+                        polys = [g._t for g in self.gens + self.ring.defining]
+                        self._gb_pairs = _buchberger(self.ring.tower, self.ring.okey, polys)
+                    self._gb = _polys_of_pairs(self.ring, self._gb_pairs)
         return list(self._gb)
 
     def _pairs(self):
         if self._gb_pairs is None:
-            okey = self.ring.okey
-            self._gb_pairs = [_lead_tail(g._t, okey) for g in self.reduced_gb()]
+            self.reduced_gb()
         return self._gb_pairs
 
     def normal_form(self, f):
@@ -198,6 +190,11 @@ class IdealHandle:
         return "IdealHandle(%s)" % ", ".join(str(g) for g in self.gens)
 
 
+def _polys_of_pairs(ring, pairs):
+    one = ring.tower.c_one
+    return [Polynomial(ring, {lt: one, **tail}) for lt, tail in pairs]
+
+
 # functional wrappers
 
 def reduced_gb(ideal):
@@ -213,47 +210,43 @@ def ideal_equal(a, b):
 
 
 # ---------------------------------------------------------------------------
-# elimination machinery
+# elimination machinery: exponents lifted with one leading auxiliary
+# coordinate, which the elimination order compares first
 
-def _extended_ring(ring):
-    """The ring with one auxiliary variable in front, eliminated first."""
-    aux = "aux_z"
-    while aux in ring._var_index:
-        aux += "_"
-    return MultigradedRing(ring.tower, (aux,) + ring.variables, grading=None,
-                           order=elimination_order(1, ring.order))
+def _elim_key(e):
+    return (e[0], _grevlex_key(e[1:]))
 
 
 def _lift(f):
     return {(0,) + e: c for e, c in f._t.items()}
 
 
-def _eliminate(ring, ext, dicts):
-    """GB in the elimination order, restricted to aux-free elements."""
-    gb = _buchberger(ext.tower, ext.okey, dicts)
-    # the aux-free part of a reduced elimination GB is the reduced GB
-    # for the ring's own order
-    return [Polynomial(ring, {e[1:]: c for e, c in d.items()})
-            for d in gb if all(e[0] == 0 for e in d)]
+def _eliminate(ring, dicts):
+    """Reduced grevlex basis of the aux-free part of the ideal of ``dicts``."""
+    # in an elimination order an aux-free lt means an aux-free element, and
+    # the aux-free part of a reduced elimination basis is itself reduced
+    return [(lt[1:], {e[1:]: c for e, c in tail.items()})
+            for lt, tail in _buchberger(ring.tower, _elim_key, dicts) if lt[0] == 0]
 
 
-def _handle_with_gb(ring, gb_polys):
-    h = IdealHandle(ring, gb_polys)
-    h._gb = list(gb_polys)
+def _handle_with_gb(ring, pairs):
+    """A handle whose generators are the reduced basis given as (lt, tail) pairs."""
+    h = IdealHandle(ring, _polys_of_pairs(ring, pairs))
+    h._gb_pairs = pairs
+    h._gb = list(h.gens)
     return h
 
 
 def saturate_single(ideal, g):
     """(I : g^infinity) by eliminating z from I + (1 - z*g)."""
     ring = ideal.ring
-    ext = _extended_ring(ring)
     tower = ring.tower
     z = (1,) + (0,) * ring.nvars
     dicts = [_lift(f) for f in ideal.reduced_gb()]
-    rel = {(0,) * ext.nvars: tower.c_one}
+    rel = {(0,) * (ring.nvars + 1): tower.c_one}
     _add_scaled(rel, _lift(g), tower, tower.c_neg(tower.c_one), z)
     dicts.append(rel)
-    return _handle_with_gb(ring, _eliminate(ring, ext, dicts))
+    return _handle_with_gb(ring, _eliminate(ring, dicts))
 
 
 def intersect(a, b):
@@ -261,7 +254,6 @@ def intersect(a, b):
     ring = a.ring
     if b.ring is not ring:
         raise RingMismatchError("ideals from different rings")
-    ext = _extended_ring(ring)
     tower = ring.tower
     u = (1,) + (0,) * ring.nvars
     dicts = [{(1,) + e: c for e, c in f._t.items()} for f in a.reduced_gb()]
@@ -270,7 +262,7 @@ def intersect(a, b):
         out = dict(lifted)  # (1-u)*f = f - u*f
         _add_scaled(out, lifted, tower, tower.c_neg(tower.c_one), u)
         dicts.append(out)
-    return _handle_with_gb(ring, _eliminate(ring, ext, dicts))
+    return _handle_with_gb(ring, _eliminate(ring, dicts))
 
 
 def saturate(ideal, direction):
@@ -286,15 +278,8 @@ def saturate(ideal, direction):
     gens = [g for g in direction.gens if not g.is_zero()]
     if not gens:
         raise SaturationDirectionError("cannot saturate with respect to the zero ideal")
-    seen = set()
-    uniq = []
-    for g in gens:
-        key = frozenset(g._t.items())
-        if key not in seen:
-            seen.add(key)
-            uniq.append(g)
     result = None
-    for g in uniq:
+    for g in dict.fromkeys(gens):
         s = saturate_single(ideal, g)
         if result is None:
             result = s
@@ -307,7 +292,7 @@ def saturate(ideal, direction):
             result = intersect(result, s)
         if ideal.contains_ideal(result):
             # running intersection already equals I; it can only stay I
-            return _handle_with_gb(ring, ideal.reduced_gb())
+            return _handle_with_gb(ring, ideal._pairs())
     return result
 
 
@@ -320,11 +305,10 @@ def dimension(ideal):
     Maximum cardinality of a variable subset S such that no leading
     monomial of the reduced basis has support inside S.
     """
-    gb = ideal.reduced_gb()
-    if gb and gb[0].is_constant():
+    lts = [lt for lt, _ in ideal._pairs()]
+    if lts and not any(lts[0]):
         raise UnitIdealError("dimension of the unit ideal is undefined")
-    supports = {frozenset(i for i, a in enumerate(g.leading_exponent()) if a)
-                for g in gb}
+    supports = {frozenset(i for i, a in enumerate(lt) if a) for lt in lts}
     n = ideal.ring.nvars
     for size in range(n, -1, -1):
         for subset in itertools.combinations(range(n), size):

@@ -18,7 +18,7 @@ polynomials, e.g. ``y0->t*x0`` or ``y0->(2*t+1)*x0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cox import CoxAmbient, make_custom, make_product_projective, make_segre_p1p1
 from .descent import SemilinearAction
@@ -33,7 +33,6 @@ class Problem:
     ambient: CoxAmbient
     ideals: dict
     action: SemilinearAction = None
-    ideal_lines: dict = field(default_factory=dict)
 
 
 def _keyvals(parts, lineno):
@@ -127,7 +126,6 @@ def parse_problem(text):
 
     ring = ambient.ring
     ideals = {}
-    ideal_lines = {}
     from .groebner import IdealHandle
     for name, gens_text, lineno in ideal_specs:
         gens = []
@@ -140,7 +138,6 @@ def parse_problem(text):
             except ParseError as exc:
                 raise ParseError("in ideal %s: %s" % (name, exc), lineno)
         ideals[name] = IdealHandle(ring, gens)
-        ideal_lines[name] = lineno
 
     action = None
     if action_spec is not None:
@@ -165,8 +162,7 @@ def parse_problem(text):
         except (ValueError, CoxDescentError) as exc:
             raise ParseError("invalid action: %s" % exc, lineno)
 
-    return Problem(tower=tower, ambient=ambient, ideals=ideals, action=action,
-                   ideal_lines=ideal_lines)
+    return Problem(tower=tower, ambient=ambient, ideals=ideals, action=action)
 
 
 def _build_custom(tower, custom):

@@ -1,8 +1,9 @@
 """Multivariate polynomials over the extension field, with a multigrading.
 
 A :class:`MultigradedRing` fixes the variables, the coefficient tower, the
-grading matrix onto the Picard lattice, a monomial order, and optionally a
-defining ideal (quotient Cox ring) plus the irrelevant generators.
+grading matrix onto the Picard lattice, and optionally a defining ideal
+(quotient Cox ring) plus the irrelevant generators.  Monomials are ordered
+by grevlex.
 
 Polynomials are immutable; their terms map exponent tuples to the tower's
 internal coefficient representation.  Coefficients surface as
@@ -21,51 +22,10 @@ from .linalg import RATIONALS, rational_solve, rref
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# the monomial order: grevlex
 
 def _grevlex_key(e):
     return (sum(e), tuple(-x for x in reversed(e)))
-
-
-def _lex_key(e):
-    return e
-
-
-class MonomialOrder:
-    """A monomial order given by a sort key on exponent tuples."""
-
-    def __init__(self, tag, key, block=None):
-        self.tag = tag
-        self.key = key
-        self.block = block
-
-    def __repr__(self):
-        return "MonomialOrder(%r)" % self.tag
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.tag == other.tag \
-            and self.block == other.block
-
-    def __hash__(self):
-        return hash((self.tag, self.block))
-
-
-GREVLEX = MonomialOrder("grevlex", _grevlex_key)
-LEX = MonomialOrder("lex", _lex_key)
-
-
-def elimination_order(k, base):
-    """Block order eliminating the first k variables, then ``base``."""
-    base_key = base.key
-
-    def key(e):
-        head = e[:k]
-        return (sum(head), tuple(-x for x in reversed(head)), base_key(e[k:]))
-
-    return MonomialOrder("elim(%d)+%s" % (k, base.tag), key, block=k)
-
-
-_ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +53,10 @@ class Multidegree(tuple):
 class MultigradedRing:
     """Polynomial ring over GF(p^d) graded by an integer matrix.
 
-    ``grading`` has one column per variable; ``grading=None`` yields an
-    ungraded scratch ring (used internally for elimination).
+    ``grading`` has one column per variable.
     """
 
-    def __init__(self, tower, variables, grading=None, order="grevlex",
-                 defining=None, irrelevant=None):
+    def __init__(self, tower, variables, grading, defining=None, irrelevant=None):
         if not isinstance(tower, FieldTower):
             raise TypeError("tower must be a FieldTower")
         variables = tuple(variables)
@@ -111,20 +69,14 @@ class MultigradedRing:
         self.variables = variables
         self.nvars = len(variables)
         self._var_index = {v: i for i, v in enumerate(variables)}
-        if isinstance(order, str):
-            order = _ORDERS[order]
-        self.order = order
-        self.okey = order.key
-        if grading is not None:
-            grading = tuple(tuple(int(x) for x in row) for row in grading)
-            for row in grading:
-                if len(row) != self.nvars:
-                    raise ValueError("grading row length != number of variables")
+        self.okey = _grevlex_key
+        grading = tuple(tuple(int(x) for x in row) for row in grading)
+        for row in grading:
+            if len(row) != self.nvars:
+                raise ValueError("grading row length != number of variables")
         self.grading = grading
-        self.rank = len(grading) if grading is not None else 0
-        self._weights = None
-        if grading is not None:
-            self._weights = _positive_weights(grading)
+        self.rank = len(grading)
+        self._weights = _positive_weights(grading)
 
         self.defining = ()
         self.irrelevant = ()
@@ -135,9 +87,8 @@ class MultigradedRing:
             self.defining = tuple(self._coerce_poly(f) for f in defining)
         if irrelevant:
             self.irrelevant = tuple(self._coerce_poly(g) for g in irrelevant)
-        if grading is not None:
-            for f in self.defining + self.irrelevant:
-                f.multidegree()  # raises if inhomogeneous
+        for f in self.defining + self.irrelevant:
+            f.multidegree()  # raises if inhomogeneous
 
     def _coerce_poly(self, f):
         if isinstance(f, Polynomial):
@@ -184,8 +135,6 @@ class MultigradedRing:
         return _parse_polynomial(self, text)
 
     def multidegree_of_exp(self, e):
-        if self.grading is None:
-            raise ValueError("ring is ungraded")
         return Multidegree(sum(row[i] * e[i] for i in range(self.nvars))
                            for row in self.grading)
 
@@ -308,9 +257,6 @@ class Polynomial:
     def is_constant(self):
         return not self._t or set(self._t) == {(0,) * self.ring.nvars}
 
-    def total_degree(self):
-        return max((sum(e) for e in self._t), default=-1)
-
     def multidegree(self):
         """The common grading image of all monomials; errors if mixed."""
         if not self._t:
@@ -327,13 +273,6 @@ class Polynomial:
                     % (_monomial_str(ring, e0), _monomial_str(ring, e), deg, d),
                     monomials=(e0, e))
         return deg
-
-    def is_homogeneous(self):
-        try:
-            self.multidegree()
-        except InhomogeneousError:
-            return not self._t
-        return True
 
     # -- arithmetic
 
@@ -557,8 +496,6 @@ def _parse_polynomial(ring, text):
 
 def _exps_of_degree(ring, degree):
     """All exponent tuples with grading image ``degree``, unordered."""
-    if ring.grading is None:
-        raise ValueError("ring is ungraded")
     degree = Multidegree(degree)
     if len(degree) != ring.rank:
         raise ValueError("degree has wrong rank")

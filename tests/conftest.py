@@ -64,6 +64,18 @@ def random_poly(ring, degree, rng):
             return f
 
 
+def sparse_poly(ring, degree, rng, max_terms=3):
+    """Nonzero homogeneous polynomial on a few random monomials of a degree.
+
+    Few terms make binomial and monomial generators common, so saturations
+    that differ from the ideal come up often.
+    """
+    monos = monomials_of_degree(ring, degree)
+    chosen = rng.sample(monos, rng.randint(1, min(max_terms, len(monos))))
+    p = ring.tower.p
+    return sum((m * rng.randrange(1, p) for m in chosen), ring.zero())
+
+
 def coords_of(f, monos):
     """Coordinate vector of a homogeneous f on a monomial basis of its piece."""
     exps = [m.leading_exponent() for m in monos]

@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxdescent import (IdealHandle, InhomogeneousError, Multidegree,
                         dimension, height, ideal_equal, is_complete_intersection,
                         is_strict_ci, make_product_projective, make_segre_p1p1,
                         subscheme_ideal)
 
-from conftest import random_poly, seeded
+from conftest import random_poly, seeded, sparse_poly
 
 
 def mk(ring, *texts):
@@ -149,6 +150,24 @@ class TestStrictCI:
             ideal = IdealHandle(ring, fs)
             assert ideal_equal(subscheme_ideal(p1p1, ideal), ideal)
             found += 1
+
+
+class TestStrictCIInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.lists(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)]),
+                    min_size=1, max_size=3),
+           st.randoms(use_true_random=False))
+    def test_verdict_ignores_generator_order_and_scale(self, p1p1, seed, degrees, rnd):
+        # the verdict, witness included, depends on the ideal only
+        ring = p1p1.ring
+        rng = seeded(seed)
+        fs = [sparse_poly(ring, Multidegree(d), rng) for d in degrees]
+        verdict = is_strict_ci(p1p1, fs)
+        scaled = [f * rnd.randrange(1, 101) for f in fs]
+        assert is_strict_ci(p1p1, scaled[::-1]) == verdict
+        rnd.shuffle(scaled)
+        assert is_strict_ci(p1p1, scaled) == verdict
 
 
 class TestLinearFormsProperty:

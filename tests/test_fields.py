@@ -25,6 +25,20 @@ class TestConstruction:
         assert FieldTower(3, 2).min_poly == (1, 0, 1)    # t^2 + 1
         assert FieldTower(2, 3).min_poly == (1, 0, 1, 1)  # t^3 + t^2 + 1
 
+    @pytest.mark.parametrize("p, d", [(2, 2), (2, 5), (3, 3), (5, 2), (7, 3)])
+    def test_default_min_poly_is_first_irreducible_of_all_candidates(self, p, d):
+        tower = FieldTower(p, d)
+        first = next(list(tail) + [1] for tail in itertools.product(range(p), repeat=d)
+                     if tower._is_irreducible(list(tail) + [1]))
+        assert tower.min_poly == tuple(first)
+
+    def test_default_min_poly_search_skips_reducible_candidates_quickly(self):
+        # for d >= 2, t divides every candidate with constant term 0
+        assert FieldTower(101, 3).min_poly == (1, 0, 1, 1)
+        start = time.perf_counter()
+        assert FieldTower(101, 4).min_poly == (1, 0, 0, 1, 1)
+        assert time.perf_counter() - start < 5.0
+
     def test_equality_and_hash(self):
         assert FieldTower(3, 2) == FieldTower(3, 2)
         assert hash(FieldTower(3, 2)) == hash(FieldTower(3, 2))

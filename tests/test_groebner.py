@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxdescent import (FieldTower, IdealHandle, Multidegree, MultigradedRing,
                         SaturationDirectionError, UnitIdealError,
@@ -9,7 +10,7 @@ from coxdescent import (FieldTower, IdealHandle, Multidegree, MultigradedRing,
                         normal_form, reduced_gb, saturate)
 
 from conftest import (coords_of, echelon, in_span, membership_oracle,
-                      piece_monomial_multiples, random_poly, seeded)
+                      piece_monomial_multiples, random_poly, seeded, sparse_poly)
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +25,23 @@ def ring(amb):
 
 def mk(ring, *texts):
     return IdealHandle(ring, [ring.parse(s) for s in texts])
+
+
+# small homogeneous ideals on P1xP1 over GF(101): a seed and the generators' degrees
+SMALL_DEGREES = [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2), (2, 2)]
+small_ideal_specs = st.tuples(st.integers(0, 2 ** 32),
+                              st.lists(st.sampled_from(SMALL_DEGREES), min_size=1, max_size=3))
+
+
+def ideal_of_spec(ring, spec):
+    seed, degrees = spec
+    rng = seeded(seed)
+    return IdealHandle(ring, [sparse_poly(ring, Multidegree(d), rng) for d in degrees])
+
+
+def assert_basis_as_from_scratch(h):
+    """A handle with a prefilled basis agrees with one that computes it."""
+    assert h.reduced_gb() == IdealHandle(h.ring, h.gens).reduced_gb()
 
 
 class TestReducedGB:
@@ -127,8 +145,8 @@ class TestSaturate:
         assert [str(g) for g in sat.reduced_gb()] == ["x0", "y0"]
 
     def test_variables_named_like_the_auxiliary_one(self, gf101):
-        # elimination adds an auxiliary variable; its name must avoid the
-        # ring's own variables
+        # elimination adds an unnamed auxiliary exponent coordinate, so
+        # ring variables named like an auxiliary variable must not matter
         r = MultigradedRing(gf101, ["aux_z", "aux_z_", "y"], grading=[[1, 1, 1]])
         sat = saturate(mk(r, "aux_z*y", "aux_z_*y^2"), mk(r, "y"))
         assert [str(g) for g in sat.reduced_gb()] == ["aux_z", "aux_z_"]
@@ -189,8 +207,29 @@ class TestSaturate:
         ideal = mk(ring, "x0*y0", "x1*y1")
         assert saturate(ideal, ideal).is_unit()
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_ideal_specs, small_ideal_specs)
+    def test_contains_ideal_and_is_idempotent_property(self, amb, ring, spec, direction_spec):
+        ideal = ideal_of_spec(ring, spec)
+        for direction in (amb.irrelevant_ideal(), ideal_of_spec(ring, direction_spec)):
+            sat = saturate(ideal, direction)
+            assert sat.contains_ideal(ideal)
+            assert_basis_as_from_scratch(sat)
+            again = saturate(sat, direction)
+            assert ideal_equal(again, sat)
+            assert_basis_as_from_scratch(again)
+
 
 class TestIntersect:
+    @settings(max_examples=40, deadline=None)
+    @given(small_ideal_specs, small_ideal_specs)
+    def test_lies_in_both_and_contains_products_property(self, ring, spec_a, spec_b):
+        a, b = ideal_of_spec(ring, spec_a), ideal_of_spec(ring, spec_b)
+        both = intersect(a, b)
+        assert a.contains_ideal(both) and b.contains_ideal(both)
+        assert all(both.contains(f * g) for f in a.gens for g in b.gens)
+        assert_basis_as_from_scratch(both)
+
     def test_principal_ideals(self, ring):
         got = intersect(mk(ring, "x0"), mk(ring, "y0"))
         assert [str(g) for g in got.reduced_gb()] == ["x0*y0"]
