@@ -58,8 +58,7 @@ class SemilinearAction:
             raise ActionError("variable map is not a permutation")
         self.perm = tuple(perm)
         self.scalars = tuple(scalars)
-        if ring.grading is not None:
-            self._check_degree_compatible()
+        self._check_degree_compatible()
         self._powers = self._compute_powers()
         self.order = len(self._powers)
 

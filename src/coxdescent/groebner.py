@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 
 from .errors import (RingMismatchError, SaturationDirectionError, UnitIdealError)
 from .rings import (Polynomial, _add_scaled, _exp_add, _exp_divides, _exp_sub,
-                    _grevlex_key)
+                    _grevlex_key, _grevlex_rkey)
 
 # ---------------------------------------------------------------------------
 # engine: polynomials as dicts {exponent tuple: raw coefficient}; a monic
@@ -33,29 +32,45 @@ def _monic_pair(t, tower, okey):
     return lt, {e: mul(inv, c) for e, c in t.items() if e != lt}
 
 
-def _normal_form_dict(h, gb, tower, okey):
+def _normal_form_dict(h, gb, tower, rkey):
     """Full normal form of ``h`` against (lt, tail) pairs ``gb``.
 
-    Each pair stands for the monic polynomial x^lt + tail.
+    Each pair stands for the monic polynomial x^lt + tail.  ``rkey`` sorts
+    the largest exponent first.  A heap of (rkey, exponent) entries beside
+    the ``work`` dict hands out its terms from the largest down.  A step
+    only adds terms smaller than the one it reduces, so no popped exponent
+    comes back; an entry whose term was cancelled is skipped when popped.
     """
     neg = tower.c_neg
+    push, pop = heapq.heappush, heapq.heappop
     work = dict(h)
+    heap = [(rkey(e), e) for e in work]
+    heapq.heapify(heap)
+    new = []
     result = {}
-    while work:
-        m = max(work, key=okey)
-        c = work.pop(m)
+    while heap:
+        m = pop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         for lt, tail in gb:
             if _exp_divides(lt, m):
-                _add_scaled(work, tail, tower, neg(c), _exp_sub(m, lt))
+                _add_scaled(work, tail, tower, neg(c), _exp_sub(m, lt), new)
+                for e in new:
+                    push(heap, (rkey(e), e))
+                new.clear()
                 break
         else:
             result[m] = c
     return result
 
 
-def _buchberger(tower, okey, polys):
+def _buchberger(tower, okey, rkey, polys):
     """Reduced Groebner basis of the ideal generated by ``polys`` (dicts),
-    as (lt, tail) pairs in decreasing order of lt."""
+    as (lt, tail) pairs in decreasing order of lt.
+
+    ``okey`` is the monomial order; ``rkey`` sorts in its reverse.
+    """
     lts, tails = [], []
 
     def add_to_basis(f):
@@ -69,7 +84,7 @@ def _buchberger(tower, okey, polys):
             add_to_basis(f)
 
     def lcm(a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
+        return tuple(map(max, a, b))
 
     minus_one = tower.c_neg(tower.c_one)
 
@@ -105,7 +120,7 @@ def _buchberger(tower, okey, polys):
         s = {}
         _add_scaled(s, tails[i], tower, q=_exp_sub(l, lts[i]))
         _add_scaled(s, tails[j], tower, minus_one, _exp_sub(l, lts[j]))
-        r = _normal_form_dict(s, list(zip(lts, tails)), tower, okey)
+        r = _normal_form_dict(s, list(zip(lts, tails)), tower, rkey)
         if r:
             k = len(lts)
             ltk = add_to_basis(r)
@@ -124,7 +139,7 @@ def _buchberger(tower, okey, polys):
     reduced = []
     for i in kept:
         others = [(lts[k], tails[k]) for k in kept if k != i]
-        reduced.append((lts[i], _normal_form_dict(tails[i], others, tower, okey)))
+        reduced.append((lts[i], _normal_form_dict(tails[i], others, tower, rkey)))
     return reduced
 
 
@@ -143,17 +158,15 @@ class IdealHandle:
         self.gens = tuple(ring._coerce_poly(g) for g in gens)
         self._gb_pairs = None  # [(lt, tail)] engine form
         self._gb = None
-        self._lock = threading.Lock()
 
     def reduced_gb(self):
         """Unique reduced basis: monic, tails reduced, sorted."""
         if self._gb is None:
-            with self._lock:
-                if self._gb is None:
-                    if self._gb_pairs is None:
-                        polys = [g._t for g in self.gens + self.ring.defining]
-                        self._gb_pairs = _buchberger(self.ring.tower, self.ring.okey, polys)
-                    self._gb = _polys_of_pairs(self.ring, self._gb_pairs)
+            ring = self.ring
+            if self._gb_pairs is None:
+                polys = [g._t for g in self.gens + ring.defining]
+                self._gb_pairs = _buchberger(ring.tower, ring.okey, ring.rkey, polys)
+            self._gb = _polys_of_pairs(ring, self._gb_pairs)
         return list(self._gb)
 
     def _pairs(self):
@@ -165,7 +178,7 @@ class IdealHandle:
         """Remainder of f on division by the reduced basis; zero iff f is in I."""
         if f.ring is not self.ring:
             raise RingMismatchError("polynomial from a different ring")
-        r = _normal_form_dict(f._t, self._pairs(), self.ring.tower, self.ring.okey)
+        r = _normal_form_dict(f._t, self._pairs(), self.ring.tower, self.ring.rkey)
         return Polynomial(self.ring, r)
 
     def contains(self, f):
@@ -217,6 +230,10 @@ def _elim_key(e):
     return (e[0], _grevlex_key(e[1:]))
 
 
+def _elim_rkey(e):
+    return (-e[0], _grevlex_rkey(e[1:]))
+
+
 def _lift(f):
     return {(0,) + e: c for e, c in f._t.items()}
 
@@ -226,7 +243,7 @@ def _eliminate(ring, dicts):
     # in an elimination order an aux-free lt means an aux-free element, and
     # the aux-free part of a reduced elimination basis is itself reduced
     return [(lt[1:], {e[1:]: c for e, c in tail.items()})
-            for lt, tail in _buchberger(ring.tower, _elim_key, dicts) if lt[0] == 0]
+            for lt, tail in _buchberger(ring.tower, _elim_key, _elim_rkey, dicts) if lt[0] == 0]
 
 
 def _handle_with_gb(ring, pairs):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 
 from .errors import (InhomogeneousError, ParseError, RingMismatchError)
@@ -26,6 +27,11 @@ from .linalg import RATIONALS, rational_solve, rref
 
 def _grevlex_key(e):
     return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def _grevlex_rkey(e):
+    """Sorts in the reverse order of ``_grevlex_key``: the largest comes first."""
+    return (-sum(e), e[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +76,7 @@ class MultigradedRing:
         self.nvars = len(variables)
         self._var_index = {v: i for i, v in enumerate(variables)}
         self.okey = _grevlex_key
+        self.rkey = _grevlex_rkey
         grading = tuple(tuple(int(x) for x in row) for row in grading)
         for row in grading:
             if len(row) != self.nvars:
@@ -170,23 +177,25 @@ def _positive_weights(grading):
 # polynomials
 
 def _exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _exp_divides(a, b):
     """a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
-def _add_scaled(h, g, tower, c=None, q=None):
+def _add_scaled(h, g, tower, c=None, q=None, new=None):
     """h += c * x^q * g, in place on term dicts {exponent: raw coefficient}.
 
     ``c=None`` stands for 1 and ``q=None`` for x^0, so a plain sum pays no
     multiplication.  Terms that cancel are deleted, keeping h free of zeros.
+    Each exponent that was not yet a key of h is appended to the list
+    ``new``, when one is given.
     """
     add, mul, zero = tower.c_add, tower.c_mul, tower.c_zero
     for e, v in g.items():
@@ -197,6 +206,8 @@ def _add_scaled(h, g, tower, c=None, q=None):
         cur = h.get(e)
         if cur is None:
             h[e] = v
+            if new is not None:
+                new.append(e)
         else:
             s = add(cur, v)
             if s == zero:
