@@ -62,8 +62,6 @@ def _pick_ideal(problem, name):
 
 
 def _print_gb(gb):
-    if not gb:
-        return
     for g in gb:
         print(g)
 
@@ -118,12 +116,7 @@ def _cmd_descend(problem, args):
     ideal = _pick_ideal(problem, args.ideal)
     if problem.action is None:
         raise CoxDescentError("descend needs an action line in the problem file")
-    try:
-        result = descend(problem.ambient, problem.action, list(ideal.gens))
-    except DescentPreconditionError as exc:
-        print(exc.reason)
-        print(str(exc), file=sys.stderr)
-        return EXIT_PRECONDITION
+    result = descend(problem.ambient, problem.action, list(ideal.gens))
     for (a, b) in result.orbit_blocks:
         print("ORBIT { %s }" % " ; ".join(str(g) for g in result.new_gens[a:b]))
     for din, dout in result.degree_log:
@@ -158,10 +151,7 @@ def main(argv=None):
         print(exc.reason)
         print(str(exc), file=sys.stderr)
         return EXIT_PRECONDITION
-    except CoxDescentError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_SEMANTIC
-    except ValueError as exc:
+    except (CoxDescentError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_SEMANTIC
 

@@ -22,8 +22,6 @@ class CoxAmbient:
     """A Cox ring with distinguished irrelevant generators."""
 
     ring: MultigradedRing
-    label: str
-    dims: tuple = ()
 
     def irrelevant_ideal(self):
         return IdealHandle(self.ring, self.ring.irrelevant)
@@ -58,7 +56,7 @@ def make_product_projective(dims, tower):
     ring = MultigradedRing(tower, variables, grading=grading)
     irrelevant = ["*".join(combo) for combo in itertools.product(*blocks)]
     ring.irrelevant = tuple(ring.parse(s) for s in irrelevant)
-    return CoxAmbient(ring=ring, label="product-projective", dims=dims)
+    return CoxAmbient(ring=ring)
 
 
 def make_segre_p1p1(tower):
@@ -71,13 +69,13 @@ def make_segre_p1p1(tower):
                            grading=[(1, 1, 1, 1)],
                            defining=["z00*z11 - z01*z10"],
                            irrelevant=["z00", "z01", "z10", "z11"])
-    return CoxAmbient(ring=ring, label="segre-p1p1", dims=(1, 1))
+    return CoxAmbient(ring=ring)
 
 
-def make_custom(ring, label="custom"):
+def make_custom(ring):
     if not ring.irrelevant:
         raise ValueError("custom ambient needs irrelevant generators")
-    return CoxAmbient(ring=ring, label=label)
+    return CoxAmbient(ring=ring)
 
 
 def subscheme_ideal(amb, ideal):
@@ -131,16 +129,19 @@ def is_strict_ci(amb, polys):
     witness is the first reduced-basis element of the saturation that does
     not reduce to zero modulo the input ideal.
     """
-    ring = amb.ring
-    polys = [ring._coerce_poly(f) for f in polys]
+    polys = [amb.ring._coerce_poly(f) for f in polys]
     _validate_hypersurfaces(polys)
-    ideal = IdealHandle(ring, polys)
+    return _strict_ci_verdict(amb, IdealHandle(amb.ring, polys))
+
+
+def _strict_ci_verdict(amb, ideal):
+    """The verdict of :func:`is_strict_ci` on the handle of validated input."""
+    s = len(ideal.gens)
     h = height(ideal)
-    if h != len(polys):
-        return StrictCIVerdict(status="not_ci", height=h, expected=len(polys))
+    if h != s:
+        return StrictCIVerdict(status="not_ci", height=h, expected=s)
     sat = saturate(ideal, amb.irrelevant_ideal())
     if ideal_equal(sat, ideal):
-        return StrictCIVerdict(status="strict", height=h, expected=len(polys))
+        return StrictCIVerdict(status="strict", height=h, expected=s)
     witness = next(g for g in sat.reduced_gb() if not ideal.contains(g))
-    return StrictCIVerdict(status="not_strict", witness=witness,
-                           height=h, expected=len(polys))
+    return StrictCIVerdict(status="not_strict", witness=witness, height=h, expected=s)

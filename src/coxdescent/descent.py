@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cox import _strict_ci_verdict, _validate_hypersurfaces
 from .errors import (ActionError, DescentPreconditionError, RingMismatchError)
 from .groebner import IdealHandle, defining_ideal, ideal_equal
 from .linalg import RATIONALS, echelon_basis, kernel, kernel_gfp, rational_solve, rref
@@ -201,26 +202,23 @@ def degree_orbits(action, polys):
         base = degs[first]
         classes = action.degree_orbit(base)
         beta = len(classes)
-        members = {tuple(c): [i for i in unassigned if degs[i] == c] for c in classes}
+        members = {c: [i for i in unassigned if degs[i] == c] for c in classes}
         gammas = {c: len(v) for c, v in members.items()}
-        gamma = gammas[tuple(base)]
+        gamma = gammas[base]
         if any(g != gamma for g in gammas.values()):
             missing = [c for c, g in gammas.items() if g != gamma]
             raise DescentPreconditionError(
                 "DEGREE_MISMATCH",
                 "degree multiplicity is not constant on the orbit of %s (off at %s)"
-                % (base, Multidegree(missing[0])))
+                % (base, missing[0]))
         for j in range(gamma):
             for c in classes:
-                order.append(members[tuple(c)][j])
+                order.append(members[c][j])
             s_bounds.append(len(order))
         r_bounds.append(len(order))
         blocks.append({"beta": beta, "gamma": gamma, "classes": classes,
                        "rep_powers": list(range(beta))})
-        taken = set()
-        for v in members.values():
-            taken.update(v)
-        unassigned = [i for i in unassigned if i not in taken]
+        unassigned = [i for i in unassigned if degs[i] not in members]
     return DegreeOrbitPartition(order=order, r_bounds=r_bounds,
                                 s_bounds=s_bounds, blocks=blocks)
 
@@ -371,15 +369,14 @@ def descend(amb, action, polys):
     full orbits with constant multiplicity.  Raises
     :class:`DescentPreconditionError` otherwise.
     """
-    from .cox import is_strict_ci
-
     ring = amb.ring
     polys = [ring._coerce_poly(f) for f in polys]
     ideal = IdealHandle(ring, polys)
     if not is_invariant_ideal(action, ideal):
         raise DescentPreconditionError("NOT_INVARIANT",
                                        "the ideal is not invariant under the action")
-    verdict = is_strict_ci(amb, polys)
+    _validate_hypersurfaces(polys)
+    verdict = _strict_ci_verdict(amb, ideal)
     if verdict.status != "strict":
         raise DescentPreconditionError("NOT_STRICT",
                                        "input is %s" % verdict.status)
@@ -388,6 +385,10 @@ def descend(amb, action, polys):
     input_degs = [f.multidegree() for f in work]
     betas = [block["beta"] for bi, block in enumerate(part.blocks)
              for _ in range(part.r_bounds[bi], part.r_bounds[bi + 1])]
+
+    # ``current`` is the handle of ``work``; each check below builds the
+    # handle of the list it accepts, which then becomes ``current``
+    current = IdealHandle(ring, work)
 
     # phase 1: make every generator fixed under the stabilizer of its class
     for t, beta in enumerate(betas):
@@ -403,13 +404,12 @@ def descend(amb, action, polys):
             raise AssertionError(
                 "no stabilizer-fixed element escapes the other generators; "
                 "input is inconsistent with the preconditions")
-        candidate = work[:t] + [replacement] + work[t + 1:]
-        if not ideal_equal(IdealHandle(ring, candidate), ideal):
+        work = work[:t] + [replacement] + work[t + 1:]
+        current = IdealHandle(ring, work)
+        if not ideal_equal(current, ideal):
             raise AssertionError("phase 1 substitution changed the ideal")
-        work[t] = replacement
 
     # phase 2: reassemble each orbit block from conjugates of one class
-    current = IdealHandle(ring, work)
     for bi, block in enumerate(part.blocks):
         beta = block["beta"]
         gamma = block["gamma"]
@@ -432,14 +432,13 @@ def descend(amb, action, polys):
         for j in range(gamma):
             for k in rep_powers:
                 newblock.append(action.apply(base_gens[j], k))
-        candidate = work[:start] + newblock + work[end:]
-        if not ideal_equal(IdealHandle(ring, candidate), ideal):
-            raise AssertionError("phase 2 orbit assembly changed the ideal")
-        work = candidate
+        work = work[:start] + newblock + work[end:]
         current = IdealHandle(ring, work)
+        if not ideal_equal(current, ideal):
+            raise AssertionError("phase 2 orbit assembly changed the ideal")
 
     # final verification of the advertised invariants
-    if not ideal_equal(IdealHandle(ring, work), ideal):
+    if not ideal_equal(current, ideal):
         raise AssertionError("descent output generates a different ideal")
     out_degs = [f.multidegree() for f in work]
     if out_degs != input_degs:

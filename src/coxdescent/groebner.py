@@ -13,7 +13,6 @@ unique for a fixed order.
 from __future__ import annotations
 
 import heapq
-import itertools
 
 from .errors import (RingMismatchError, SaturationDirectionError, UnitIdealError)
 from .rings import (Polynomial, _add_scaled, _exp_add, _exp_divides, _exp_sub,
@@ -71,43 +70,34 @@ def _buchberger(tower, okey, rkey, polys):
 
     ``okey`` is the monomial order; ``rkey`` sorts in its reverse.
     """
-    lts, tails = [], []
-
-    def add_to_basis(f):
-        lt, tail = _monic_pair(f, tower, okey)
-        lts.append(lt)
-        tails.append(tail)
-        return lt
-
-    for f in polys:
-        if f:
-            add_to_basis(f)
-
-    def lcm(a, b):
-        return tuple(map(max, a, b))
-
+    gb = [_monic_pair(f, tower, okey) for f in polys if f]
     minus_one = tower.c_neg(tower.c_one)
-
     pending = set()
     heap = []
-    for i in range(len(lts)):
-        for j in range(i):
-            l = lcm(lts[i], lts[j])
-            heapq.heappush(heap, (okey(l), j, i, l))
-            pending.add((j, i))
+
+    def add_pairs(k):
+        """Queue the S-pairs of gb[k] with every earlier element."""
+        for j in range(k):
+            l = tuple(map(max, gb[j][0], gb[k][0]))
+            heapq.heappush(heap, (okey(l), j, k, l))
+            pending.add((j, k))
+
+    for k in range(len(gb)):
+        add_pairs(k)
 
     while heap:
         _, i, j, l = heapq.heappop(heap)
         pending.discard((i, j))
+        (lti, taili), (ltj, tailj) = gb[i], gb[j]
         # first criterion: coprime leading monomials
-        if l == _exp_add(lts[i], lts[j]):
+        if l == _exp_add(lti, ltj):
             continue
         # chain criterion
         skip = False
-        for k in range(len(lts)):
+        for k, (ltk, _) in enumerate(gb):
             if k == i or k == j:
                 continue
-            if _exp_divides(lts[k], l):
+            if _exp_divides(ltk, l):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -118,29 +108,22 @@ def _buchberger(tower, okey, rkey, polys):
         # the monic leading terms cancel, so the S-polynomial is built
         # from the tails
         s = {}
-        _add_scaled(s, tails[i], tower, q=_exp_sub(l, lts[i]))
-        _add_scaled(s, tails[j], tower, minus_one, _exp_sub(l, lts[j]))
-        r = _normal_form_dict(s, list(zip(lts, tails)), tower, rkey)
+        _add_scaled(s, taili, tower, q=_exp_sub(l, lti))
+        _add_scaled(s, tailj, tower, minus_one, _exp_sub(l, ltj))
+        r = _normal_form_dict(s, gb, tower, rkey)
         if r:
-            k = len(lts)
-            ltk = add_to_basis(r)
-            for i2 in range(k):
-                l2 = lcm(lts[i2], ltk)
-                heapq.heappush(heap, (okey(l2), i2, k, l2))
-                pending.add((i2, k))
+            gb.append(_monic_pair(r, tower, okey))
+            add_pairs(len(gb) - 1)
 
     # minimal basis: drop elements whose lt is divisible by another lt
     kept = []
-    for i in sorted(range(len(lts)), key=lambda i: okey(lts[i])):
-        if not any(_exp_divides(lts[k], lts[i]) for k in kept):
-            kept.append(i)
+    for lt, tail in sorted(gb, key=lambda p: okey(p[0])):
+        if not any(_exp_divides(ltk, lt) for ltk, _ in kept):
+            kept.append((lt, tail))
     kept.reverse()
-    # reduce tails: no kept lt divides another, so each x^lt stays as it is
-    reduced = []
-    for i in kept:
-        others = [(lts[k], tails[k]) for k in kept if k != i]
-        reduced.append((lts[i], _normal_form_dict(tails[i], others, tower, rkey)))
-    return reduced
+    # reduce tails: no kept lt divides another, so each x^lt stays as it is;
+    # every term of a tail is below its own lt, which therefore never divides
+    return [(lt, _normal_form_dict(tail, kept, tower, rkey)) for lt, tail in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +302,26 @@ def saturate(ideal, direction):
 def dimension(ideal):
     """Krull dimension of R/I via the initial monomial ideal.
 
-    Maximum cardinality of a variable subset S such that no leading
-    monomial of the reduced basis has support inside S.
+    The number of variables minus the size of a smallest variable set that
+    meets the support of every leading monomial of the reduced basis.
     """
     lts = [lt for lt, _ in ideal._pairs()]
     if lts and not any(lts[0]):
         raise UnitIdealError("dimension of the unit ideal is undefined")
     supports = {frozenset(i for i, a in enumerate(lt) if a) for lt in lts}
-    n = ideal.ring.nvars
-    for size in range(n, -1, -1):
-        for subset in itertools.combinations(range(n), size):
-            ss = set(subset)
-            if not any(sup <= ss for sup in supports):
-                return size
-    raise AssertionError("unreachable")
+    return ideal.ring.nvars - _min_hitting_set(supports)
+
+
+def _min_hitting_set(supports):
+    """Size of a smallest set meeting every one of the nonempty ``supports``.
+
+    Every hitting set contains a variable of a smallest support, so branch
+    on those; exponential in the worst case (the problem is NP-hard).
+    """
+    if not supports:
+        return 0
+    return 1 + min(_min_hitting_set([s for s in supports if v not in s])
+                   for v in min(supports, key=len))
 
 
 def defining_ideal(ring):

@@ -24,6 +24,7 @@ from .cox import CoxAmbient, make_custom, make_product_projective, make_segre_p1
 from .descent import SemilinearAction
 from .errors import CoxDescentError, ParseError
 from .fields import FieldTower
+from .groebner import IdealHandle
 from .rings import MultigradedRing
 
 
@@ -83,9 +84,7 @@ def parse_problem(text):
                     raise ParseError("product dimensions must be integers", lineno)
                 if not ambient_args:
                     raise ParseError("product ambient needs dimensions", lineno)
-            elif ambient_kind == "segre-p1p1":
-                ambient_args = None
-            elif ambient_kind == "custom":
+            elif ambient_kind in ("segre-p1p1", "custom"):
                 ambient_args = None
             else:
                 raise ParseError("unknown ambient kind %r" % ambient_kind, lineno)
@@ -126,7 +125,6 @@ def parse_problem(text):
 
     ring = ambient.ring
     ideals = {}
-    from .groebner import IdealHandle
     for name, gens_text, lineno in ideal_specs:
         gens = []
         for chunk in gens_text.split(","):

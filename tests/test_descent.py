@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import coxdescent.descent as D
+import coxdescent.groebner as G
 from coxdescent import (ActionError, DescentPreconditionError, FieldTower,
                         IdealHandle, Multidegree, SemilinearAction, apply_action,
                         degree_orbits, descend, fixed_space,
@@ -270,6 +271,27 @@ class TestDescend:
             assert apply_action(frob_only, g) == g
         assert ideal_equal(IdealHandle(ring, res.new_gens),
                            IdealHandle(ring, fs))
+
+    @pytest.mark.parametrize("texts, runs", [(["x0*y0 + x1*y1"], 2),
+                                             (["x0", "t*y0"], 1)])
+    def test_input_basis_built_once(self, p1p1_gf9, swap, monkeypatch, texts, runs):
+        # the invariance test and the strict-CI verdict share one handle;
+        # the second run for x0*y0 + x1*y1 is the final check's handle of
+        # the unchanged generator list, and for [x0, t*y0] phase 2 replaces
+        # that list before the final check
+        ring = p1p1_gf9.ring
+        fs = [ring.parse(s) for s in texts]
+        key = frozenset(frozenset(f._t.items()) for f in fs)
+        seen = []
+        orig = G._buchberger
+
+        def counting(tower, okey, rkey, polys):
+            seen.append(frozenset(frozenset(p.items()) for p in polys))
+            return orig(tower, okey, rkey, polys)
+
+        monkeypatch.setattr(G, "_buchberger", counting)
+        descend(p1p1_gf9, swap, fs)
+        assert seen.count(key) == runs
 
 
 class TestOrderBound:

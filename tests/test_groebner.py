@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +297,32 @@ class TestDimensionHeight:
                 if all(not s <= subset for s in supports):
                     best = max(best, len(subset))
             assert dimension(ideal) == best
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(0, 2 ** 32))
+    def test_dimension_subset_oracle_monomial_property(self, gf101, n, seed):
+        rng = seeded(seed)
+        ring = MultigradedRing(gf101, ["v%d" % i for i in range(n)], grading=[(1,) * n])
+        monomials = ["*".join("v%d" % i for i in rng.sample(range(n), rng.randint(1, n)))
+                     for _ in range(rng.randint(0, 6))]
+        ideal = mk(ring, *monomials)
+        supports = [set(i for i, e in enumerate(g.leading_exponent()) if e)
+                    for g in ideal.reduced_gb()]
+        best = max(bin(mask).count("1") for mask in range(1 << n)
+                   if all(not s <= {i for i in range(n) if mask >> i & 1} for s in supports))
+        assert dimension(ideal) == best
+
+    def test_dimension_of_path_edge_ideal_budget(self, gf101):
+        # the edges v_i*v_{i+1} of a path on 22 vertices: a smallest vertex
+        # cover has 11 vertices; every variable subset of size 12 up to 22
+        # meets an edge, so a search by subset size is slow here
+        n = 22
+        ring = MultigradedRing(gf101, ["v%d" % i for i in range(n)], grading=[(1,) * n])
+        ideal = mk(ring, *["v%d*v%d" % (i, i + 1) for i in range(n - 1)])
+        ideal.reduced_gb()
+        t0 = time.perf_counter()
+        assert dimension(ideal) == 11
+        assert time.perf_counter() - t0 < 0.1
 
     def test_ambient_dimension_polynomial_ring(self, ring):
         assert ambient_dimension(ring) == 4
