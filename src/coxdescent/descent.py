@@ -18,7 +18,8 @@ from .cox import _strict_ci_verdict, _validate_hypersurfaces
 from .errors import (ActionError, DescentPreconditionError, RingMismatchError)
 from .groebner import IdealHandle, defining_ideal, ideal_equal
 from .linalg import RATIONALS, echelon_basis, kernel, kernel_gfp, rational_solve, rref
-from .rings import Multidegree, Polynomial, _exp_divides, monomials_of_degree
+from .rings import (Multidegree, Polynomial, _exp_divides, _exps_of_degree, _grevlex_key,
+                    monomials_of_degree)
 
 _MAX_ORDER = 10000
 
@@ -233,7 +234,7 @@ def _piece_basis(ring, degree, polys):
     those outside the initial ideal of the defining ideal, after reduction
     modulo the defining ideal.
     """
-    exps = [m.leading_exponent() for m in monomials_of_degree(ring, degree)]
+    exps = sorted(_exps_of_degree(ring, degree), key=_grevlex_key)
     jhandle = defining_ideal(ring) if ring.defining else None
     if jhandle is not None:
         lts = [lt for lt, _ in jhandle._pairs()]
@@ -297,8 +298,7 @@ def fixed_space(action, vectors, subgroup_index):
     k = subgroup_index
     d, p = tower.d, tower.p
     mul, add, zero = tower.c_mul, tower.c_add, tower.c_zero
-    support = sorted({e for v in vectors for e in v._t},
-                     key=ring.okey, reverse=True)
+    support = sorted({e for v in vectors for e in v._t}, key=_grevlex_key)
     index = {e: i for i, e in enumerate(support)}
 
     def coords(f):
@@ -386,9 +386,9 @@ def descend(amb, action, polys):
     betas = [block["beta"] for bi, block in enumerate(part.blocks)
              for _ in range(part.r_bounds[bi], part.r_bounds[bi + 1])]
 
-    # ``current`` is the handle of ``work``; each check below builds the
-    # handle of the list it accepts, which then becomes ``current``
-    current = IdealHandle(ring, work)
+    # ``current`` is a handle of the set of ``work``; each check below builds
+    # the handle of a changed list it accepts, which then becomes ``current``
+    current = ideal
 
     # phase 1: make every generator fixed under the stabilizer of its class
     for t, beta in enumerate(betas):
@@ -432,6 +432,8 @@ def descend(amb, action, polys):
         for j in range(gamma):
             for k in rep_powers:
                 newblock.append(action.apply(base_gens[j], k))
+        if newblock == work[start:end]:
+            continue
         work = work[:start] + newblock + work[end:]
         current = IdealHandle(ring, work)
         if not ideal_equal(current, ideal):

@@ -276,7 +276,8 @@ class FieldTower:
                 inv += [0] * (d - len(inv))
                 return tuple(inv)
 
-            # Frobenius matrices: column j of frob_mats[i] is t^(j*p^i) mod min_poly
+            # Frobenius matrices, built on first use: column j of frob_mats[i]
+            # is t^(j*p^i) mod min_poly
             tp = _ppowmod([0, 1], p, mp, p)
             cols = []
             cur = [1]
@@ -284,8 +285,7 @@ class FieldTower:
                 c = list(cur) + [0] * (d - len(cur))
                 cols.append(tuple(c[:d]))
                 cur = _pmod(_pmul(cur, tp, p), mp, p)
-            frob_mats = [None] * d  # frob_mats[0], the identity, is never read
-            frob_mats[1] = cols
+            frob_mats = [None, cols]  # frob_mats[0], the identity, is never read
 
             def _apply_mat(cols_, a):
                 out = [0] * d
@@ -296,14 +296,12 @@ class FieldTower:
                             out[i] = (out[i] + aj * col[i]) % p
                 return tuple(out)
 
-            for i in range(2, d):
-                prev = frob_mats[i - 1]
-                frob_mats[i] = [_apply_mat(cols, c) for c in prev]
-
             def c_frob(a, i=1):
                 i %= d
                 if i == 0:
                     return a
+                while len(frob_mats) <= i:
+                    frob_mats.append([_apply_mat(cols, c) for c in frob_mats[-1]])
                 return _apply_mat(frob_mats[i], a)
 
             self.c_add = c_add

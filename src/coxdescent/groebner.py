@@ -13,29 +13,30 @@ unique for a fixed order.
 from __future__ import annotations
 
 import heapq
+import operator
 
 from .errors import (RingMismatchError, SaturationDirectionError, UnitIdealError)
 from .rings import (Polynomial, _add_scaled, _exp_add, _exp_divides, _exp_sub,
-                    _grevlex_key, _grevlex_rkey)
+                    _grevlex_key)
 
 # ---------------------------------------------------------------------------
 # engine: polynomials as dicts {exponent tuple: raw coefficient}; a monic
 # polynomial x^lt + tail as the pair (lt, tail)
 
 
-def _monic_pair(t, tower, okey):
+def _monic_pair(t, tower, key):
     """(leading exponent, the other terms) of a nonzero term dict, made monic."""
-    lt = max(t, key=okey)
+    lt = min(t, key=key)
     inv = tower.c_inv(t[lt])
     mul = tower.c_mul
     return lt, {e: mul(inv, c) for e, c in t.items() if e != lt}
 
 
-def _normal_form_dict(h, gb, tower, rkey):
+def _normal_form_dict(h, gb, tower, key):
     """Full normal form of ``h`` against (lt, tail) pairs ``gb``.
 
-    Each pair stands for the monic polynomial x^lt + tail.  ``rkey`` sorts
-    the largest exponent first.  A heap of (rkey, exponent) entries beside
+    Each pair stands for the monic polynomial x^lt + tail.  ``key`` sorts
+    the largest exponent first.  A heap of (key, exponent) entries beside
     the ``work`` dict hands out its terms from the largest down.  A step
     only adds terms smaller than the one it reduces, so no popped exponent
     comes back; an entry whose term was cancelled is skipped when popped.
@@ -43,7 +44,7 @@ def _normal_form_dict(h, gb, tower, rkey):
     neg = tower.c_neg
     push, pop = heapq.heappush, heapq.heappop
     work = dict(h)
-    heap = [(rkey(e), e) for e in work]
+    heap = [(key(e), e) for e in work]
     heapq.heapify(heap)
     new = []
     result = {}
@@ -56,7 +57,7 @@ def _normal_form_dict(h, gb, tower, rkey):
             if _exp_divides(lt, m):
                 _add_scaled(work, tail, tower, neg(c), _exp_sub(m, lt), new)
                 for e in new:
-                    push(heap, (rkey(e), e))
+                    push(heap, (key(e), e))
                 new.clear()
                 break
         else:
@@ -64,22 +65,23 @@ def _normal_form_dict(h, gb, tower, rkey):
     return result
 
 
-def _buchberger(tower, okey, rkey, polys):
+def _buchberger(tower, key, polys):
     """Reduced Groebner basis of the ideal generated by ``polys`` (dicts),
     as (lt, tail) pairs in decreasing order of lt.
 
-    ``okey`` is the monomial order; ``rkey`` sorts in its reverse.
+    ``key`` is the monomial order's sort key, largest exponent first.
     """
-    gb = [_monic_pair(f, tower, okey) for f in polys if f]
+    gb = [_monic_pair(f, tower, key) for f in polys if f]
     minus_one = tower.c_neg(tower.c_one)
     pending = set()
     heap = []
 
     def add_pairs(k):
-        """Queue the S-pairs of gb[k] with every earlier element."""
+        """Queue the S-pairs of gb[k] with every earlier element; the
+        negated key pops the smallest lcm first."""
         for j in range(k):
             l = tuple(map(max, gb[j][0], gb[k][0]))
-            heapq.heappush(heap, (okey(l), j, k, l))
+            heapq.heappush(heap, (tuple(map(operator.neg, key(l))), j, k, l))
             pending.add((j, k))
 
     for k in range(len(gb)):
@@ -110,20 +112,20 @@ def _buchberger(tower, okey, rkey, polys):
         s = {}
         _add_scaled(s, taili, tower, q=_exp_sub(l, lti))
         _add_scaled(s, tailj, tower, minus_one, _exp_sub(l, ltj))
-        r = _normal_form_dict(s, gb, tower, rkey)
+        r = _normal_form_dict(s, gb, tower, key)
         if r:
-            gb.append(_monic_pair(r, tower, okey))
+            gb.append(_monic_pair(r, tower, key))
             add_pairs(len(gb) - 1)
 
-    # minimal basis: drop elements whose lt is divisible by another lt
+    # minimal basis, smallest lt first: drop each lt divisible by a kept lt
     kept = []
-    for lt, tail in sorted(gb, key=lambda p: okey(p[0])):
+    for lt, tail in sorted(gb, key=lambda p: key(p[0]), reverse=True):
         if not any(_exp_divides(ltk, lt) for ltk, _ in kept):
             kept.append((lt, tail))
     kept.reverse()
     # reduce tails: no kept lt divides another, so each x^lt stays as it is;
     # every term of a tail is below its own lt, which therefore never divides
-    return [(lt, _normal_form_dict(tail, kept, tower, rkey)) for lt, tail in kept]
+    return [(lt, _normal_form_dict(tail, kept, tower, key)) for lt, tail in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +150,7 @@ class IdealHandle:
             ring = self.ring
             if self._gb_pairs is None:
                 polys = [g._t for g in self.gens + ring.defining]
-                self._gb_pairs = _buchberger(ring.tower, ring.okey, ring.rkey, polys)
+                self._gb_pairs = _buchberger(ring.tower, _grevlex_key, polys)
             self._gb = _polys_of_pairs(ring, self._gb_pairs)
         return list(self._gb)
 
@@ -161,7 +163,7 @@ class IdealHandle:
         """Remainder of f on division by the reduced basis; zero iff f is in I."""
         if f.ring is not self.ring:
             raise RingMismatchError("polynomial from a different ring")
-        r = _normal_form_dict(f._t, self._pairs(), self.ring.tower, self.ring.rkey)
+        r = _normal_form_dict(f._t, self._pairs(), self.ring.tower, _grevlex_key)
         return Polynomial(self.ring, r)
 
     def contains(self, f):
@@ -210,11 +212,7 @@ def ideal_equal(a, b):
 # coordinate, which the elimination order compares first
 
 def _elim_key(e):
-    return (e[0], _grevlex_key(e[1:]))
-
-
-def _elim_rkey(e):
-    return (-e[0], _grevlex_rkey(e[1:]))
+    return (-e[0], *_grevlex_key(e[1:]))
 
 
 def _lift(f):
@@ -226,7 +224,7 @@ def _eliminate(ring, dicts):
     # in an elimination order an aux-free lt means an aux-free element, and
     # the aux-free part of a reduced elimination basis is itself reduced
     return [(lt[1:], {e[1:]: c for e, c in tail.items()})
-            for lt, tail in _buchberger(ring.tower, _elim_key, _elim_rkey, dicts) if lt[0] == 0]
+            for lt, tail in _buchberger(ring.tower, _elim_key, dicts) if lt[0] == 0]
 
 
 def _handle_with_gb(ring, pairs):

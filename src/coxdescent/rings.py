@@ -26,12 +26,8 @@ from .linalg import RATIONALS, rational_solve, rref
 # the monomial order: grevlex
 
 def _grevlex_key(e):
-    return (sum(e), tuple(-x for x in reversed(e)))
-
-
-def _grevlex_rkey(e):
-    """Sorts in the reverse order of ``_grevlex_key``: the largest comes first."""
-    return (-sum(e), e[::-1])
+    """Sort key that puts the largest exponent first."""
+    return (-sum(e), *e[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +71,6 @@ class MultigradedRing:
         self.variables = variables
         self.nvars = len(variables)
         self._var_index = {v: i for i, v in enumerate(variables)}
-        self.okey = _grevlex_key
-        self.rkey = _grevlex_rkey
         grading = tuple(tuple(int(x) for x in row) for row in grading)
         for row in grading:
             if len(row) != self.nvars:
@@ -241,9 +235,7 @@ class Polynomial:
     def sorted_terms(self):
         """Terms in decreasing monomial order as (exponent, raw coeff)."""
         if self._sorted is None:
-            okey = self.ring.okey
-            self._sorted = tuple(sorted(self._t.items(),
-                                        key=lambda kv: okey(kv[0]), reverse=True))
+            self._sorted = tuple(sorted(self._t.items(), key=lambda kv: _grevlex_key(kv[0])))
         return self._sorted
 
     @property
@@ -538,7 +530,7 @@ def _exps_of_degree(ring, degree):
 def monomials_of_degree(ring, degree):
     """Monomials of the given multidegree, in decreasing monomial order."""
     exps = _exps_of_degree(ring, degree)
-    exps.sort(key=ring.okey, reverse=True)
+    exps.sort(key=_grevlex_key)
     return [Polynomial(ring, {e: ring.tower.c_one}) for e in exps]
 
 

@@ -9,6 +9,7 @@ from coxdescent import (FieldTower, IdealHandle, Multidegree, MultigradedRing,
                         ambient_dimension, dimension, height, ideal_equal,
                         intersect, make_product_projective, monomials_of_degree,
                         normal_form, reduced_gb, saturate)
+from coxdescent.rings import _grevlex_key
 
 from conftest import (coords_of, echelon, in_span, membership_oracle,
                       piece_monomial_multiples, random_poly, seeded, sparse_poly)
@@ -71,8 +72,8 @@ class TestReducedGB:
         gb = mk(ring, "3*x0*y0 + x1*y1", "5*x0*y1").reduced_gb()
         for g in gb:
             assert g.leading_coefficient() == ring.tower.one()
-        keys = [ring.okey(g.leading_exponent()) for g in gb]
-        assert keys == sorted(keys, reverse=True)
+        keys = [_grevlex_key(g.leading_exponent()) for g in gb]
+        assert keys == sorted(keys)
 
     def test_spolys_reduce_to_zero(self, ring):
         # post-hoc Buchberger criterion on a nontrivial ideal
