@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groebner import IdealHandle, height, ideal_equal, saturate
+from .groebner import (IdealHandle, _monomial_primes, ambient_dimension, height,
+                       ideal_equal, saturate)
 from .rings import MultigradedRing, Polynomial
 
 _FACTOR_LETTERS = "xyzwuv"
@@ -125,21 +126,55 @@ class StrictCIVerdict:
 def is_strict_ci(amb, polys):
     """Strict iff the generated ideal equals its saturation against G.
 
-    Returns ``not_ci`` when the height test fails; when not strict, the
-    witness is the first reduced-basis element of the saturation that does
-    not reduce to zero modulo the input ideal.
+    Returns ``not_ci`` when the height test fails.  When the ambient ring is
+    Cohen-Macaulay (:func:`_cohen_macaulay`) and G is generated by
+    monomials, a CI of s forms is strict iff ht(I + G) > s, so that height
+    settles every strict verdict without a saturation; all other verdicts
+    compare I with its saturation (see :func:`~coxdescent.groebner.saturate`).
+    When not strict, the witness is the first reduced-basis element of the
+    saturation that does not reduce to zero modulo the input ideal.
     """
     polys = [amb.ring._coerce_poly(f) for f in polys]
     _validate_hypersurfaces(polys)
     return _strict_ci_verdict(amb, IdealHandle(amb.ring, polys))
 
 
+def _cohen_macaulay(ring):
+    """Whether the ring is a polynomial ring or a quotient by a complete
+    intersection, and so Cohen-Macaulay; False says nothing."""
+    return len(ring.defining) == ring.nvars - ambient_dimension(ring)
+
+
+def _plus_prime(ring, polys, c):
+    """(polys) + P for P generated by the variables indexed by ``c``: those
+    variables, and the polys with every term in P dropped."""
+    x = ring.gens()
+    rest = [Polynomial(ring, {e: a for e, a in f._t.items() if not any(e[i] for i in c)})
+            for f in polys]
+    return IdealHandle(ring, rest + [x[i] for i in c])
+
+
 def _strict_ci_verdict(amb, ideal):
-    """The verdict of :func:`is_strict_ci` on the handle of validated input."""
+    """The verdict of :func:`is_strict_ci` on the handle of validated input.
+
+    In a Cohen-Macaulay ring s forms of height s generate an unmixed ideal
+    (Bruns-Herzog, Thm 2.1.6): every associated prime of I is minimal of
+    height s.  So I : G^inf differs from I iff a minimal prime of I
+    contains G, iff ht(I + G) = s.  When G is generated by monomials, V(I + G)
+    is the union of the V(I + P) over the minimal primes P of G, which are
+    generated by variables; so ht(I + G) is the least ht(I + P), and each
+    I + P (:func:`_plus_prime`) has a small basis where I + G, with all of
+    G's products, has a large one.
+    """
     s = len(ideal.gens)
     h = height(ideal)
     if h != s:
         return StrictCIVerdict(status="not_ci", height=h, expected=s)
+    ring = amb.ring
+    if _cohen_macaulay(ring) and all(len(g) == 1 for g in ring.irrelevant):
+        gb = ideal.reduced_gb()
+        if all(height(_plus_prime(ring, gb, c)) > s for c in _monomial_primes(ring.irrelevant)):
+            return StrictCIVerdict(status="strict", height=h, expected=s)
     sat = saturate(ideal, amb.irrelevant_ideal())
     if ideal_equal(sat, ideal):
         return StrictCIVerdict(status="strict", height=h, expected=s)

@@ -158,12 +158,12 @@ class FieldTower:
             self.min_poly = (0, 1)  # t - 0; unused
         else:
             if min_poly is None:
-                coeffs = self._find_min_poly()
+                coeffs = self._find_min_poly()  # irreducible by construction
             else:
                 coeffs = self._coerce_min_poly(min_poly)
+                if not self._is_irreducible(coeffs):
+                    raise ValueError("min_poly is not irreducible over GF(%d)" % p)
             self.min_poly = tuple(coeffs)
-            if not self._is_irreducible(list(coeffs)):
-                raise ValueError("min_poly is not irreducible over GF(%d)" % p)
         self._setup_ops()
 
     # -- construction helpers

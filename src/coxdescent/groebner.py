@@ -1,8 +1,8 @@
 """Buchberger's algorithm and the ideal-theoretic toolkit.
 
-Normal forms, reduced Groebner bases, ideal equality, saturation via
-auxiliary-variable elimination, Krull dimension of the initial ideal, and
-height.  Quotient Cox rings are handled by adjoining the defining ideal to
+Normal forms, reduced Groebner bases, ideal equality, saturation (by
+Bayer steps for monomial directions, by auxiliary-variable elimination
+otherwise), Krull dimension of the initial ideal, and height.  Quotient Cox rings are handled by adjoining the defining ideal to
 every ideal before basis computations.
 
 The engine is deterministic: normal pair selection (smallest lcm first in
@@ -12,10 +12,12 @@ unique for a fixed order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import operator
 
-from .errors import (RingMismatchError, SaturationDirectionError, UnitIdealError)
+from .errors import (InhomogeneousError, RingMismatchError, SaturationDirectionError,
+                     UnitIdealError)
 from .rings import (Polynomial, _add_scaled, _exp_add, _exp_divides, _exp_sub,
                     _grevlex_key)
 
@@ -27,6 +29,8 @@ from .rings import (Polynomial, _add_scaled, _exp_add, _exp_divides, _exp_sub,
 def _monic_pair(t, tower, key):
     """(leading exponent, the other terms) of a nonzero term dict, made monic."""
     lt = min(t, key=key)
+    if t[lt] == tower.c_one:  # already monic, as reduced basis elements are
+        return lt, {e: c for e, c in t.items() if e != lt}
     inv = tower.c_inv(t[lt])
     mul = tower.c_mul
     return lt, {e: mul(inv, c) for e, c in t.items() if e != lt}
@@ -264,11 +268,17 @@ def intersect(a, b):
 
 
 def saturate(ideal, direction):
-    """(I : G^infinity) as the intersection of single saturations.
+    """(I : G^infinity).
 
-    Runs over the generators of ``direction``; the running intersection is
-    short-circuited by containment checks, and the loop stops early once
-    the running result collapses to I itself.
+    When every generator of ``direction`` is a single term and the ideal
+    is homogeneous, this is I : P_1^inf : ... : P_m^inf over the primes
+    P_C = (x : x in C) of the radical of G, C running over the minimal
+    transversals of the generators' supports; each I : P_C^inf is the
+    intersection of the I : x^inf, x in C, each computed by one Bayer step
+    (:func:`_saturate_variable`).  Otherwise it is the intersection of the
+    single saturations by the generators, found by elimination; that loop
+    stops early once the running result collapses to I itself.  Both paths
+    return the same reduced basis.
     """
     ring = ideal.ring
     if direction.ring is not ring:
@@ -276,22 +286,110 @@ def saturate(ideal, direction):
     gens = [g for g in direction.gens if not g.is_zero()]
     if not gens:
         raise SaturationDirectionError("cannot saturate with respect to the zero ideal")
+    if all(len(g) == 1 for g in gens) and _homogeneous(ideal.gens + ring.defining):
+        result = ideal
+        for c in _monomial_primes(gens):
+            parts = []
+            for i in c:
+                part = _saturate_variable(result, i)
+                if part is result:  # then so is the intersection
+                    break
+                parts.append(part)
+            else:
+                result = functools.reduce(_meet, parts)
+        return _handle_with_gb(ring, result._pairs())
     result = None
     for g in dict.fromkeys(gens):
         s = saturate_single(ideal, g)
-        if result is None:
-            result = s
-        elif result.contains_ideal(s):
-            # s is smaller or equal: intersection is s
-            result = s
-        elif s.contains_ideal(result):
-            pass  # intersection is result
-        else:
-            result = intersect(result, s)
+        result = s if result is None else _meet(result, s)
         if ideal.contains_ideal(result):
             # running intersection already equals I; it can only stay I
             return _handle_with_gb(ring, ideal._pairs())
     return result
+
+
+def _meet(a, b):
+    """a intersect b, skipping the elimination when one contains the other."""
+    if a.contains_ideal(b):
+        return b
+    if b.contains_ideal(a):
+        return a
+    return intersect(a, b)
+
+
+def _homogeneous(polys):
+    try:
+        for f in polys:
+            if f:
+                f.multidegree()
+    except InhomogeneousError:
+        return False
+    return True
+
+
+def _monomial_primes(gens):
+    """The minimal primes of the ideal of the single-term ``gens``, each as
+    the sorted indices of the variables that generate it, in sorted order."""
+    return _primes_of_supports(frozenset(frozenset(i for i, a in enumerate(e) if a)
+                                         for g in gens for e in g._t))
+
+
+@functools.lru_cache(maxsize=128)
+def _primes_of_supports(supports):
+    # a ring's irrelevant ideal asks for its primes at every verdict
+    return tuple(sorted(tuple(sorted(c)) for c in _min_transversals(supports)))
+
+
+def _min_transversals(supports):
+    """The minimal sets meeting every one of ``supports``, by Berge's
+    algorithm: add one support at a time, grow each transversal that misses
+    it by each of its elements, and keep only the minimal sets."""
+    family = [frozenset()]
+    for s in supports:
+        grown = set()
+        for t in family:
+            if t & s:
+                grown.add(t)
+            else:
+                grown.update(t | {v} for v in s)
+        family = []
+        for t in sorted(grown, key=len):
+            if not any(k <= t for k in family):
+                family.append(t)
+    return family
+
+
+def _saturate_variable(ideal, i):
+    """(I : x_i^infinity) of a homogeneous I by Bayer's method; I itself,
+    as the same handle, when x_i is no zero divisor modulo I.
+
+    In grevlex with x_i last, weighted by the ring's positive weights,
+    x_i^k divides a homogeneous f exactly when it divides the leading term.
+    So dividing each element of such a basis by the power of x_i in its
+    leading term gives a basis of the saturation, which is then reduced in
+    grevlex.
+    """
+    ring = ideal.ring
+    tower = ring.tower
+    w = ring._weights[1]
+    j = ring.nvars - 1 - i
+
+    def key(e):
+        rev = e[::-1]
+        return (-sum(map(operator.mul, w, e)), e[i], *rev[:j], *rev[j + 1:])
+
+    one = tower.c_one
+    pairs = _buchberger(tower, key, [{lt: one, **tail} for lt, tail in ideal._pairs()])
+    if not any(lt[i] for lt, _ in pairs):
+        return ideal
+    divided = []
+    for lt, tail in pairs:
+        k = lt[i]
+        f = {lt: one, **tail}
+        if k:
+            f = {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in f.items()}
+        divided.append(f)
+    return _handle_with_gb(ring, _buchberger(tower, _grevlex_key, divided))
 
 
 # ---------------------------------------------------------------------------

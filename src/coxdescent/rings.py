@@ -152,8 +152,13 @@ def _positive_weights(grading):
 
     Exact: if {y : w_j(y) >= 1 for all j} is nonempty, its minimal face is
     cut out by w_S(y) = 1 for some set S of rank-many variables, so solving
-    those square systems in turn finds a point of it.
+    those square systems in turn finds a point of it.  The sum of the rows
+    is tried first: it is the search's answer for every product of
+    projective spaces, whose search makes thousands of solves at 8 factors.
     """
+    w = tuple(map(sum, zip(*grading)))
+    if all(x >= 1 for x in w):
+        return (1,) * len(grading), w
     nvars = len(grading[0])
     rank = len(rref(RATIONALS, grading)[1])
     for subset in itertools.combinations(range(nvars), rank):

@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from coxdescent import (FieldTower, make_product_projective, make_segre_p1p1,
-                        monomials_of_degree)
+from coxdescent import (FieldTower, MultigradedRing, make_custom,
+                        make_product_projective, make_segre_p1p1, monomials_of_degree)
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 
@@ -156,3 +156,53 @@ def membership_oracle(ring, f, gens):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def eliminating_saturate(ideal, direction):
+    """(I : G^infinity) as the package computed it before Bayer saturation:
+    one elimination per generator of G, intersected with containment
+    short-circuits.  An oracle for the Bayer path."""
+    from coxdescent.groebner import _handle_with_gb, intersect, saturate_single
+    result = None
+    for g in dict.fromkeys(g for g in direction.gens if not g.is_zero()):
+        s = saturate_single(ideal, g)
+        if result is None:
+            result = s
+        elif result.contains_ideal(s):
+            result = s
+        elif s.contains_ideal(result):
+            pass
+        else:
+            result = intersect(result, s)
+        if ideal.contains_ideal(result):
+            return _handle_with_gb(ideal.ring, ideal._pairs())
+    return result
+
+
+F1_GRADING = ((1, 1, 0, -1), (0, 0, 1, 1))
+
+
+def make_f1(tower):
+    """Cox ring of the Hirzebruch surface F1; y1 has degree (-1, 1)."""
+    ring = MultigradedRing(tower, ["x0", "x1", "y0", "y1"], grading=F1_GRADING,
+                           irrelevant=["x0*y0", "x0*y1", "x1*y0", "x1*y1"])
+    return make_custom(ring)
+
+
+# (name, effective degrees) of the small ambients the saturation and
+# strict-CI properties sample from
+SMALL_AMBIENT_DEGREES = {
+    "p1p1": [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)],
+    "p1p2": [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)],
+    "p1p1p1": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)],
+    "segre": [(1,), (2,)],
+    "f1": [(1, 0), (0, 1), (1, 1), (2, 1), (0, 2)],
+}
+
+
+def small_ambients(tower):
+    return {"p1p1": make_product_projective([1, 1], tower),
+            "p1p2": make_product_projective([1, 2], tower),
+            "p1p1p1": make_product_projective([1, 1, 1], tower),
+            "segre": make_segre_p1p1(tower),
+            "f1": make_f1(tower)}

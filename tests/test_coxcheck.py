@@ -1,12 +1,18 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxdescent import (IdealHandle, InhomogeneousError, Multidegree,
-                        dimension, height, ideal_equal, is_complete_intersection,
-                        is_strict_ci, make_product_projective, make_segre_p1p1,
-                        subscheme_ideal)
+from coxdescent import (IdealHandle, InhomogeneousError, Multidegree, MultigradedRing,
+                        StrictCIVerdict, dimension, height, ideal_equal,
+                        is_complete_intersection, is_strict_ci, make_custom,
+                        make_product_projective, make_segre_p1p1, subscheme_ideal)
+from coxdescent import cox
+from coxdescent.cox import _cohen_macaulay, _plus_prime
+from coxdescent.groebner import _monomial_primes
 
-from conftest import random_poly, seeded, sparse_poly
+from conftest import (SMALL_AMBIENT_DEGREES, eliminating_saturate, random_poly, seeded,
+                      small_ambients, sparse_poly)
 
 
 def mk(ring, *texts):
@@ -189,3 +195,90 @@ class TestLinearFormsProperty:
                 continue  # V(I) misses the ambient entirely
             assert is_strict_ci(p1p1, fs).status == "strict"
             found += 1
+
+
+def full_saturation_verdict(amb, fs):
+    """The verdict by comparing I with its saturation, found by elimination."""
+    ideal = IdealHandle(amb.ring, fs)
+    s = len(fs)
+    h = height(ideal)
+    if h != s:
+        return StrictCIVerdict(status="not_ci", height=h, expected=s)
+    sat = eliminating_saturate(ideal, amb.irrelevant_ideal())
+    if ideal_equal(sat, ideal):
+        return StrictCIVerdict(status="strict", height=h, expected=s)
+    witness = next(g for g in sat.reduced_gb() if not ideal.contains(g))
+    return StrictCIVerdict(status="not_strict", witness=witness, height=h, expected=s)
+
+
+@pytest.fixture(scope="module")
+def verdict_ambients(gf101):
+    ambs = small_ambients(gf101)
+    p1p2 = ambs["p1p2"].ring
+    # P1 x P2 modulo one (1,1) form: a complete-intersection quotient
+    ambs["p1p2_ci"] = make_custom(MultigradedRing(
+        gf101, p1p2.variables, grading=p1p2.grading,
+        defining=["x0*y0 + 2*x1*y1 + 3*x0*y2"], irrelevant=list(map(str, p1p2.irrelevant))))
+    # the twisted cubic: three quadrics of height two, not a complete intersection
+    ambs["twisted_cubic"] = make_custom(MultigradedRing(
+        gf101, ["a", "b", "c", "d"], grading=[[1, 1, 1, 1]],
+        defining=["b^2 - a*c", "c^2 - b*d", "a*d - b*c"], irrelevant=["a", "b", "c", "d"]))
+    # the irrelevant ideal of P1 x P1 on a generator that is not a monomial
+    ambs["p1p1_binomial_g"] = make_custom(MultigradedRing(
+        gf101, ["x0", "x1", "y0", "y1"], grading=ambs["p1p1"].ring.grading,
+        irrelevant=["x0*y0 + x1*y1", "x0*y1", "x1*y0", "x1*y1"]))
+    return ambs
+
+
+VERDICT_DEGREES = dict(SMALL_AMBIENT_DEGREES, p1p2_ci=SMALL_AMBIENT_DEGREES["p1p2"],
+                       twisted_cubic=[(1,), (2,)],
+                       p1p1_binomial_g=SMALL_AMBIENT_DEGREES["p1p1"])
+MONOMIAL_G = sorted(set(VERDICT_DEGREES) - {"p1p1_binomial_g"})
+
+
+class TestHeightShortcut:
+    def test_cohen_macaulay_check(self, verdict_ambients):
+        assert {name for name, amb in verdict_ambients.items()
+                if not _cohen_macaulay(amb.ring)} == {"twisted_cubic"}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(VERDICT_DEGREES)), st.integers(0, 2 ** 32))
+    def test_equals_full_saturation_verdict_property(self, verdict_ambients, name, seed):
+        amb = verdict_ambients[name]
+        ring = amb.ring
+        rng = seeded(seed)
+        fs = [sparse_poly(ring, Multidegree(rng.choice(VERDICT_DEGREES[name])), rng)
+              for _ in range(rng.randint(1, 3))]
+        assert is_strict_ci(amb, fs) == full_saturation_verdict(amb, fs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(MONOMIAL_G), st.integers(0, 2 ** 32))
+    def test_primes_of_g_give_the_height_of_i_plus_g_property(self, verdict_ambients, name, seed):
+        amb = verdict_ambients[name]
+        ring = amb.ring
+        rng = seeded(seed)
+        fs = [sparse_poly(ring, Multidegree(rng.choice(VERDICT_DEGREES[name])), rng)
+              for _ in range(rng.randint(1, 3))]
+        # ht(I + G) is the least ht(I + P) over the minimal primes P of G
+        gb = IdealHandle(ring, fs).reduced_gb()
+        assert (min(height(_plus_prime(ring, gb, c)) for c in _monomial_primes(ring.irrelevant))
+                == height(IdealHandle(ring, fs + list(ring.irrelevant))))
+
+    def test_strict_verdict_runs_no_saturation(self, p2p2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("saturated")
+
+        monkeypatch.setattr(cox, "saturate", refuse)
+        ring = p2p2.ring
+        rng = seeded(5)
+        fs = [random_poly(ring, Multidegree((2, 2)), rng) for _ in range(2)]
+        assert is_strict_ci(p2p2, fs).status == "strict"
+
+    @pytest.mark.parametrize("texts, status", [(["x0^200*y0", "x1^200*y1"], "not_strict"),
+                                               (["x0^200*y0"], "strict")])
+    def test_exponent_200_budget(self, p1p1, texts, status):
+        # eliminations took 3.1 s and 1.7 s on a 2-vCPU VM
+        start = time.perf_counter()
+        v = is_strict_ci(p1p1, [p1p1.ring.parse(s) for s in texts])
+        assert time.perf_counter() - start < 0.1
+        assert v.status == status

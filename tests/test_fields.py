@@ -52,6 +52,36 @@ class TestConstruction:
         assert hash(FieldTower(3, 2)) == hash(FieldTower(3, 2))
         assert FieldTower(3, 2) != FieldTower(3, 1)
 
+    @pytest.mark.parametrize("p, d", [(2, 5), (3, 4), (101, 3)])
+    def test_found_min_poly_not_checked_again(self, monkeypatch, p, d):
+        # the search returns an irreducible polynomial; only a min_poly
+        # given by the caller is tested after construction
+        outside, searching = [], []
+        is_irreducible, find = FieldTower._is_irreducible, FieldTower._find_min_poly
+
+        def counting(self, f):
+            if not searching:
+                outside.append(f)
+            return is_irreducible(self, f)
+
+        def search(self):
+            searching.append(True)
+            try:
+                return find(self)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(FieldTower, "_is_irreducible", counting)
+        monkeypatch.setattr(FieldTower, "_find_min_poly", search)
+        tower = FieldTower(p, d)
+        assert outside == []
+        assert FieldTower(p, d, tower.min_poly).min_poly == tower.min_poly
+        assert outside == [list(tower.min_poly)]
+
+    def test_reducible_min_poly_of_degree_four_rejected(self):
+        with pytest.raises(ValueError, match="not irreducible"):
+            FieldTower(2, 4, "t^4+t^2+1")  # (t^2 + t + 1)^2
+
 
 class TestPrimality:
     def test_large_mersenne_prime_accepted_quickly(self):

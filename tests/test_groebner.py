@@ -9,10 +9,12 @@ from coxdescent import (FieldTower, IdealHandle, Multidegree, MultigradedRing,
                         ambient_dimension, dimension, height, ideal_equal,
                         intersect, make_product_projective, monomials_of_degree,
                         normal_form, reduced_gb, saturate)
+from coxdescent import groebner as G
 from coxdescent.rings import _grevlex_key
 
-from conftest import (coords_of, echelon, in_span, membership_oracle,
-                      piece_monomial_multiples, random_poly, seeded, sparse_poly)
+from conftest import (SMALL_AMBIENT_DEGREES, coords_of, echelon, eliminating_saturate,
+                      in_span, membership_oracle, piece_monomial_multiples, random_poly,
+                      seeded, small_ambients, sparse_poly)
 
 
 @pytest.fixture(scope="module")
@@ -365,3 +367,107 @@ class TestSaturatedByHigherHeightDirection:
                 continue
             assert ideal_equal(saturate(ideal, g), ideal)
             done += 1
+
+
+@pytest.fixture(scope="module")
+def ambients(gf101):
+    return small_ambients(gf101)
+
+
+def random_monomial_direction(ring, rng):
+    """One to three monomial generators with exponents 0..2; the constant 1
+    (the unit direction) comes up too."""
+    return IdealHandle(ring, [ring.monomial([rng.randrange(3) for _ in range(ring.nvars)],
+                                            rng.randrange(1, 101))
+                              for _ in range(rng.randint(1, 3))])
+
+
+class TestBayerSaturation:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_AMBIENT_DEGREES)), st.integers(0, 2 ** 32),
+           st.booleans())
+    def test_equals_elimination_property(self, ambients, name, seed, irrelevant):
+        amb = ambients[name]
+        ring = amb.ring
+        rng = seeded(seed)
+        degrees = SMALL_AMBIENT_DEGREES[name]
+        ideal = IdealHandle(ring, [sparse_poly(ring, Multidegree(rng.choice(degrees)), rng)
+                                   for _ in range(rng.randint(1, 3))])
+        direction = (amb.irrelevant_ideal() if irrelevant
+                     else random_monomial_direction(ring, rng))
+        assert (saturate(ideal, direction).reduced_gb()
+                == eliminating_saturate(ideal, direction).reduced_gb())
+
+    def test_monomial_direction_runs_no_elimination(self, ambients, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eliminated")
+
+        monkeypatch.setattr(G, "saturate_single", refuse)
+        monkeypatch.setattr(G, "intersect", refuse)
+        ring = ambients["p1p1"].ring
+        sat = saturate(mk(ring, "x0", "x1*y0"), ambients["p1p1"].irrelevant_ideal())
+        assert [str(g) for g in sat.reduced_gb()] == ["x0", "y0"]
+
+    def test_binomial_direction_eliminates(self, ring, monkeypatch):
+        calls = []
+        orig = G.saturate_single
+        monkeypatch.setattr(G, "saturate_single",
+                            lambda ideal, g: calls.append(g) or orig(ideal, g))
+        ideal = mk(ring, "x0*y0 - x1*y1")
+        assert ideal_equal(saturate(ideal, mk(ring, "x0 + x1")), ideal)
+        assert calls
+
+    def test_unit_direction_leaves_ideal(self, ring):
+        ideal = mk(ring, "x0*y0", "x1^2*y1")
+        assert ideal_equal(saturate(ideal, mk(ring, "3")), ideal)
+
+    def test_exponent_200_budget(self, amb, ring):
+        # one Bayer step divides x0^200 out at once; the elimination built
+        # every power of x0 in between (1.7 s on a 2-vCPU VM)
+        ideal = mk(ring, "x0^200*y0", "x1^200*y1")
+        start = time.perf_counter()
+        sat = saturate(ideal, amb.irrelevant_ideal())
+        assert time.perf_counter() - start < 0.1
+        # the pattern of the exponent-2 case, which the elimination confirms
+        assert [str(g) for g in sat.reduced_gb()] == [
+            "x0^200*x1^200", "x0^200*y0", "x1^200*y1", "y0*y1"]
+        small = mk(ring, "x0^2*y0", "x1^2*y1")
+        assert [str(g) for g in eliminating_saturate(small, amb.irrelevant_ideal()).reduced_gb()] == [
+            "x0^2*x1^2", "x0^2*y0", "x1^2*y1", "y0*y1"]
+
+
+class TestMinTransversals:
+    @staticmethod
+    def brute_force(supports, n):
+        hitting = [set(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)
+                   if all(set(c) & s for s in supports)]
+        return {frozenset(c) for c in hitting if not any(d < c for d in hitting)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=6))))
+    def test_against_subset_oracle_property(self, case):
+        n, supports = case
+        supports = [frozenset(s) for s in supports]
+        got = G._min_transversals(supports)
+        assert len(got) == len(set(got))
+        assert set(got) == self.brute_force(supports, n)
+
+    def test_empty_support_has_no_transversal(self):
+        assert G._min_transversals([frozenset(), frozenset({0})]) == []
+
+    def test_product_blocks(self, gf101):
+        ring = make_product_projective([1, 2], gf101).ring
+        supports = [frozenset(i for i, a in enumerate(g.leading_exponent()) if a)
+                    for g in ring.irrelevant]
+        assert sorted(map(sorted, G._min_transversals(supports))) == [[0, 1], [2, 3, 4]]
+
+    def test_eight_factor_budget(self, gf101):
+        # a recursive branching enumeration took 3.9 s here on a 2-vCPU VM
+        ring = make_product_projective([1] * 8, gf101).ring
+        supports = [frozenset(i for i, a in enumerate(g.leading_exponent()) if a)
+                    for g in ring.irrelevant]
+        start = time.perf_counter()
+        got = G._min_transversals(supports)
+        assert time.perf_counter() - start < 0.1
+        assert sorted(map(sorted, got)) == [[2 * k, 2 * k + 1] for k in range(8)]
