@@ -66,14 +66,12 @@ def _print_gb(gb):
         print(g)
 
 
-def _cmd_gb(problem, args):
-    ideal = _pick_ideal(problem, args.ideal)
+def _cmd_gb(problem, ideal, args):
     _print_gb(ideal.reduced_gb())
     return EXIT_OK
 
 
-def _cmd_saturate(problem, args):
-    ideal = _pick_ideal(problem, args.ideal)
+def _cmd_saturate(problem, ideal, args):
     if args.against == "irrelevant":
         result = subscheme_ideal(problem.ambient, ideal)
     else:
@@ -82,8 +80,7 @@ def _cmd_saturate(problem, args):
     return EXIT_OK
 
 
-def _cmd_strict_ci(problem, args):
-    ideal = _pick_ideal(problem, args.ideal)
+def _cmd_strict_ci(problem, ideal, args):
     verdict = is_strict_ci(problem.ambient, list(ideal.gens))
     if verdict.status == "strict":
         print("STRICT")
@@ -95,8 +92,7 @@ def _cmd_strict_ci(problem, args):
     return EXIT_NOT_CI
 
 
-def _cmd_ci(problem, args):
-    ideal = _pick_ideal(problem, args.ideal)
+def _cmd_ci(problem, ideal, args):
     h = height(ideal)
     expected = len([g for g in ideal.gens if not g.is_zero()])
     if h == expected:
@@ -106,14 +102,12 @@ def _cmd_ci(problem, args):
     return EXIT_NOT_CI
 
 
-def _cmd_dim(problem, args):
-    ideal = _pick_ideal(problem, args.ideal)
+def _cmd_dim(problem, ideal, args):
     print(dimension(ideal))
     return EXIT_OK
 
 
-def _cmd_descend(problem, args):
-    ideal = _pick_ideal(problem, args.ideal)
+def _cmd_descend(problem, ideal, args):
     if problem.action is None:
         raise CoxDescentError("descend needs an action line in the problem file")
     result = descend(problem.ambient, problem.action, list(ideal.gens))
@@ -146,7 +140,7 @@ def main(argv=None):
         print("cannot read %s: %s" % (args.file, exc), file=sys.stderr)
         return EXIT_PARSE
     try:
-        return _COMMANDS[args.command](problem, args)
+        return _COMMANDS[args.command](problem, _pick_ideal(problem, args.ideal), args)
     except DescentPreconditionError as exc:
         print(exc.reason)
         print(str(exc), file=sys.stderr)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groebner import (IdealHandle, _monomial_primes, ambient_dimension, height,
-                       ideal_equal, saturate)
-from .rings import MultigradedRing, Polynomial
+from .groebner import (IdealHandle, _monomial_primes, ambient_dimension, defining_ideal,
+                       height, saturate)
+from .rings import MultigradedRing, Polynomial, _require_homogeneous
 
 _FACTOR_LETTERS = "xyzwuv"
 
@@ -54,10 +54,8 @@ def make_product_projective(dims, tower):
             row[pos + j] = 1
         grading.append(tuple(row))
         pos += n + 1
-    ring = MultigradedRing(tower, variables, grading=grading)
     irrelevant = ["*".join(combo) for combo in itertools.product(*blocks)]
-    ring.irrelevant = tuple(ring.parse(s) for s in irrelevant)
-    return CoxAmbient(ring=ring)
+    return CoxAmbient(ring=MultigradedRing(tower, variables, grading, irrelevant=irrelevant))
 
 
 def make_segre_p1p1(tower):
@@ -87,12 +85,6 @@ def subscheme_ideal(amb, ideal):
     return saturate(ideal, amb.irrelevant_ideal())
 
 
-def _require_homogeneous(polys):
-    for f in polys:
-        if not f.is_zero():
-            f.multidegree()  # raises InhomogeneousError
-
-
 def is_complete_intersection(amb, polys):
     """Height test: the s hypersurfaces cut out codimension s."""
     polys = [amb.ring._coerce_poly(f) for f in polys]
@@ -102,9 +94,10 @@ def is_complete_intersection(amb, polys):
 
 
 def _validate_hypersurfaces(polys):
+    """Reject inhomogeneous forms, forms zero in the (quotient) ring, and units."""
     _require_homogeneous(polys)
     for f in polys:
-        if f.is_zero():
+        if f.is_zero() or (f.ring.defining and defining_ideal(f.ring).contains(f)):
             raise ValueError("zero polynomial does not define a hypersurface")
         if f.is_constant():
             raise ValueError("unit does not define a hypersurface")
@@ -129,10 +122,11 @@ def is_strict_ci(amb, polys):
     Returns ``not_ci`` when the height test fails.  When the ambient ring is
     Cohen-Macaulay (:func:`_cohen_macaulay`) and G is generated by
     monomials, a CI of s forms is strict iff ht(I + G) > s, so that height
-    settles every strict verdict without a saturation; all other verdicts
-    compare I with its saturation (see :func:`~coxdescent.groebner.saturate`).
-    When not strict, the witness is the first reduced-basis element of the
-    saturation that does not reduce to zero modulo the input ideal.
+    settles every strict verdict without a saturation.  All other verdicts
+    scan the reduced basis of the saturation (see
+    :func:`~coxdescent.groebner.saturate`) for an element that does not
+    reduce to zero modulo I: the first such is the witness, and since
+    I is contained in its saturation, there is none exactly when I is strict.
     """
     polys = [amb.ring._coerce_poly(f) for f in polys]
     _validate_hypersurfaces(polys)
@@ -176,7 +170,7 @@ def _strict_ci_verdict(amb, ideal):
         if all(height(_plus_prime(ring, gb, c)) > s for c in _monomial_primes(ring.irrelevant)):
             return StrictCIVerdict(status="strict", height=h, expected=s)
     sat = saturate(ideal, amb.irrelevant_ideal())
-    if ideal_equal(sat, ideal):
+    witness = next((g for g in sat.reduced_gb() if not ideal.contains(g)), None)
+    if witness is None:
         return StrictCIVerdict(status="strict", height=h, expected=s)
-    witness = next(g for g in sat.reduced_gb() if not ideal.contains(g))
     return StrictCIVerdict(status="not_strict", witness=witness, height=h, expected=s)

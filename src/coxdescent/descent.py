@@ -42,7 +42,7 @@ class SemilinearAction:
         for name, image in var_map.items():
             if name not in ring._var_index:
                 raise ActionError("unknown variable %r" % name)
-            image = ring._coerce_poly(image) if not isinstance(image, Polynomial) else image
+            image = ring._coerce_poly(image)
             if len(image) != 1:
                 raise ActionError("image of %s is not a scaled variable" % name)
             (exp, coeff), = image._t.items()

@@ -155,7 +155,7 @@ class FieldTower:
         self.p = p
         self.d = d
         if d == 1:
-            self.min_poly = (0, 1)  # t - 0; unused
+            self.min_poly = (0, 1)  # t - 0; read only by __eq__ and __hash__
         else:
             if min_poly is None:
                 coeffs = self._find_min_poly()  # irreducible by construction
@@ -171,10 +171,7 @@ class FieldTower:
     def _coerce_min_poly(self, mp):
         p, d = self.p, self.d
         if isinstance(mp, str):
-            rep = _parse_rep(mp, p, d + 1)
-            coeffs = list(rep) if isinstance(rep, tuple) else [rep]
-            while len(coeffs) < d + 1:
-                coeffs.append(0)
+            coeffs = list(_parse_rep(mp, p, d + 1))  # d + 1 entries, as d >= 2
         else:
             coeffs = [c % p for c in mp]
         if len(coeffs) != d + 1 or coeffs[-1] != 1:

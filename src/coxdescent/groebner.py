@@ -19,7 +19,7 @@ import operator
 from .errors import (InhomogeneousError, RingMismatchError, SaturationDirectionError,
                      UnitIdealError)
 from .rings import (Polynomial, _add_scaled, _exp_add, _exp_divides, _exp_sub,
-                    _grevlex_key)
+                    _grevlex_key, _require_homogeneous)
 
 # ---------------------------------------------------------------------------
 # engine: polynomials as dicts {exponent tuple: raw coefficient}; a monic
@@ -146,17 +146,14 @@ class IdealHandle:
         self.ring = ring
         self.gens = tuple(ring._coerce_poly(g) for g in gens)
         self._gb_pairs = None  # [(lt, tail)] engine form
-        self._gb = None
 
     def reduced_gb(self):
         """Unique reduced basis: monic, tails reduced, sorted."""
-        if self._gb is None:
-            ring = self.ring
-            if self._gb_pairs is None:
-                polys = [g._t for g in self.gens + ring.defining]
-                self._gb_pairs = _buchberger(ring.tower, _grevlex_key, polys)
-            self._gb = _polys_of_pairs(ring, self._gb_pairs)
-        return list(self._gb)
+        ring = self.ring
+        if self._gb_pairs is None:
+            polys = [g._t for g in self.gens + ring.defining]
+            self._gb_pairs = _buchberger(ring.tower, _grevlex_key, polys)
+        return _polys_of_pairs(ring, self._gb_pairs)
 
     def _pairs(self):
         if self._gb_pairs is None:
@@ -179,14 +176,14 @@ class IdealHandle:
     def equals(self, other):
         if other.ring is not self.ring:
             raise RingMismatchError("ideals from different rings")
-        return self.reduced_gb() == other.reduced_gb()
+        return self._pairs() == other._pairs()
 
     def is_unit(self):
-        gb = self.reduced_gb()
-        return len(gb) == 1 and gb[0].is_constant() and not gb[0].is_zero()
+        gb = self._pairs()
+        return len(gb) == 1 and not any(gb[0][0])  # the basis (1)
 
     def is_zero(self):
-        return not self.reduced_gb()
+        return not self._pairs()
 
     def __repr__(self):
         return "IdealHandle(%s)" % ", ".join(str(g) for g in self.gens)
@@ -235,7 +232,6 @@ def _handle_with_gb(ring, pairs):
     """A handle whose generators are the reduced basis given as (lt, tail) pairs."""
     h = IdealHandle(ring, _polys_of_pairs(ring, pairs))
     h._gb_pairs = pairs
-    h._gb = list(h.gens)
     return h
 
 
@@ -286,18 +282,23 @@ def saturate(ideal, direction):
     gens = [g for g in direction.gens if not g.is_zero()]
     if not gens:
         raise SaturationDirectionError("cannot saturate with respect to the zero ideal")
-    if all(len(g) == 1 for g in gens) and _homogeneous(ideal.gens + ring.defining):
-        result = ideal
-        for c in _monomial_primes(gens):
-            parts = []
-            for i in c:
-                part = _saturate_variable(result, i)
-                if part is result:  # then so is the intersection
-                    break
-                parts.append(part)
-            else:
-                result = functools.reduce(_meet, parts)
-        return _handle_with_gb(ring, result._pairs())
+    if all(len(g) == 1 for g in gens):
+        try:
+            _require_homogeneous(ideal.gens)  # ring.defining is homogeneous already
+        except InhomogeneousError:
+            pass
+        else:
+            result = ideal
+            for c in _monomial_primes(gens):
+                parts = []
+                for i in c:
+                    part = _saturate_variable(result, i)
+                    if part is result:  # then so is the intersection
+                        break
+                    parts.append(part)
+                else:
+                    result = functools.reduce(_meet, parts)
+            return _handle_with_gb(ring, result._pairs())
     result = None
     for g in dict.fromkeys(gens):
         s = saturate_single(ideal, g)
@@ -315,16 +316,6 @@ def _meet(a, b):
     if b.contains_ideal(a):
         return a
     return intersect(a, b)
-
-
-def _homogeneous(polys):
-    try:
-        for f in polys:
-            if f:
-                f.multidegree()
-    except InhomogeneousError:
-        return False
-    return True
 
 
 def _monomial_primes(gens):
@@ -431,9 +422,7 @@ def ambient_dimension(ring):
     """Krull dimension of the (quotient) Cox ring itself."""
     if not ring.defining:
         return ring.nvars
-    if ring._defining_height is None:
-        ring._defining_height = ring.nvars - dimension(defining_ideal(ring))
-    return ring.nvars - ring._defining_height
+    return dimension(defining_ideal(ring))
 
 
 def height(ideal):

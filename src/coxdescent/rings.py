@@ -81,9 +81,7 @@ class MultigradedRing:
 
         self.defining = ()
         self.irrelevant = ()
-        # caches set lazily by the groebner module
-        self._defining_handle = None
-        self._defining_height = None
+        self._defining_handle = None  # set lazily by groebner.defining_ideal
         if defining:
             self.defining = tuple(self._coerce_poly(f) for f in defining)
         if irrelevant:
@@ -218,13 +216,11 @@ def _add_scaled(h, g, tower, c=None, q=None, new=None):
 class Polynomial:
     """Immutable multivariate polynomial in canonical form."""
 
-    __slots__ = ("ring", "_t", "_sorted", "_hash")
+    __slots__ = ("ring", "_t")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self._t = terms  # dict exp -> raw coefficient, no zeros
-        self._sorted = None
-        self._hash = None
 
     # -- inspection
 
@@ -239,9 +235,7 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms in decreasing monomial order as (exponent, raw coeff)."""
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._t.items(), key=lambda kv: _grevlex_key(kv[0])))
-        return self._sorted
+        return sorted(self._t.items(), key=lambda kv: _grevlex_key(kv[0]))
 
     @property
     def terms(self):
@@ -364,15 +358,21 @@ class Polynomial:
                 and self._t == other._t)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.ring), frozenset(self._t.items())))
-        return self._hash
+        return hash((id(self.ring), frozenset(self._t.items())))
 
     def __str__(self):
         return poly_str(self)
 
     def __repr__(self):
         return "<%s>" % poly_str(self)
+
+
+def _require_homogeneous(polys):
+    """Raise :class:`InhomogeneousError` at the first nonzero polynomial of
+    ``polys`` whose monomials have different multidegrees."""
+    for f in polys:
+        if f:
+            f.multidegree()
 
 
 # ---------------------------------------------------------------------------

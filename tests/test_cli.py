@@ -80,6 +80,13 @@ class TestStrictCI:
         assert rc == 0
         assert out == "STRICT\n"
 
+    def test_quotient_zero_form_is_a_semantic_error(self, capsys, tmp_path):
+        path = tmp_path / "quadric.prob"
+        path.write_text("field p=101\nambient segre-p1p1\nideal q = z00*z11 - z01*z10\n")
+        rc, out, err = run(capsys, "strict-ci", str(path))
+        assert (rc, out) == (3, "")
+        assert "zero polynomial" in err
+
     def test_not_ci(self, capsys):
         rc, out, _ = run(capsys, "ci", P1P1, "--ideal", "rowred")
         assert rc == 0  # (x0, x0+y0) has height 2

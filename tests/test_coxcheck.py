@@ -116,6 +116,21 @@ class TestCompleteIntersection:
             is_complete_intersection(p1p1, [p1p1.ring.parse("x0 + x0*y0")])
 
 
+class TestQuotientZeroForm:
+    """A form in the defining ideal is zero in the quotient ring, so it
+    defines no hypersurface, just as a literal 0 does."""
+
+    @pytest.mark.parametrize("texts", [
+        ["0"],
+        ["z00*z11 - z01*z10"],
+        ["z00", "z00^2*z11 - z00*z01*z10"],
+    ])
+    def test_rejected_like_zero(self, segre, texts):
+        for check in (is_strict_ci, is_complete_intersection):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                check(segre, texts)
+
+
 class TestStrictCI:
     def test_two_points_not_strict(self, p1p1):
         ring = p1p1.ring

@@ -6,11 +6,11 @@ import pytest
 import coxdescent.descent as D
 import coxdescent.groebner as G
 from coxdescent import (ActionError, DescentPreconditionError, FieldTower,
-                        IdealHandle, Multidegree, SemilinearAction, apply_action,
-                        degree_orbits, descend, fixed_space,
-                        graded_piece_basis, ideal_equal, is_invariant_ideal,
-                        lower_piece_basis, make_product_projective,
-                        make_segre_p1p1, monomials_of_degree)
+                        IdealHandle, Multidegree, MultigradedRing, RingMismatchError,
+                        SemilinearAction, apply_action, degree_orbits, descend,
+                        fixed_space, graded_piece_basis, ideal_equal,
+                        is_invariant_ideal, lower_piece_basis, make_custom,
+                        make_product_projective, make_segre_p1p1, monomials_of_degree)
 from coxdescent.groebner import defining_ideal
 from coxdescent.rings import _grevlex_key
 
@@ -56,6 +56,12 @@ class TestSemilinearAction:
         # x0 <-> y0 alone does not permute the grading blocks coherently
         with pytest.raises(ActionError):
             SemilinearAction(p1p1_gf9.ring, 0, {"x0": "y0", "y0": "x0"})
+
+    def test_foreign_ring_image_rejected(self, p1p1_gf9, gf9):
+        other = make_product_projective([1, 1], gf9).ring
+        with pytest.raises(RingMismatchError):
+            SemilinearAction(p1p1_gf9.ring, 0, {"x0": other.parse("x1"),
+                                                "x1": other.parse("x0")})
 
     def test_apply_swaps_variables(self, p1p1_gf9, swap):
         ring = p1p1_gf9.ring
@@ -437,6 +443,26 @@ class TestSegreQuotient:
             assert defining_ideal(ring).normal_form(f) == f
         assert len(graded_piece_basis(ideal, Multidegree((1,)))) == 2
         assert lower_piece_basis(ideal, Multidegree((1,))) == []
+
+
+class TestIncidenceQuotient:
+    """Phase 2 over a quotient ring whose degree orbit has two classes: the
+    incidence variety x0*y0 + x1*y1 + x2*y2 = 0 in P^2 x P^2, with the swap
+    x_i <-> y_i composed with Frobenius."""
+
+    def test_descend_reassembles_the_orbit(self, gf9):
+        xs, ys = ["x0", "x1", "x2"], ["y0", "y1", "y2"]
+        ring = MultigradedRing(gf9, xs + ys, [(1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1)],
+                               defining=["x0*y0 + x1*y1 + x2*y2"],
+                               irrelevant=["%s*%s" % (x, y) for x in xs for y in ys])
+        amb = make_custom(ring)
+        swap = SemilinearAction(ring, 1, {**dict(zip(xs, ys)), **dict(zip(ys, xs))})
+        fs = [ring.parse("x0"), ring.parse("t*y0")]
+        res = descend(amb, swap, fs)
+        # x0 is the class representative; t*y0 gives way to its conjugate y0
+        assert [str(g) for g in res.new_gens] == ["x0", "y0"]
+        assert res.orbit_blocks == [(0, 2)]
+        assert ideal_equal(IdealHandle(ring, res.new_gens), IdealHandle(ring, fs))
 
 
 @pytest.mark.parametrize("patch, message", [

@@ -35,6 +35,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MultigradedRing(gf101, ["x", "y"], grading=[[1, -1]])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"defining": ["0"]}, {"irrelevant": ["x", "0"]},
+        {"defining": ["x + y^2"]}, {"irrelevant": ["x + y^2"]},
+    ])
+    def test_zero_or_inhomogeneous_relation_rejected(self, gf101, kwargs):
+        with pytest.raises(InhomogeneousError):
+            MultigradedRing(gf101, ["x", "y"], grading=[[1, 1]], **kwargs)
+
     def test_nonstandard_positive_grading_accepted(self, gf101):
         r = MultigradedRing(gf101, ["x", "y"], grading=[[2, -1], [-1, 1]])
         assert r.parse("x*y").multidegree() == Multidegree((1, 0))
