@@ -213,6 +213,15 @@ def _add_scaled(h, g, tower, c=None, q=None, new=None):
                 h[e] = s
 
 
+def _mul_terms(a, b, tower):
+    """The product of two term dicts, as a new term dict."""
+    out = {}
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    for e1, c1 in small.items():
+        _add_scaled(out, big, tower, c1, e1)
+    return out
+
+
 class Polynomial:
     """Immutable multivariate polynomial in canonical form."""
 
@@ -323,11 +332,7 @@ class Polynomial:
         other = self._check_ring(other)
         if other is None:
             return NotImplemented
-        out = {}
-        small, big = (self._t, other._t) if len(self._t) <= len(other._t) else (other._t, self._t)
-        for e1, c1 in small.items():
-            _add_scaled(out, big, self.ring.tower, c1, e1)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _mul_terms(self._t, other._t, self.ring.tower))
 
     __rmul__ = __mul__
 
@@ -411,21 +416,31 @@ def poly_str(f):
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+#   expr   := [+|-] term {(+|-) term}
+#   term   := factor {* factor}
+#   factor := ( expr ) | integer | (t | variable) [^ integer]
+#
+# A term's integers, t-powers and variable powers become one coefficient and
+# one exponent list, and each expr folds its terms into one term dict, so
+# the cost is linear in the text.  Only parenthesised factors multiply dicts.
 
-_POLY_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|\-|\(|\))")
+_TOKEN = r"[-+*^()]|\d+|[A-Za-z_][A-Za-z0-9_]*"
+_POLY_TOKEN = re.compile(_TOKEN)
+# one match per token, whitespace first; the last alternative catches the
+# first character no token starts with, together with the rest of the text
+_POLY_TOKENS = re.compile(r"\s*(%s|\S.*)" % _TOKEN, re.S)
 
 
 def _tokenize(text):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError("bad polynomial syntax near %r" % text[pos:pos + 20])
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+    """The tokens of ``text``, then a None sentinel."""
+    toks = _POLY_TOKENS.findall(text)
+    if toks and not _POLY_TOKEN.match(toks[-1]):
+        # the quote starts right after the last good token, whitespace included
+        pos = len(text[:-len(toks[-1])].rstrip())
+        raise ParseError("bad polynomial syntax near %r" % text[pos:pos + 20])
+    toks.append(None)
+    return toks
 
 
 class _Parser:
@@ -433,68 +448,88 @@ class _Parser:
         self.ring = ring
         self.toks = tokens
         self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
+        tower = ring.tower
+        self.signs = {"+": tower.c_one, "-": tower.c_neg(tower.c_one)}
 
     def parse(self):
-        f = self.expr()
-        if self.peek() is not None:
-            raise ParseError("unexpected token %r" % self.peek())
-        return f
+        h = self.expr()
+        tok = self.toks[self.pos]
+        if tok is not None:
+            raise ParseError("unexpected token %r" % tok)
+        return Polynomial(self.ring, h)
 
     def expr(self):
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.next() == "-" else 1
-        f = self.term() * sign
-        while self.peek() in ("+", "-"):
-            sign = -1 if self.next() == "-" else 1
-            f = f + self.term() * sign
-        return f
-
-    def term(self):
-        f = self.factor()
-        while self.peek() == "*":
-            self.next()
-            f = f * self.factor()
-        return f
-
-    def factor(self):
-        ring = self.ring
-        tok = self.next()
-        if tok is None:
-            raise ParseError("unexpected end of polynomial")
-        if tok == "(":
-            f = self.expr()
-            if self.next() != ")":
-                raise ParseError("missing ')'")
-            return f
-        if tok.isdigit():
-            return ring.constant(int(tok))
-        if tok == "t":
-            base = ring.constant(ring.tower.gen())
-        elif tok in ring._var_index:
-            base = ring.var(tok)
+        """A signed sum, as one term dict."""
+        toks, signs, tower = self.toks, self.signs, self.ring.tower
+        h = {}
+        sign = toks[self.pos]
+        if sign in signs:
+            self.pos += 1
         else:
-            raise ParseError("unknown variable %r" % tok)
-        if self.peek() == "^":
-            self.next()
-            e = self.next()
-            if e is None or not e.isdigit():
-                raise ParseError("expected exponent after '^'")
-            return base ** int(e)
-        return base
+            sign = "+"
+        while True:
+            _add_scaled(h, self.term(signs[sign]), tower)
+            sign = toks[self.pos]
+            if sign not in signs:
+                return h
+            self.pos += 1
+
+    def term(self, c):
+        """c times a product of factors, as a term dict."""
+        ring, toks, pos = self.ring, self.toks, self.pos
+        tower, index = ring.tower, ring._var_index
+        mul = tower.c_mul
+        exps = [0] * ring.nvars
+        prod = None
+        while True:
+            tok = toks[pos]
+            pos += 1
+            i = index.get(tok)
+            if i is None and tok != "t":
+                if tok is None:
+                    raise ParseError("unexpected end of polynomial")
+                if tok == "(":
+                    self.pos = pos
+                    g = self.expr()
+                    pos = self.pos
+                    if toks[pos] != ")":
+                        raise ParseError("missing ')'")
+                    pos += 1
+                    prod = g if prod is None else _mul_terms(prod, g, tower)
+                elif tok.isdigit():
+                    c = mul(c, tower.c_from_int(int(tok)))
+                else:
+                    raise ParseError("unknown variable %r" % tok)
+            else:
+                if i is None and tower.d == 1:
+                    raise ParseError("%r has no extension generator t" % tower)
+                k = 1
+                if toks[pos] == "^":
+                    k = toks[pos + 1]
+                    if k is None or not k.isdigit():
+                        raise ParseError("expected exponent after '^'")
+                    k = int(k)
+                    pos += 2
+                if i is None:
+                    c = mul(c, tower.c_pow(tower.gen().rep, k))
+                else:
+                    exps[i] += k
+            if toks[pos] != "*":
+                break
+            pos += 1
+        self.pos = pos
+        if c == tower.c_zero:
+            return {}
+        if prod is None:
+            return {tuple(exps): c}
+        out = {}
+        _add_scaled(out, prod, tower, c, tuple(exps))
+        return out
 
 
 def _parse_polynomial(ring, text):
     toks = _tokenize(text)
-    if not toks:
+    if toks[0] is None:
         raise ParseError("empty polynomial")
     return _Parser(ring, toks).parse()
 

@@ -6,10 +6,11 @@ the public arithmetic API, so they can serve as oracles.
 """
 
 import random
+import re
 
 import pytest
 
-from coxdescent import (FieldTower, MultigradedRing, make_custom,
+from coxdescent import (FieldTower, MultigradedRing, ParseError, make_custom,
                         make_product_projective, make_segre_p1p1, monomials_of_degree)
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
@@ -206,3 +207,96 @@ def small_ambients(tower):
             "p1p1p1": make_product_projective([1, 1, 1], tower),
             "segre": make_segre_p1p1(tower),
             "f1": make_f1(tower)}
+
+
+# ---------------------------------------------------------------------------
+# reference polynomial parser: the same grammar as ``ring.parse``, evaluated
+# with public Polynomial arithmetic (every factor, product and partial sum is
+# a new Polynomial, so its cost is quadratic in the number of terms)
+
+_REF_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|\-|\(|\))")
+
+
+def _ref_tokenize(text):
+    pos, out = 0, []
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ParseError("bad polynomial syntax near %r" % text[pos:pos + 20])
+            break
+        out.append(m.group(1))
+        pos = m.end()
+    return out
+
+
+class _RefParser:
+    def __init__(self, ring, tokens):
+        self.ring = ring
+        self.toks = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def next(self):
+        t = self.peek()
+        self.pos += 1
+        return t
+
+    def parse(self):
+        f = self.expr()
+        if self.peek() is not None:
+            raise ParseError("unexpected token %r" % self.peek())
+        return f
+
+    def expr(self):
+        sign = 1
+        if self.peek() in ("+", "-"):
+            sign = -1 if self.next() == "-" else 1
+        f = self.term() * sign
+        while self.peek() in ("+", "-"):
+            sign = -1 if self.next() == "-" else 1
+            f = f + self.term() * sign
+        return f
+
+    def term(self):
+        f = self.factor()
+        while self.peek() == "*":
+            self.next()
+            f = f * self.factor()
+        return f
+
+    def factor(self):
+        ring = self.ring
+        tok = self.next()
+        if tok is None:
+            raise ParseError("unexpected end of polynomial")
+        if tok == "(":
+            f = self.expr()
+            if self.next() != ")":
+                raise ParseError("missing ')'")
+            return f
+        if tok.isdigit():
+            return ring.constant(int(tok))
+        if tok == "t":
+            base = ring.constant(ring.tower.gen())
+        elif tok in ring.variables:
+            base = ring.var(tok)
+        else:
+            raise ParseError("unknown variable %r" % tok)
+        if self.peek() == "^":
+            self.next()
+            e = self.next()
+            if e is None or not e.isdigit():
+                raise ParseError("expected exponent after '^'")
+            return base ** int(e)
+        return base
+
+
+def reference_parse(ring, text):
+    """``ring.parse`` by the term-by-term Polynomial-arithmetic parser."""
+    toks = _ref_tokenize(text)
+    if not toks:
+        raise ParseError("empty polynomial")
+    return _RefParser(ring, toks).parse()

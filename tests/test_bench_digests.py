@@ -19,6 +19,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PINNED = {
     "strict_ci": "be5b1020c5d2abb1dbbc21bda09739915a456c4790de6896dee624bff6f67dac",
     "descent": "3bf5fcf8f4d3814dcf1e160ae394250583973313ab9f8ff1a17bec202b9af1ea",
+    "membership": "761160f530095e9ed992dc01fb5a16e0a3420a3d00e0ae3821b72182dc77690e",
 }
 
 

@@ -150,6 +150,13 @@ class TestErrors:
         assert rc == 2
         assert "p too large" in err
 
+    def test_t_over_a_prime_field(self, capsys, tmp_path):
+        path = tmp_path / "t.prob"
+        path.write_text("field p=101\nambient product 1 1\nideal a = t*x0*y0\n")
+        rc, out, err = run(capsys, "strict-ci", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "parse error: line 3: in ideal a: GF(101) has no extension generator t\n"
+
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "gb", DATA + "/nope.prob")
         assert rc == 2

@@ -13,7 +13,7 @@ from coxdescent import (FieldTower, InhomogeneousError, Multidegree,
 
 from coxdescent.rings import _grevlex_key, _positive_weights
 
-from conftest import random_poly, seeded
+from conftest import random_poly, reference_parse, seeded
 
 # Hirzebruch surface F1: neither grading row nor their sum is positive on
 # every variable, but y = (1, 2) is.
@@ -235,3 +235,117 @@ class TestPrinterParser:
 
     def test_whitespace_insensitive(self, ring):
         assert ring.parse(" x0 * y0+x1\t*y1 ") == ring.parse("x0*y0 + x1*y1")
+
+    def test_t_over_a_prime_field_is_a_parse_error(self, ring):
+        with pytest.raises(ParseError, match=r"^GF\(101\) has no extension generator t$"):
+            ring.parse("t*x0")
+        with pytest.raises(ParseError, match="no extension generator t"):
+            ring.parse("x0 + t^2*x1")
+
+    def test_sum_parses_in_linear_time(self, gf101):
+        # each term used to copy the whole partial sum: 16000 terms took 2-4 s
+        r = make_product_projective([2, 2], gf101).ring
+        rng = seeded(16)
+        exps = [tuple(k // 31 ** i % 31 for i in range(6))
+                for k in rng.sample(range(31 ** 6), 16000)]
+        coeffs = [rng.randint(1, 100) for _ in exps]
+        text = " + ".join("%d*%s" % (c, "*".join("%s^%d" % ve for ve in zip(r.variables, e)))
+                          for c, e in zip(coeffs, exps))
+        start = time.perf_counter()
+        f = r.parse(text)
+        assert time.perf_counter() - start < 1.0
+        assert len(f) == 16000
+        assert all(f.coefficient(e) == c for c, e in zip(coeffs, exps))
+
+
+# P1xP1 over a prime field and three extension towers
+PARSE_RINGS = {name: make_product_projective([1, 1], FieldTower(*pd)).ring
+               for name, pd in [("GF(101)", (101,)), ("GF(3^2)", (3, 2)),
+                                ("GF(2^4)", (2, 4)), ("GF(7^3)", (7, 3))]}
+
+
+def _expression(rng, depth=0):
+    """A random signed sum of products of integers (0 included), powers of
+    t and of the variables, and parenthesised sums; spaced or not."""
+    terms = []
+    for _ in range(rng.randint(1, 4 - depth)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random()
+            if r < 0.15 and depth < 2:
+                factors.append("(%s)" % _expression(rng, depth + 1))
+            elif r < 0.4:
+                factors.append(str(rng.choice([0, 1, 2, 3, 6, 7, 100, 101, 250])))
+            else:
+                factors.append(rng.choice(["x0", "x1", "y0", "y1", "t"])
+                               + rng.choice(["", "", "^0", "^1", "^2", "^3", "^12"]))
+        terms.append("*".join(factors))
+    text = rng.choice(["", "", "-", "+", " -"]) + terms[0]
+    for term in terms[1:]:
+        text += rng.choice(["+", "-", " + ", " - "]) + term
+    return text
+
+
+# pieces that break a well-formed expression: a lost or stray parenthesis,
+# a dangling '^', juxtaposed factors, unknown names and bad characters
+_BREAKS = ["", "(", ")", "^", "*", "+", "-", " ", "x0 ", "2 ", "q", "x", "$", "#",
+           "\u0663", "\x1c"]
+
+
+def _malformed(rng):
+    text = _expression(rng)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        j = rng.randint(i, min(len(text), i + 2))
+        text = text[:i] + rng.choice(_BREAKS) + text[j:]
+    return text
+
+
+def _outcome(parse, ring, text):
+    try:
+        f = parse(ring, text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    # the same terms in the same order: the first term names the
+    # monomials of an InhomogeneousError
+    return list(f._t.items())
+
+
+class TestParserAgainstReference:
+    """``ring.parse`` against the Polynomial-arithmetic parser of conftest."""
+
+    def check(self, name, text):
+        ring = PARSE_RINGS[name]
+        want = _outcome(reference_parse, ring, text)
+        got = _outcome(MultigradedRing.parse, ring, text)
+        if want == (ValueError, "prime field has no extension generator"):
+            # t over a prime field is a ParseError now
+            want = (ParseError, "%s has no extension generator t" % name)
+        assert got == want, text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(PARSE_RINGS)), st.integers(0, 2 ** 32))
+    def test_expressions(self, name, seed):
+        self.check(name, _expression(seeded(seed)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(PARSE_RINGS)), st.integers(0, 2 ** 32))
+    def test_malformed(self, name, seed):
+        self.check(name, _malformed(seeded(seed)))
+
+    @pytest.mark.parametrize("text", [
+        "(x0 + y0", "((x0)*(y1 - 2)", "x0^", "x0*y0^", "t^", "x0 y0", "2 x0", "x0*y0 (x1)",
+        "q7", "x0 + z1", "x0 + $y0", "x0 +\t# y0", "  @", "x0*(y0 + \u0663)",
+        "(x0+y0)^2", "3^2", "x0 + + y0", "--x0", "x0*", "", " \t ", "0*x0 + 0",
+        "x0^" + "9" * 30, "t^1000*x0 - t^1000*x0", "(x0 + x1)*(y0 + y1)",
+        "(x0 - y0)*2*(x0 + y0)*(x1 - t*y1)"])
+    @pytest.mark.parametrize("name", sorted(PARSE_RINGS))
+    def test_examples(self, name, text):
+        self.check(name, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["GF(3^2)", "GF(2^4)", "GF(7^3)"]), st.integers(0, 2 ** 32))
+    def test_round_trip_over_extension_towers(self, name, seed):
+        ring = PARSE_RINGS[name]
+        f = ring.parse(_expression(seeded(seed)))
+        assert ring.parse(str(f)) == f
