@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cox import is_strict_ci, subscheme_ideal
+from .cox import _validate_hypersurfaces, is_strict_ci, subscheme_ideal
 from .descent import descend
 from .errors import CoxDescentError, DescentPreconditionError, ParseError
 from .groebner import dimension, height, saturate
@@ -93,8 +93,9 @@ def _cmd_strict_ci(problem, ideal, args):
 
 
 def _cmd_ci(problem, ideal, args):
+    _validate_hypersurfaces(ideal.gens)
     h = height(ideal)
-    expected = len([g for g in ideal.gens if not g.is_zero()])
+    expected = len(ideal.gens)
     if h == expected:
         print("CI height=%d" % h)
         return EXIT_OK

@@ -397,17 +397,18 @@ def descend(amb, action, polys):
         if stab_order == 1 or action.apply(f, beta) == f:
             continue
         orbit_span = [action.apply(f, beta * j) for j in range(stab_order)]
-        fixed = fixed_space(action, orbit_span, beta)
-        others = IdealHandle(ring, work[:t] + work[t + 1:])
-        replacement = next((w for w in fixed if not others.contains(w)), None)
-        if replacement is None:
+        # s forms of height s generate minimally and w lies in the ideal, so
+        # w escapes the other generators iff swapping it in keeps the ideal
+        for w in fixed_space(action, orbit_span, beta):
+            candidate = work[:t] + [w] + work[t + 1:]
+            current = IdealHandle(ring, candidate)
+            if ideal_equal(current, ideal):
+                break
+        else:
             raise AssertionError(
                 "no stabilizer-fixed element escapes the other generators; "
                 "input is inconsistent with the preconditions")
-        work = work[:t] + [replacement] + work[t + 1:]
-        current = IdealHandle(ring, work)
-        if not ideal_equal(current, ideal):
-            raise AssertionError("phase 1 substitution changed the ideal")
+        work = candidate
 
     # phase 2: reassemble each orbit block from conjugates of one class
     for bi, block in enumerate(part.blocks):

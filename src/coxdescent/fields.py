@@ -54,15 +54,20 @@ def _pmod(a, m, p):
     return _pdivmod(a, m, p)[1]
 
 
+def _power(x, n, one, mul):
+    """x^n for n >= 0 by binary square-and-multiply (Knuth, TAOCP 2, 4.6.3)."""
+    result = one
+    while True:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
+
+
 def _ppowmod(base, e, m, p):
-    result = [1]
-    b = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, b, p), m, p)
-        b = _pmod(_pmul(b, b, p), m, p)
-        e >>= 1
-    return result
+    return _power(_pmod(base, m, p), e, [1], lambda a, b: _pmod(_pmul(a, b, p), m, p))
 
 
 def _pgcd(a, b, p):
@@ -314,13 +319,7 @@ class FieldTower:
     def c_pow(self, a, n):
         if n < 0:
             a, n = self.c_inv(a), -n
-        result = self.c_one
-        while n:
-            if n & 1:
-                result = self.c_mul(result, a)
-            a = self.c_mul(a, a)
-            n >>= 1
-        return result
+        return _power(a, n, self.c_one, self.c_mul)
 
     def c_div(self, a, b):
         return self.c_mul(a, self.c_inv(b))
@@ -378,6 +377,14 @@ class FieldTower:
         return "GF(%d^%d)" % (self.p, self.d)
 
 
+def _parse_int(tok):
+    """The value of a digit token; Python refuses over 4300 digits by default."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError("integer of %d digits is too long" % len(tok)) from None
+
+
 def _parse_rep(s, p, d):
     """Parse 'a*t^k + ...' into the internal representation."""
     toks = _parse_element_tokens(s)
@@ -398,7 +405,7 @@ def _parse_rep(s, p, d):
         coef = 1
         exp = 0
         if pos < len(toks) and toks[pos].isdigit():
-            coef = int(toks[pos])
+            coef = _parse_int(toks[pos])
             pos += 1
             if pos < len(toks) and toks[pos] == "*":
                 pos += 1
@@ -411,7 +418,7 @@ def _parse_rep(s, p, d):
                 pos += 1
                 if pos >= len(toks) or not toks[pos].isdigit():
                     raise ParseError("expected exponent after '^'")
-                exp = int(toks[pos])
+                exp = _parse_int(toks[pos])
                 pos += 1
         if exp >= d:
             raise ParseError("t^%d exceeds extension degree %d" % (exp, d))

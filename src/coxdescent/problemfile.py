@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .cox import CoxAmbient, make_custom, make_product_projective, make_segre_p1p1
 from .descent import SemilinearAction
-from .errors import CoxDescentError, ParseError
+from .errors import CoxDescentError, InhomogeneousError, ParseError
 from .fields import FieldTower
 from .groebner import IdealHandle
 from .rings import MultigradedRing
@@ -177,13 +177,20 @@ def _build_custom(tower, custom):
             rows.append([int(x) for x in row_text.split()])
         except ValueError:
             raise ParseError("grading entries must be integers", custom["grading"][1])
-    defining = None
-    if "defining" in custom and custom["defining"][0]:
-        defining = [s.strip() for s in custom["defining"][0].split(",") if s.strip()]
-    irrelevant = [s.strip() for s in custom["irrelevant"][0].split(",") if s.strip()]
-    ring = MultigradedRing(tower, names, grading=rows, defining=defining,
-                           irrelevant=irrelevant)
-    return make_custom(ring)
+    # each form is read in the bare ring first, so that its errors name its line
+    bare = MultigradedRing(tower, names, grading=rows)
+    forms = {}
+    for kw in ("defining", "irrelevant"):
+        text, lineno = custom.get(kw, ("", None))
+        forms[kw] = [s.strip() for s in text.split(",") if s.strip()]
+        for s in forms[kw]:
+            try:
+                bare.parse(s).multidegree()
+            except ParseError as exc:
+                raise ParseError(str(exc), lineno)
+            except InhomogeneousError as exc:
+                raise ParseError("invalid ambient: %s" % exc, lineno)
+    return make_custom(MultigradedRing(tower, names, grading=rows, **forms))
 
 
 def load_problem(path):

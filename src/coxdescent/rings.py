@@ -18,7 +18,7 @@ import operator
 import re
 
 from .errors import (InhomogeneousError, ParseError, RingMismatchError)
-from .fields import FieldElement, FieldTower, format_rep
+from .fields import FieldElement, FieldTower, _parse_int, _power, format_rep
 from .linalg import RATIONALS, rational_solve, rref
 
 
@@ -339,14 +339,7 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.ring.one(), operator.mul)
 
     def monic(self):
         if not self._t:
@@ -497,7 +490,7 @@ class _Parser:
                     pos += 1
                     prod = g if prod is None else _mul_terms(prod, g, tower)
                 elif tok.isdigit():
-                    c = mul(c, tower.c_from_int(int(tok)))
+                    c = mul(c, tower.c_from_int(_parse_int(tok)))
                 else:
                     raise ParseError("unknown variable %r" % tok)
             else:
@@ -508,7 +501,7 @@ class _Parser:
                     k = toks[pos + 1]
                     if k is None or not k.isdigit():
                         raise ParseError("expected exponent after '^'")
-                    k = int(k)
+                    k = _parse_int(k)
                     pos += 2
                 if i is None:
                     c = mul(c, tower.c_pow(tower.gen().rep, k))

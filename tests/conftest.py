@@ -7,6 +7,7 @@ the public arithmetic API, so they can serve as oracles.
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -14,6 +15,8 @@ from coxdescent import (FieldTower, MultigradedRing, ParseError, make_custom,
                         make_product_projective, make_segre_p1p1, monomials_of_degree)
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
+# Python's limit on decimal digits in int(), 0 where there is none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from coxdescent.cli import main
 from coxdescent.problemfile import load_problem, parse_problem
 from coxdescent.errors import ParseError
 
-from conftest import DATA
+from conftest import DATA, DIGIT_LIMIT
 
 P1P1 = DATA + "/example_p1p1.prob"
 SEGRE = DATA + "/example_segre.prob"
@@ -89,7 +89,7 @@ class TestStrictCI:
 
     def test_not_ci(self, capsys):
         rc, out, _ = run(capsys, "ci", P1P1, "--ideal", "rowred")
-        assert rc == 0  # (x0, x0+y0) has height 2
+        assert (rc, out) == (3, "")  # x0+y0 is not homogeneous on P1xP1
         rc, out, _ = run(capsys, "strict-ci", P1P1, "--ideal", "fat")
         assert rc == 1
         assert out.startswith("NOT_STRICT witness=")
@@ -106,16 +106,17 @@ class TestDimAndCI:
         assert rc == 0
         assert out == "CI height=2\n"
 
-    def test_ci_counts_nonzero_generators(self, capsys, tmp_path):
-        path = tmp_path / "zero.prob"
-        path.write_text("field p=101\nambient product 1 1\n"
-                        "ideal line = x0, 0\n"
-                        "ideal union = x0*y0, x0*y1, 0\n")
-        rc, out, _ = run(capsys, "ci", str(path), "--ideal", "line")
-        assert (rc, out) == (0, "CI height=1\n")
-        # V(x0) is a component, so the height is 1, not 2
-        rc, out, _ = run(capsys, "ci", str(path), "--ideal", "union")
-        assert (rc, out) == (4, "NOT_CI height=1 expected=2\n")
+    @pytest.mark.parametrize("ambient, gens", [
+        ("product 1 1", "x0, 0"),
+        ("segre-p1p1", "z00*z11 - z01*z10"),
+        ("product 1 1", "x0 + x0*y0"),
+    ], ids=["zero", "quotient-zero", "inhomogeneous"])
+    def test_ci_rejects_what_strict_ci_rejects(self, capsys, tmp_path, ambient, gens):
+        path = tmp_path / "bad.prob"
+        path.write_text("field p=101\nambient %s\nideal a = %s\n" % (ambient, gens))
+        ci = run(capsys, "ci", str(path))
+        assert ci == run(capsys, "strict-ci", str(path))
+        assert ci[:2] == (3, "") and ci[2].startswith("error: ")
 
 
 class TestDescend:
@@ -156,6 +157,28 @@ class TestErrors:
         rc, out, err = run(capsys, "strict-ci", str(path))
         assert (rc, out) == (2, "")
         assert err == "parse error: line 3: in ideal a: GF(101) has no extension generator t\n"
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        big = "1" * (DIGIT_LIMIT + 1)
+        path = tmp_path / "big.prob"
+        path.write_text("field p=101\nambient product 1 1\nideal a = %s*x0\n" % big)
+        rc, out, err = run(capsys, "gb", str(path))
+        assert (rc, out) == (2, "")
+        assert err == ("parse error: line 3: in ideal a: integer of %d digits is too long\n"
+                       % len(big))
+
+    @pytest.mark.parametrize("lines, message", [
+        (["irrelevant x0*y0, x0*q1"], "unknown variable 'q1'"),
+        (["defining x0 + x0*y0", "irrelevant x0*y0"], "invalid ambient: inhomogeneous"),
+    ], ids=["irrelevant", "defining"])
+    def test_custom_ambient_lines_name_their_line(self, capsys, tmp_path, lines, message):
+        path = tmp_path / "custom.prob"
+        path.write_text("\n".join(["field p=101", "ambient custom", "vars x0 x1 y0 y1",
+                                   "grading 1 1 0 0 ; 0 0 1 1"] + lines + ["ideal a = x0", ""]))
+        rc, out, err = run(capsys, "gb", str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("parse error: line 5: " + message)
 
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "gb", DATA + "/nope.prob")

@@ -300,6 +300,36 @@ class TestDescend:
         descend(p1p1_gf9, swap, fs)
         assert seen.count(key) == runs
 
+    @pytest.mark.parametrize("segre, texts", [(False, ["t*x0*y0 + t*x1*y1"]),
+                                              (True, ["t*z00", "t*z11"])],
+                             ids=["hilbert-90", "twisted-point"])
+    def test_phase_1_builds_no_basis_of_the_other_generators(
+            self, p1p1_gf9, swap, gf9, monkeypatch, segre, texts):
+        # phase 1 replaces every generator; it takes the first fixed
+        # candidate whose swap keeps the ideal and never needs a basis of
+        # the list without position t
+        if segre:
+            amb = make_segre_p1p1(gf9)
+            action = SemilinearAction(amb.ring, 1, {"z01": "z10", "z10": "z01"})
+        else:
+            amb, action = p1p1_gf9, swap
+        ring = amb.ring
+        fs = [ring.parse(s) for s in texts]
+        seen = []
+        orig = G._buchberger
+
+        def recording(tower, key, polys):
+            seen.append(frozenset(frozenset(p.items()) for p in polys))
+            return orig(tower, key, polys)
+
+        monkeypatch.setattr(G, "_buchberger", recording)
+        res = descend(amb, action, fs)
+        assert res.input_order == list(range(len(fs)))
+        assert all(g != f for f, g in zip(fs, res.new_gens))
+        for t in range(len(fs)):
+            others = res.new_gens[:t] + fs[t + 1:] + list(ring.defining)
+            assert frozenset(frozenset(g._t.items()) for g in others) not in seen
+
 
 class TestOrderBound:
     def test_order_past_the_bound_rejected(self):

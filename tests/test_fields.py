@@ -2,10 +2,15 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from coxdescent import FieldTower, TowerMismatchError, frobenius
-from coxdescent.fields import _is_prime
+from coxdescent import FieldTower, ParseError, TowerMismatchError, frobenius
+from coxdescent.fields import _is_prime, _pmod, _pmul, _ppowmod
+
+from conftest import DIGIT_LIMIT
+
+POW_TOWERS = {"GF(101)": FieldTower(101), "GF(3^2)": FieldTower(3, 2),
+              "GF(7^3)": FieldTower(7, 3)}
 
 
 def elems(tower):
@@ -242,3 +247,43 @@ class TestProperties:
         a, b = ab
         for c in (a + b, a * b, a - b, -a):
             assert all(0 <= x < 3 for x in c.coeffs)
+
+
+class TestPowering:
+    """The one square-and-multiply loop against repeated multiplication."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(POW_TOWERS)), st.lists(st.integers(0, 100), min_size=3,
+                                                         max_size=3), st.integers(-5, 40))
+    def test_c_pow(self, name, coeffs, n):
+        tw = POW_TOWERS[name]
+        a = tw.c_from_coeffs(coeffs[:tw.d])
+        want = tw.c_one
+        for _ in range(abs(n)):
+            want = tw.c_mul(want, a)
+        if n >= 0:
+            assert tw.c_pow(a, n) == want
+        elif a == tw.c_zero:
+            with pytest.raises(ZeroDivisionError):
+                tw.c_pow(a, n)
+        else:
+            assert tw.c_mul(tw.c_pow(a, n), want) == tw.c_one
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 7, 101]), st.lists(st.integers(0, 100), max_size=6),
+           st.lists(st.integers(0, 100), min_size=1, max_size=4), st.integers(0, 30))
+    def test_ppowmod(self, p, base, tail, e):
+        m = [c % p for c in tail] + [1]  # monic of degree 1 to 4
+        base = [c % p for c in base]
+        want = [1]
+        for _ in range(e):
+            want = _pmod(_pmul(want, base, p), m, p)
+        assert _ppowmod(base, e, m, p) == want
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
+@pytest.mark.parametrize("text", ["%s", "2*t^%s", "1 + %s*t"])
+def test_element_integer_past_the_digit_limit_is_a_parse_error(text):
+    big = "1" * (DIGIT_LIMIT + 1)
+    with pytest.raises(ParseError, match="^integer of %d digits is too long$" % len(big)):
+        FieldTower(3, 2).element(text % big)

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and no
+module relies on ``assert``, which ``python -O`` strips."""
 
 import ast
 import pathlib
@@ -7,6 +8,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "coxdescent"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source):
@@ -29,3 +31,17 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def bare_asserts(source):
+    """Line numbers of the assert statements in a module."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
+def test_detects_a_bare_assert():
+    assert bare_asserts("def f(x):\n    assert x\n    raise AssertionError\n") == [2]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_bare_asserts(path):
+    assert bare_asserts(path.read_text()) == []

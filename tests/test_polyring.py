@@ -13,7 +13,7 @@ from coxdescent import (FieldTower, InhomogeneousError, Multidegree,
 
 from coxdescent.rings import _grevlex_key, _positive_weights
 
-from conftest import random_poly, reference_parse, seeded
+from conftest import DIGIT_LIMIT, random_poly, reference_parse, seeded
 
 # Hirzebruch surface F1: neither grading row nor their sum is positive on
 # every variable, but y = (1, 2) is.
@@ -123,6 +123,19 @@ class TestArithmetic:
         other = make_product_projective([2], gf101).ring
         with pytest.raises(RingMismatchError):
             ring.var("x0") + other.var("x0")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["GF(101)", "GF(3^2)", "GF(7^3)"]), st.integers(0, 2 ** 32),
+           st.integers(0, 6))
+    def test_power_is_repeated_multiplication(self, name, seed, n):
+        r = PARSE_RINGS[name]
+        f = random_poly(r, Multidegree((1, 0)), seeded(seed)) + r.parse("1")
+        want = r.one()
+        for _ in range(n):
+            want = want * f
+        assert f ** n == want
+        with pytest.raises(ValueError):
+            f ** -1
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
@@ -241,6 +254,13 @@ class TestPrinterParser:
             ring.parse("t*x0")
         with pytest.raises(ParseError, match="no extension generator t"):
             ring.parse("x0 + t^2*x1")
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
+    @pytest.mark.parametrize("text", ["%s*x0", "x0^%s", "x0 - (y0 + %s*y1)", "t^%s*x0"])
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, text):
+        big = "1" * (DIGIT_LIMIT + 1)
+        with pytest.raises(ParseError, match="^integer of %d digits is too long$" % len(big)):
+            PARSE_RINGS["GF(3^2)"].parse(text % big)
 
     def test_sum_parses_in_linear_time(self, gf101):
         # each term used to copy the whole partial sum: 16000 terms took 2-4 s
