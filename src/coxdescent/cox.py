@@ -158,7 +158,10 @@ def _strict_ci_verdict(amb, ideal):
     is the union of the V(I + P) over the minimal primes P of G, which are
     generated by variables; so ht(I + G) is the least ht(I + P), and each
     I + P (:func:`_plus_prime`) has a small basis where I + G, with all of
-    G's products, has a large one.
+    G's products, has a large one.  The same argument gives I : P^inf = I
+    for each P with ht(I + P) > s, also after saturating by other primes,
+    whose result is an intersection of primary components of I.  So I is
+    saturated only by the primes with ht(I + P) = s, one after another.
     """
     s = len(ideal.gens)
     h = height(ideal)
@@ -167,9 +170,15 @@ def _strict_ci_verdict(amb, ideal):
     ring = amb.ring
     if _cohen_macaulay(ring) and all(len(g) == 1 for g in ring.irrelevant):
         gb = ideal.reduced_gb()
-        if all(height(_plus_prime(ring, gb, c)) > s for c in _monomial_primes(ring.irrelevant)):
+        x = ring.gens()
+        sat = ideal
+        for c in _monomial_primes(ring.irrelevant):
+            if height(_plus_prime(ring, gb, c)) == s:
+                sat = saturate(sat, IdealHandle(ring, [x[i] for i in c]))
+        if sat is ideal:
             return StrictCIVerdict(status="strict", height=h, expected=s)
-    sat = saturate(ideal, amb.irrelevant_ideal())
+    else:
+        sat = saturate(ideal, amb.irrelevant_ideal())
     witness = next((g for g in sat.reduced_gb() if not ideal.contains(g)), None)
     if witness is None:
         return StrictCIVerdict(status="strict", height=h, expected=s)

@@ -2,8 +2,9 @@
 
 Normal forms, reduced Groebner bases, ideal equality, saturation (by
 Bayer steps for monomial directions, by auxiliary-variable elimination
-otherwise), Krull dimension of the initial ideal, and height.  Quotient Cox rings are handled by adjoining the defining ideal to
-every ideal before basis computations.
+otherwise), Krull dimension of the initial ideal, and height.  Quotient
+Cox rings are handled by adjoining the defining ideal to every ideal
+before basis computations.
 
 The engine is deterministic: normal pair selection (smallest lcm first in
 the ring's order) with both Buchberger criteria, and reduced bases are
@@ -120,7 +121,12 @@ def _buchberger(tower, key, polys):
         if r:
             gb.append(_monic_pair(r, tower, key))
             add_pairs(len(gb) - 1)
+    return _reduce_basis(gb, tower, key)
 
+
+def _reduce_basis(gb, tower, key):
+    """The reduced basis of the ideal of which the (lt, tail) pairs ``gb``
+    are a Groebner basis in ``key``'s order, in decreasing order of lt."""
     # minimal basis, smallest lt first: drop each lt divisible by a kept lt
     kept = []
     for lt, tail in sorted(gb, key=lambda p: key(p[0]), reverse=True):
@@ -189,9 +195,14 @@ class IdealHandle:
         return "IdealHandle(%s)" % ", ".join(str(g) for g in self.gens)
 
 
+def _dicts_of_pairs(tower, pairs):
+    """The term dicts of the monic polynomials x^lt + tail of ``pairs``."""
+    one = tower.c_one
+    return [{lt: one, **tail} for lt, tail in pairs]
+
+
 def _polys_of_pairs(ring, pairs):
-    one = ring.tower.c_one
-    return [Polynomial(ring, {lt: one, **tail}) for lt, tail in pairs]
+    return [Polynomial(ring, t) for t in _dicts_of_pairs(ring.tower, pairs)]
 
 
 # functional wrappers
@@ -216,8 +227,8 @@ def _elim_key(e):
     return (-e[0], *_grevlex_key(e[1:]))
 
 
-def _lift(f):
-    return {(0,) + e: c for e, c in f._t.items()}
+def _lift(t):
+    return {(0,) + e: c for e, c in t.items()}
 
 
 def _eliminate(ring, dicts):
@@ -240,9 +251,9 @@ def saturate_single(ideal, g):
     ring = ideal.ring
     tower = ring.tower
     z = (1,) + (0,) * ring.nvars
-    dicts = [_lift(f) for f in ideal.reduced_gb()]
+    dicts = [_lift(f) for f in _dicts_of_pairs(tower, ideal._pairs())]
     rel = {(0,) * (ring.nvars + 1): tower.c_one}
-    _add_scaled(rel, _lift(g), tower, tower.c_neg(tower.c_one), z)
+    _add_scaled(rel, _lift(g._t), tower, tower.c_neg(tower.c_one), z)
     dicts.append(rel)
     return _handle_with_gb(ring, _eliminate(ring, dicts))
 
@@ -252,15 +263,22 @@ def intersect(a, b):
     ring = a.ring
     if b.ring is not ring:
         raise RingMismatchError("ideals from different rings")
+    return _handle_with_gb(ring, _intersect(ring, _dicts_of_pairs(ring.tower, a._pairs()),
+                                            _dicts_of_pairs(ring.tower, b._pairs())))
+
+
+def _intersect(ring, a, b):
+    """Reduced grevlex basis of the intersection of the ideals generated by
+    the term dicts ``a`` and ``b``: the aux-free part of u*(a) + (1-u)*(b)."""
     tower = ring.tower
     u = (1,) + (0,) * ring.nvars
-    dicts = [{(1,) + e: c for e, c in f._t.items()} for f in a.reduced_gb()]
-    for f in b.reduced_gb():
+    dicts = [{(1,) + e: c for e, c in f.items()} for f in a]
+    for f in b:
         lifted = _lift(f)
         out = dict(lifted)  # (1-u)*f = f - u*f
         _add_scaled(out, lifted, tower, tower.c_neg(tower.c_one), u)
         dicts.append(out)
-    return _handle_with_gb(ring, _eliminate(ring, dicts))
+    return _eliminate(ring, dicts)
 
 
 def saturate(ideal, direction):
@@ -273,8 +291,10 @@ def saturate(ideal, direction):
     intersection of the I : x^inf, x in C, each computed by one Bayer step
     (:func:`_saturate_variable`).  Otherwise it is the intersection of the
     single saturations by the generators, found by elimination; that loop
-    stops early once the running result collapses to I itself.  Both paths
-    return the same reduced basis.
+    stops early once the running result collapses to I itself.  In between,
+    bases stay in the order a step left them in, as (pairs, sort key); the
+    result is rebuilt in grevlex once, at the end.  Both paths return the
+    same reduced basis.
     """
     ring = ideal.ring
     if direction.ring is not ring:
@@ -282,40 +302,55 @@ def saturate(ideal, direction):
     gens = [g for g in direction.gens if not g.is_zero()]
     if not gens:
         raise SaturationDirectionError("cannot saturate with respect to the zero ideal")
-    if all(len(g) == 1 for g in gens):
-        try:
-            _require_homogeneous(ideal.gens)  # ring.defining is homogeneous already
-        except InhomogeneousError:
-            pass
+    tower = ring.tower
+    basis = (ideal._pairs(), _grevlex_key)
+    meet = functools.partial(_meet, ring)
+    bayer = all(len(g) == 1 for g in gens)
+    try:
+        _require_homogeneous(ideal.gens)  # ring.defining is homogeneous already
+    except InhomogeneousError:
+        bayer = False
+    if bayer:
+        for c in _monomial_primes(gens):
+            parts = []
+            for i in c:
+                part = _saturate_variable(ring, basis, i)
+                if part is basis:  # then so is the intersection
+                    break
+                parts.append(part)
+            else:
+                basis = functools.reduce(meet, parts)
+    else:
+        result = None
+        for g in dict.fromkeys(gens):
+            s = (saturate_single(ideal, g)._pairs(), _grevlex_key)
+            result = s if result is None else meet(result, s)
+            if _contains(tower, basis, result[0]):
+                break  # running intersection already equals I; it can only stay I
         else:
-            result = ideal
-            for c in _monomial_primes(gens):
-                parts = []
-                for i in c:
-                    part = _saturate_variable(result, i)
-                    if part is result:  # then so is the intersection
-                        break
-                    parts.append(part)
-                else:
-                    result = functools.reduce(_meet, parts)
-            return _handle_with_gb(ring, result._pairs())
-    result = None
-    for g in dict.fromkeys(gens):
-        s = saturate_single(ideal, g)
-        result = s if result is None else _meet(result, s)
-        if ideal.contains_ideal(result):
-            # running intersection already equals I; it can only stay I
-            return _handle_with_gb(ring, ideal._pairs())
-    return result
+            basis = result
+    pairs, key = basis
+    if key is not _grevlex_key:
+        pairs = _buchberger(tower, _grevlex_key, _dicts_of_pairs(tower, pairs))
+    return _handle_with_gb(ring, pairs)
 
 
-def _meet(a, b):
-    """a intersect b, skipping the elimination when one contains the other."""
-    if a.contains_ideal(b):
+def _contains(tower, basis, pairs):
+    """Whether the ideal of the basis (pairs, sort key) contains ``pairs``."""
+    gb, key = basis
+    return not any(_normal_form_dict(t, gb, tower, key) for t in _dicts_of_pairs(tower, pairs))
+
+
+def _meet(ring, a, b):
+    """a intersect b for bases (pairs, sort key), skipping the elimination
+    when one contains the other."""
+    tower = ring.tower
+    if _contains(tower, a, b[0]):
         return b
-    if b.contains_ideal(a):
+    if _contains(tower, b, a[0]):
         return a
-    return intersect(a, b)
+    a, b = (_dicts_of_pairs(tower, pairs) for pairs, _ in (a, b))
+    return _intersect(ring, a, b), _grevlex_key
 
 
 def _monomial_primes(gens):
@@ -350,37 +385,47 @@ def _min_transversals(supports):
     return family
 
 
-def _saturate_variable(ideal, i):
-    """(I : x_i^infinity) of a homogeneous I by Bayer's method; I itself,
-    as the same handle, when x_i is no zero divisor modulo I.
-
-    In grevlex with x_i last, weighted by the ring's positive weights,
-    x_i^k divides a homogeneous f exactly when it divides the leading term.
-    So dividing each element of such a basis by the power of x_i in its
-    leading term gives a basis of the saturation, which is then reduced in
-    grevlex.
-    """
-    ring = ideal.ring
-    tower = ring.tower
-    w = ring._weights[1]
-    j = ring.nvars - 1 - i
+@functools.lru_cache(maxsize=128)
+def _bayer_key(w, i):
+    """Sort key of grevlex weighted by ``w`` with x_i last, built once so
+    that orders compare by identity; ``_grevlex_key`` itself when that is
+    the same order (equal weights, x_i the last variable)."""
+    j = len(w) - 1 - i
+    if not j and len(set(w)) == 1:
+        return _grevlex_key
 
     def key(e):
         rev = e[::-1]
         return (-sum(map(operator.mul, w, e)), e[i], *rev[:j], *rev[j + 1:])
 
-    one = tower.c_one
-    pairs = _buchberger(tower, key, [{lt: one, **tail} for lt, tail in ideal._pairs()])
+    return key
+
+
+def _saturate_variable(ring, basis, i):
+    """(I : x_i^infinity) of a homogeneous I by Bayer's method, for I and the
+    result as bases (pairs, sort key); I's own ``basis`` when x_i is no zero
+    divisor modulo I.
+
+    In grevlex with x_i last, weighted by the ring's positive weights,
+    x_i^k divides a homogeneous f exactly when it divides the leading term.
+    So dividing each element of a basis in that order (converted to it
+    unless it is in it already) by the power of x_i in its leading term
+    gives a basis of the saturation in the same order.
+    """
+    tower = ring.tower
+    pairs, key = basis
+    bkey = _bayer_key(ring._weights[1], i)
+    if key is not bkey:
+        pairs = _buchberger(tower, bkey, _dicts_of_pairs(tower, pairs))
     if not any(lt[i] for lt, _ in pairs):
-        return ideal
+        return basis
     divided = []
     for lt, tail in pairs:
-        k = lt[i]
-        f = {lt: one, **tail}
-        if k:
-            f = {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in f.items()}
-        divided.append(f)
-    return _handle_with_gb(ring, _buchberger(tower, _grevlex_key, divided))
+        if lt[i]:  # x_i^lt[i] divides every term
+            q = (0,) * i + (lt[i],) + (0,) * (len(lt) - 1 - i)
+            lt, tail = _exp_sub(lt, q), {_exp_sub(e, q): c for e, c in tail.items()}
+        divided.append((lt, tail))
+    return _reduce_basis(divided, tower, bkey), bkey
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Grammar (one statement per line, '#' starts a comment):
     ideal NAME = f, g, ...
     action frob=1 x0->y0 x1->y1 y0->x0 y1->x1
 
-Action map entries have no internal whitespace; scalars are written as in
+Each statement occurs at most once, and each ideal NAME once.  Action map
+entries have no internal whitespace; scalars are written as in
 polynomials, e.g. ``y0->t*x0`` or ``y0->(2*t+1)*x0``.
 """
 
@@ -51,8 +52,9 @@ def parse_problem(text):
     ambient_kind = None
     ambient_args = None
     custom = {}
-    ideal_specs = []  # (name, text, lineno)
+    ideal_specs = {}  # name: (text, lineno)
     action_spec = None
+    seen = set()  # every statement but ideal occurs at most once
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -60,6 +62,10 @@ def parse_problem(text):
             continue
         parts = line.split()
         kw = parts[0]
+        if kw in seen:
+            raise ParseError("duplicate %s line" % kw, lineno)
+        if kw != "ideal":
+            seen.add(kw)
         if kw == "field":
             kv = _keyvals(parts[1:], lineno)
             if "p" not in kv:
@@ -100,7 +106,9 @@ def parse_problem(text):
             name = name.strip()
             if not name:
                 raise ParseError("ideal needs a name", lineno)
-            ideal_specs.append((name, gens, lineno))
+            if name in ideal_specs:
+                raise ParseError("duplicate ideal %r" % name, lineno)
+            ideal_specs[name] = (gens, lineno)
         elif kw == "action":
             action_spec = (parts[1:], lineno)
         else:
@@ -125,7 +133,7 @@ def parse_problem(text):
 
     ring = ambient.ring
     ideals = {}
-    for name, gens_text, lineno in ideal_specs:
+    for name, (gens_text, lineno) in ideal_specs.items():
         gens = []
         for chunk in gens_text.split(","):
             chunk = chunk.strip()

@@ -180,6 +180,33 @@ class TestErrors:
         assert (rc, out) == (2, "")
         assert err.startswith("parse error: line 5: " + message)
 
+    CUSTOM_LINES = ["field p=101", "ambient custom", "vars x0 x1 y0 y1",
+                    "grading 1 1 0 0 ; 0 0 1 1", "irrelevant x0*y0, x0*y1, x1*y0, x1*y1",
+                    "defining x0*y0 - x1*y1"]
+
+    @pytest.mark.parametrize("lines, lineno, message", [
+        (["field p=101", "field p=3", "ambient product 1 1", "ideal a = x0"],
+         2, "duplicate field line"),
+        (["field p=101", "ambient product 1 1", "ambient segre-p1p1", "ideal a = x0"],
+         3, "duplicate ambient line"),
+        (["field p=101", "ambient product 1 1", "ideal a = x0",
+          "action x0->x1 x1->x0", "action x0->x1 x1->x0"], 5, "duplicate action line"),
+        (CUSTOM_LINES + ["vars x0 x1 y0 y1", "ideal a = x0"], 7, "duplicate vars line"),
+        (CUSTOM_LINES + ["grading 1 1 1 1", "ideal a = x0"], 7, "duplicate grading line"),
+        (CUSTOM_LINES + ["irrelevant x0, x1", "ideal a = x0"], 7, "duplicate irrelevant line"),
+        (CUSTOM_LINES + ["defining x0*y1 - x1*y0", "ideal a = x0"], 7,
+         "duplicate defining line"),
+        (["field p=101", "ambient product 1 1", "ideal a = x0*y0, x1*y1", "ideal a = x0"],
+         4, "duplicate ideal 'a'"),
+    ], ids=["field", "ambient", "action", "vars", "grading", "irrelevant", "defining", "ideal"])
+    def test_repeated_statement(self, capsys, tmp_path, lines, lineno, message):
+        # the later statement used to replace the earlier one silently
+        path = tmp_path / "twice.prob"
+        path.write_text("\n".join(lines + [""]))
+        rc, out, err = run(capsys, "gb", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "parse error: line %d: %s\n" % (lineno, message)
+
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "gb", DATA + "/nope.prob")
         assert rc == 2

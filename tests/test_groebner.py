@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from coxdescent import (FieldTower, IdealHandle, Multidegree, MultigradedRing,
                         SaturationDirectionError, UnitIdealError,
                         ambient_dimension, dimension, height, ideal_equal,
-                        intersect, make_product_projective, monomials_of_degree,
-                        normal_form, reduced_gb, saturate)
+                        intersect, is_strict_ci, make_product_projective,
+                        monomials_of_degree, normal_form, reduced_gb, saturate)
 from coxdescent import groebner as G
 from coxdescent.rings import _grevlex_key
 
@@ -382,6 +382,15 @@ def random_monomial_direction(ring, rng):
                               for _ in range(rng.randint(1, 3))])
 
 
+def record_buchberger_keys(monkeypatch):
+    """The sort keys of the Buchberger runs from now on, in call order."""
+    keys = []
+    run = G._buchberger
+    monkeypatch.setattr(G, "_buchberger",
+                        lambda tower, key, polys: keys.append(key) or run(tower, key, polys))
+    return keys
+
+
 class TestBayerSaturation:
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(sorted(SMALL_AMBIENT_DEGREES)), st.integers(0, 2 ** 32),
@@ -407,6 +416,42 @@ class TestBayerSaturation:
         ring = ambients["p1p1"].ring
         sat = saturate(mk(ring, "x0", "x1*y0"), ambients["p1p1"].irrelevant_ideal())
         assert [str(g) for g in sat.reduced_gb()] == ["x0", "y0"]
+
+    def test_meet_intersects_through_the_elimination(self, ambients, monkeypatch):
+        calls = []
+        orig = G._intersect
+        monkeypatch.setattr(G, "_intersect", lambda *args: calls.append(args) or orig(*args))
+        amb = ambients["p1p1"]
+        ring = amb.ring
+        # I : x0^inf = (y0, x1^2*y1) and I : x1^inf = (x0^2*y0, y1): neither
+        # contains the other, so the prime (x0, x1) needs their intersection
+        v = is_strict_ci(amb, [ring.parse("x0^2*y0"), ring.parse("x1^2*y1")])
+        assert (v.status, str(v.witness)) == ("not_strict", "x0^2*x1^2")
+        assert calls
+        calls.clear()
+        saturate(mk(ring, "x0", "x1*y0"), amb.irrelevant_ideal())
+        assert not calls
+
+    def test_one_grevlex_rebuild_after_the_last_step(self, ambients, monkeypatch):
+        ring = ambients["p1p1"].ring
+        ideal = mk(ring, "x0*y0", "x1*y1")
+        ideal.reduced_gb()
+        keys = record_buchberger_keys(monkeypatch)
+        sat = saturate(ideal, mk(ring, "x0*x1"))
+        assert [str(g) for g in sat.reduced_gb()] == ["y0", "y1"]
+        # the step by x1 starts from the basis the step by x0 left, in its
+        # own order; grevlex comes once, at the end
+        assert [k is _grevlex_key for k in keys] == [False, False, True]
+
+    def test_last_variable_step_on_p1p1_runs_no_conversion(self, ambients, monkeypatch):
+        # equal weights and y1 last: the x-last order is grevlex itself
+        ring = ambients["p1p1"].ring
+        ideal = mk(ring, "x0*y1", "x1*y0*y1")
+        ideal.reduced_gb()
+        keys = record_buchberger_keys(monkeypatch)
+        sat = saturate(ideal, mk(ring, "y1"))
+        assert [str(g) for g in sat.reduced_gb()] == ["x1*y0", "x0"]
+        assert keys == []
 
     def test_binomial_direction_eliminates(self, ring, monkeypatch):
         calls = []
