@@ -13,7 +13,7 @@ from .descent import (DegreeOrbitPartition, DescentResult, SemilinearAction,
                       apply_action, degree_orbits, descend, fixed_space,
                       graded_piece_basis, is_invariant_ideal, lower_piece_basis)
 from .errors import (ActionError, CoxDescentError, DescentPreconditionError,
-                     InhomogeneousError, ParseError, RingMismatchError,
+                     ExponentCapError, InhomogeneousError, ParseError, RingMismatchError,
                      SaturationDirectionError, TowerMismatchError,
                      UnitIdealError)
 from .fields import FieldElement, FieldTower, frobenius

@@ -6,6 +6,11 @@
 stdout carries the result, stderr the diagnostics.  Exit codes:
 0 success (STRICT / CI), 1 NOT_STRICT, 2 parse error, 3 semantic error,
 4 NOT_CI, 5 descend precondition failure.
+
+Exponents are capped at ``rings.EXPONENT_CAP`` (16383), the most that the
+Groebner engine's packed monomials hold: a variable exponent past it in a
+problem file is a parse error (exit 2), and a Groebner computation whose
+monomials reach a (weighted) degree past it stops with an error (exit 3).
 """
 
 from __future__ import annotations

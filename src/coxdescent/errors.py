@@ -28,6 +28,14 @@ class UnitIdealError(CoxDescentError):
     """An operation that requires a proper ideal received the unit ideal."""
 
 
+class ExponentCapError(CoxDescentError):
+    """A monomial in a Groebner computation passed ``rings.EXPONENT_CAP``.
+
+    Exponents are checked where polynomials are made; this is the engine's
+    own guard, for the degrees that a computation reaches from them.
+    """
+
+
 class SaturationDirectionError(CoxDescentError):
     """Saturation against the zero ideal is undefined."""
 

@@ -6,6 +6,12 @@ otherwise), Krull dimension of the initial ideal, and height.  Quotient
 Cox rings are handled by adjoining the defining ideal to every ideal
 before basis computations.
 
+The engine runs on term dicts whose exponent vectors are packed into one
+int each (:class:`_Order`): one packing per monomial order, in which an int
+comparison is the order, a product is an int add and divisibility is one
+subtraction and one AND.  Polynomials keep exponent tuples; their terms are
+packed on the way into the engine and unpacked on the way out.
+
 The engine is deterministic: normal pair selection (smallest lcm first in
 the ring's order) with both Buchberger criteria, and reduced bases are
 unique for a fixed order.
@@ -16,20 +22,186 @@ from __future__ import annotations
 import functools
 import heapq
 import operator
+import struct
 
-from .errors import (InhomogeneousError, RingMismatchError, SaturationDirectionError,
-                     UnitIdealError)
-from .rings import (Polynomial, _add_scaled, _exp_add, _exp_divides, _exp_sub,
-                    _grevlex_key, _require_homogeneous)
+from .errors import (ExponentCapError, InhomogeneousError, RingMismatchError,
+                     SaturationDirectionError, UnitIdealError)
+from .rings import (_FIELD_BITS, EXPONENT_CAP, Polynomial, _add_scaled,
+                    _require_homogeneous)
 
 # ---------------------------------------------------------------------------
-# engine: polynomials as dicts {exponent tuple: raw coefficient}; a monic
+# monomial orders as packings: an exponent vector is one int, and comparing
+# ints compares monomials
+
+
+class _Order:
+    """A monomial order as one packing of exponent vectors into ints.
+
+    K(e) = sum over rows r of (bias_r + W_r . e) * 2^(width * (R - 1 - r)),
+    for the weight matrix W whose top row is ``weights`` and whose other
+    rows are -x_i for i in reversed(``perm``): the top field holds the
+    weighted degree (unbounded), and below it one ``width``-bit field per
+    variable holds ``bias`` - e_i.  So an int comparison is the order
+    (grevlex for unit weights and the identity perm); K(e) = K(0) +
+    sum(e_i * cols[i]) makes products and quotients int adds; and a | b is
+    ``a <= b and not (a - b) & divmask``: the fields of a - b hold
+    b_i - a_i, and the guard bit (each field's top bit) is set in the
+    lowest negative one, in none when none is negative.  ``a <= b`` follows
+    from the rest in a graded order; the elimination order needs it.
+
+    Carries.  With cap = 2^(width - 2) - 1 and bias = 2*cap + 1, a weighted
+    degree at most cap bounds each e_i by cap (weights are positive), so
+    every field is exact and below its guard bit: :meth:`pack` compares the
+    weighted degree with cap, once.  A term that a reduction or an
+    S-polynomial creates is below the term it comes from, so of no larger
+    weighted degree: comparing each S-pair lcm with ``limit`` =
+    (cap + 1) << top before its S-polynomial is formed keeps every term
+    exact, and no per-term ``guard`` is needed (0).  The lcm itself is
+    exact, as each of its exponents is within the cap.
+    """
+
+    def __init__(self, weights, perm, width=_FIELD_BITS):
+        n = len(perm)
+        self.width = width
+        self.cap = (1 << width - 2) - 1
+        shifts = [0] * n
+        for j, i in enumerate(perm):
+            shifts[i] = width * j
+        self.top = top = width * n
+        self._low = (1 << top) - 1  # the variable fields
+        bias = 2 * self.cap + 1
+        self.zero = sum(bias << s for s in shifts)  # K(0)
+        self.cols = tuple((w << top) - (1 << s) for w, s in zip(weights, shifts))
+        self.divmask = sum(1 << s + width - 1 for s in shifts)
+        self.limit = (self.cap + 1) << top
+        self.guard = 0
+        # pack and unpack move all fields at once through bytes; the key
+        # below is the same K for any width
+        self._degree = sum if set(weights) <= {1} else (
+            lambda e: sum(map(operator.mul, weights, e)))
+        self._arrange = (None if perm == tuple(range(n)) else operator.itemgetter(*perm))
+        self._restore = (None if self._arrange is None
+                         else operator.itemgetter(*(perm.index(i) for i in range(n))))
+        code = {16: "H", 32: "I", 64: "Q"}.get(width)
+        self._fields = code and struct.Struct("<%d%s" % (n, code))
+
+    def key(self, e):
+        """K(e), exact whenever no e_i passes ``bias``; for sorting and lcms."""
+        return self.zero + sum(map(operator.mul, e, self.cols))
+
+    def pack(self, e):
+        d = self._degree(e)
+        if d > self.cap:
+            raise _cap_error(self.cap, "a monomial")
+        if self._arrange is not None:
+            e = self._arrange(e)
+        return (d << self.top) + self.zero - int.from_bytes(self._fields.pack(*e), "little")
+
+    def unpack(self, k):
+        # K(0) minus the variable fields leaves e_i in each field
+        low = self.zero - (k & self._low)
+        e = self._fields.unpack(low.to_bytes(self._fields.size, "little"))
+        return e if self._restore is None else self._restore(e)
+
+    def divides(self, a, b):
+        return a <= b and not (a - b) & self.divmask
+
+    def pack_terms(self, t):
+        pack = self.pack
+        return {pack(e): c for e, c in t.items()}
+
+    def unpack_terms(self, t):
+        unpack = self.unpack
+        return {unpack(k): c for k, c in t.items()}
+
+
+class _Elimination(_Order):
+    """The elimination order on (aux, e): the auxiliary exponent first, then
+    grevlex on e.
+
+    It packs e as grevlex does and adds aux on top, above the degree field,
+    now ``width`` bits wide: an aux-free exponent packs to its grevlex int.
+    The order is not graded, so no lcm bounds the degree of e.  But a
+    created term is x^e * x^m / x^lt with e, m within the cap and x^lt | x^m,
+    so each exponent and the degree of e stay at most 2*cap: no field
+    borrows, and the degree field reads the true degree, past the cap
+    exactly when its bit for cap + 1, ``guard``, is set.  One AND on each
+    created term checks it.
+    """
+
+    def __init__(self, n):
+        rest = self.rest = _grevlex(n)
+        self.cap, self.zero, self.divmask = rest.cap, rest.zero, rest.divmask
+        self.auxshift = rest.top + rest.width
+        self.cols = (1 << self.auxshift,) + rest.cols
+        self.limit = None
+        self.guard = 1 << rest.top + rest.width - 2
+
+    def pack(self, e):
+        return self.rest.pack(e[1:]) + (e[0] << self.auxshift)
+
+    def unpack(self, k):
+        return (k >> self.auxshift,) + self.rest.unpack(k)
+
+
+def _cap_error(cap, what):
+    return ExponentCapError("%s of degree past the exponent cap %d in a Groebner "
+                            "computation" % (what, cap))
+
+
+@functools.lru_cache(maxsize=None)
+def _grevlex(n, width=_FIELD_BITS):
+    return _Order((1,) * n, tuple(range(n)), width)
+
+
+@functools.lru_cache(maxsize=None)
+def _elimination(n):
+    return _Elimination(n)
+
+
+@functools.lru_cache(maxsize=128)
+def _bayer(w, i):
+    """Grevlex weighted by ``w`` with x_i last, built once so that orders
+    compare by identity; grevlex itself when that is the same order (equal
+    weights, x_i the last variable)."""
+    n = len(w)
+    if i == n - 1 and len(set(w)) == 1:
+        return _grevlex(n)
+    return _Order(w, tuple(j for j in range(n) if j != i) + (i,))
+
+
+def _grevlex_sorted(exps):
+    """The exponent tuples ``exps`` sorted largest first in grevlex, by their
+    packing at the engine's width or, past its cap, at one that holds them."""
+    exps = list(exps)
+    if not exps:
+        return exps
+    degree = max(map(sum, exps))
+    if degree <= EXPONENT_CAP:
+        key = _grevlex(len(exps[0])).pack
+    else:
+        key = _grevlex(len(exps[0]), degree.bit_length() + 2).key
+    return sorted(exps, key=key, reverse=True)
+
+
+def _repack(tower, basis, order):
+    """The term dicts of the monic polynomials of ``basis`` = (pairs, order
+    they are packed in), packed in ``order``."""
+    pairs, src = basis
+    dicts = _dicts_of_pairs(tower, pairs)
+    if src is order:
+        return dicts
+    return [order.pack_terms(src.unpack_terms(t)) for t in dicts]
+
+
+# ---------------------------------------------------------------------------
+# engine: polynomials as dicts {packed exponent: raw coefficient}; a monic
 # polynomial x^lt + tail as the pair (lt, tail)
 
 
-def _monic_pair(t, tower, key):
+def _monic_pair(t, tower):
     """(leading exponent, the other terms) of a nonzero term dict, made monic."""
-    lt = min(t, key=key)
+    lt = max(t)
     if t[lt] == tower.c_one:  # already monic, as reduced basis elements are
         return lt, {e: c for e, c in t.items() if e != lt}
     inv = tower.c_inv(t[lt])
@@ -37,32 +209,36 @@ def _monic_pair(t, tower, key):
     return lt, {e: mul(inv, c) for e, c in t.items() if e != lt}
 
 
-def _normal_form_dict(h, gb, tower, key):
+def _normal_form_dict(h, gb, tower, order):
     """Full normal form of ``h`` against (lt, tail) pairs ``gb``.
 
-    Each pair stands for the monic polynomial x^lt + tail.  ``key`` sorts
-    the largest exponent first.  A heap of (key, exponent) entries beside
-    the ``work`` dict hands out its terms from the largest down.  A step
-    only adds terms smaller than the one it reduces, so no popped exponent
-    comes back; an entry whose term was cancelled is skipped when popped.
+    Each pair stands for the monic polynomial x^lt + tail.  A heap of the
+    negated exponents beside the ``work`` dict hands out its terms from the
+    largest down.  A step only adds terms smaller than the one it reduces,
+    so no popped exponent comes back; an entry whose term was cancelled is
+    skipped when popped.  In the elimination order each created term passes
+    the order's degree guard.
     """
     neg = tower.c_neg
     push, pop = heapq.heappush, heapq.heappop
+    divmask, guard = order.divmask, order.guard
     work = dict(h)
-    heap = [(key(e), e) for e in work]
+    heap = [-e for e in work]
     heapq.heapify(heap)
     new = []
     result = {}
     while heap:
-        m = pop(heap)[1]
+        m = -pop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
         for lt, tail in gb:
-            if _exp_divides(lt, m):
-                _add_scaled(work, tail, tower, neg(c), _exp_sub(m, lt), new)
+            if lt <= m and not (lt - m) & divmask:  # lt | m, as in _Order.divides
+                _add_scaled(work, tail, tower, neg(c), m - lt, new)
                 for e in new:
-                    push(heap, (key(e), e))
+                    if e & guard:
+                        raise _cap_error(order.cap, "a reduction term")
+                    push(heap, -e)
                 new.clear()
                 break
         else:
@@ -70,41 +246,40 @@ def _normal_form_dict(h, gb, tower, key):
     return result
 
 
-def _buchberger(tower, key, polys):
-    """Reduced Groebner basis of the ideal generated by ``polys`` (dicts),
-    as (lt, tail) pairs in decreasing order of lt.
-
-    ``key`` is the monomial order's sort key, largest exponent first.
-    """
-    gb = [_monic_pair(f, tower, key) for f in polys if f]
+def _buchberger(tower, order, polys):
+    """Reduced Groebner basis of the ideal generated by ``polys`` (dicts
+    packed in ``order``), as (lt, tail) pairs in decreasing order of lt."""
+    gb = [_monic_pair(f, tower) for f in polys if f]
+    exps = []  # the leading exponents as tuples, for the lcms
     minus_one = tower.c_neg(tower.c_one)
+    zero, divmask, limit, guard = order.zero, order.divmask, order.limit, order.guard
     pending = set()
     heap = []
 
     def add_pairs(k):
-        """Queue the S-pairs of gb[k] with every earlier element; the
-        negated key pops the smallest lcm first."""
+        """Queue the S-pairs of gb[k] with every earlier element, the
+        smallest lcm first."""
+        exps.append(order.unpack(gb[k][0]))
         for j in range(k):
-            l = tuple(map(max, gb[j][0], gb[k][0]))
-            heapq.heappush(heap, (tuple(map(operator.neg, key(l))), j, k, l))
+            heapq.heappush(heap, (order.key(map(max, exps[j], exps[k])), j, k))
             pending.add((j, k))
 
     for k in range(len(gb)):
         add_pairs(k)
 
     while heap:
-        _, i, j, l = heapq.heappop(heap)
+        l, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         (lti, taili), (ltj, tailj) = gb[i], gb[j]
         # first criterion: coprime leading monomials
-        if l == _exp_add(lti, ltj):
+        if l == lti + ltj - zero:
             continue
         # chain criterion
         skip = False
         for k, (ltk, _) in enumerate(gb):
             if k == i or k == j:
                 continue
-            if _exp_divides(ltk, l):
+            if ltk <= l and not (ltk - l) & divmask:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -112,30 +287,34 @@ def _buchberger(tower, key, polys):
                     break
         if skip:
             continue
+        if limit is not None and l >= limit:
+            raise _cap_error(order.cap, "an S-pair lcm")
         # the monic leading terms cancel, so the S-polynomial is built
         # from the tails
         s = {}
-        _add_scaled(s, taili, tower, q=_exp_sub(l, lti))
-        _add_scaled(s, tailj, tower, minus_one, _exp_sub(l, ltj))
-        r = _normal_form_dict(s, gb, tower, key)
+        _add_scaled(s, taili, tower, q=l - lti)
+        _add_scaled(s, tailj, tower, minus_one, l - ltj)
+        if guard and any(e & guard for e in s):
+            raise _cap_error(order.cap, "an S-polynomial term")
+        r = _normal_form_dict(s, gb, tower, order)
         if r:
-            gb.append(_monic_pair(r, tower, key))
+            gb.append(_monic_pair(r, tower))
             add_pairs(len(gb) - 1)
-    return _reduce_basis(gb, tower, key)
+    return _reduce_basis(gb, tower, order)
 
 
-def _reduce_basis(gb, tower, key):
+def _reduce_basis(gb, tower, order):
     """The reduced basis of the ideal of which the (lt, tail) pairs ``gb``
-    are a Groebner basis in ``key``'s order, in decreasing order of lt."""
+    are a Groebner basis in ``order``, in decreasing order of lt."""
     # minimal basis, smallest lt first: drop each lt divisible by a kept lt
     kept = []
-    for lt, tail in sorted(gb, key=lambda p: key(p[0]), reverse=True):
-        if not any(_exp_divides(ltk, lt) for ltk, _ in kept):
+    for lt, tail in sorted(gb, key=operator.itemgetter(0)):
+        if not any(order.divides(ltk, lt) for ltk, _ in kept):
             kept.append((lt, tail))
     kept.reverse()
     # reduce tails: no kept lt divides another, so each x^lt stays as it is;
     # every term of a tail is below its own lt, which therefore never divides
-    return [(lt, _normal_form_dict(tail, kept, tower, key)) for lt, tail in kept]
+    return [(lt, _normal_form_dict(tail, kept, tower, order)) for lt, tail in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -146,19 +325,22 @@ class IdealHandle:
 
     In a quotient Cox ring the defining ideal is adjoined before any basis
     computation, so all results are canonical representatives modulo it.
+    The basis is kept as (lt, tail) pairs packed in grevlex; exponents are
+    packed on the way in and unpacked on the way out.
     """
 
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple(ring._coerce_poly(g) for g in gens)
+        self._order = _grevlex(ring.nvars)
         self._gb_pairs = None  # [(lt, tail)] engine form
 
     def reduced_gb(self):
         """Unique reduced basis: monic, tails reduced, sorted."""
-        ring = self.ring
+        ring, order = self.ring, self._order
         if self._gb_pairs is None:
-            polys = [g._t for g in self.gens + ring.defining]
-            self._gb_pairs = _buchberger(ring.tower, _grevlex_key, polys)
+            polys = [order.pack_terms(g._t) for g in self.gens + ring.defining]
+            self._gb_pairs = _buchberger(ring.tower, order, polys)
         return _polys_of_pairs(ring, self._gb_pairs)
 
     def _pairs(self):
@@ -170,8 +352,14 @@ class IdealHandle:
         """Remainder of f on division by the reduced basis; zero iff f is in I."""
         if f.ring is not self.ring:
             raise RingMismatchError("polynomial from a different ring")
-        r = _normal_form_dict(f._t, self._pairs(), self.ring.tower, _grevlex_key)
-        return Polynomial(self.ring, r)
+        order = self._order
+        r = _normal_form_dict(order.pack_terms(f._t), self._pairs(), self.ring.tower, order)
+        return Polynomial(self.ring, order.unpack_terms(r))
+
+    def _lead_divides(self, e):
+        """Whether the leading term of some basis element divides x^e."""
+        k = self._order.pack(e)
+        return any(self._order.divides(lt, k) for lt, _ in self._pairs())
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
@@ -186,7 +374,7 @@ class IdealHandle:
 
     def is_unit(self):
         gb = self._pairs()
-        return len(gb) == 1 and not any(gb[0][0])  # the basis (1)
+        return len(gb) == 1 and gb[0][0] == self._order.zero  # the basis (1)
 
     def is_zero(self):
         return not self._pairs()
@@ -202,7 +390,8 @@ def _dicts_of_pairs(tower, pairs):
 
 
 def _polys_of_pairs(ring, pairs):
-    return [Polynomial(ring, t) for t in _dicts_of_pairs(ring.tower, pairs)]
+    unpack = _grevlex(ring.nvars).unpack_terms
+    return [Polynomial(ring, unpack(t)) for t in _dicts_of_pairs(ring.tower, pairs)]
 
 
 # functional wrappers
@@ -220,23 +409,17 @@ def ideal_equal(a, b):
 
 
 # ---------------------------------------------------------------------------
-# elimination machinery: exponents lifted with one leading auxiliary
-# coordinate, which the elimination order compares first
-
-def _elim_key(e):
-    return (-e[0], *_grevlex_key(e[1:]))
-
-
-def _lift(t):
-    return {(0,) + e: c for e, c in t.items()}
-
+# elimination machinery: an auxiliary exponent packed on top of grevlex, so
+# that aux-free grevlex ints lift and come back unchanged
 
 def _eliminate(ring, dicts):
-    """Reduced grevlex basis of the aux-free part of the ideal of ``dicts``."""
+    """Reduced grevlex basis of the aux-free part of the ideal of ``dicts``,
+    packed in the elimination order."""
     # in an elimination order an aux-free lt means an aux-free element, and
     # the aux-free part of a reduced elimination basis is itself reduced
-    return [(lt[1:], {e[1:]: c for e, c in tail.items()})
-            for lt, tail in _buchberger(ring.tower, _elim_key, dicts) if lt[0] == 0]
+    order = _elimination(ring.nvars)
+    aux = 1 << order.auxshift
+    return [p for p in _buchberger(ring.tower, order, dicts) if p[0] < aux]
 
 
 def _handle_with_gb(ring, pairs):
@@ -250,10 +433,11 @@ def saturate_single(ideal, g):
     """(I : g^infinity) by eliminating z from I + (1 - z*g)."""
     ring = ideal.ring
     tower = ring.tower
-    z = (1,) + (0,) * ring.nvars
-    dicts = [_lift(f) for f in _dicts_of_pairs(tower, ideal._pairs())]
-    rel = {(0,) * (ring.nvars + 1): tower.c_one}
-    _add_scaled(rel, _lift(g._t), tower, tower.c_neg(tower.c_one), z)
+    order = ideal._order
+    dicts = _dicts_of_pairs(tower, ideal._pairs())
+    rel = {order.zero: tower.c_one}
+    _add_scaled(rel, order.pack_terms(g._t), tower, tower.c_neg(tower.c_one),
+                1 << _elimination(ring.nvars).auxshift)
     dicts.append(rel)
     return _handle_with_gb(ring, _eliminate(ring, dicts))
 
@@ -269,14 +453,14 @@ def intersect(a, b):
 
 def _intersect(ring, a, b):
     """Reduced grevlex basis of the intersection of the ideals generated by
-    the term dicts ``a`` and ``b``: the aux-free part of u*(a) + (1-u)*(b)."""
+    the grevlex term dicts ``a`` and ``b``: the aux-free part of
+    u*(a) + (1-u)*(b)."""
     tower = ring.tower
-    u = (1,) + (0,) * ring.nvars
-    dicts = [{(1,) + e: c for e, c in f.items()} for f in a]
+    u = 1 << _elimination(ring.nvars).auxshift
+    dicts = [{e + u: c for e, c in f.items()} for f in a]
     for f in b:
-        lifted = _lift(f)
-        out = dict(lifted)  # (1-u)*f = f - u*f
-        _add_scaled(out, lifted, tower, tower.c_neg(tower.c_one), u)
+        out = dict(f)  # (1-u)*f = f - u*f
+        _add_scaled(out, f, tower, tower.c_neg(tower.c_one), u)
         dicts.append(out)
     return _eliminate(ring, dicts)
 
@@ -292,7 +476,7 @@ def saturate(ideal, direction):
     (:func:`_saturate_variable`).  Otherwise it is the intersection of the
     single saturations by the generators, found by elimination; that loop
     stops early once the running result collapses to I itself.  In between,
-    bases stay in the order a step left them in, as (pairs, sort key); the
+    bases stay in the order a step left them in, as (pairs, order); the
     result is rebuilt in grevlex once, at the end.  Both paths return the
     same reduced basis.
     """
@@ -303,7 +487,8 @@ def saturate(ideal, direction):
     if not gens:
         raise SaturationDirectionError("cannot saturate with respect to the zero ideal")
     tower = ring.tower
-    basis = (ideal._pairs(), _grevlex_key)
+    grevlex = ideal._order
+    basis = (ideal._pairs(), grevlex)
     meet = functools.partial(_meet, ring)
     bayer = all(len(g) == 1 for g in gens)
     try:
@@ -323,34 +508,35 @@ def saturate(ideal, direction):
     else:
         result = None
         for g in dict.fromkeys(gens):
-            s = (saturate_single(ideal, g)._pairs(), _grevlex_key)
+            s = (saturate_single(ideal, g)._pairs(), grevlex)
             result = s if result is None else meet(result, s)
-            if _contains(tower, basis, result[0]):
+            if _contains(tower, basis, result):
                 break  # running intersection already equals I; it can only stay I
         else:
             basis = result
-    pairs, key = basis
-    if key is not _grevlex_key:
-        pairs = _buchberger(tower, _grevlex_key, _dicts_of_pairs(tower, pairs))
+    pairs, order = basis
+    if order is not grevlex:
+        pairs = _buchberger(tower, grevlex, _repack(tower, basis, grevlex))
     return _handle_with_gb(ring, pairs)
 
 
-def _contains(tower, basis, pairs):
-    """Whether the ideal of the basis (pairs, sort key) contains ``pairs``."""
-    gb, key = basis
-    return not any(_normal_form_dict(t, gb, tower, key) for t in _dicts_of_pairs(tower, pairs))
+def _contains(tower, basis, other):
+    """Whether the ideal of ``basis`` contains that of ``other``, both as
+    (pairs, order); the test runs in ``basis``'s order."""
+    gb, order = basis
+    return not any(_normal_form_dict(t, gb, tower, order) for t in _repack(tower, other, order))
 
 
 def _meet(ring, a, b):
-    """a intersect b for bases (pairs, sort key), skipping the elimination
+    """a intersect b for bases (pairs, order), skipping the elimination
     when one contains the other."""
     tower = ring.tower
-    if _contains(tower, a, b[0]):
+    if _contains(tower, a, b):
         return b
-    if _contains(tower, b, a[0]):
+    if _contains(tower, b, a):
         return a
-    a, b = (_dicts_of_pairs(tower, pairs) for pairs, _ in (a, b))
-    return _intersect(ring, a, b), _grevlex_key
+    grevlex = _grevlex(ring.nvars)
+    return _intersect(ring, _repack(tower, a, grevlex), _repack(tower, b, grevlex)), grevlex
 
 
 def _monomial_primes(gens):
@@ -385,25 +571,9 @@ def _min_transversals(supports):
     return family
 
 
-@functools.lru_cache(maxsize=128)
-def _bayer_key(w, i):
-    """Sort key of grevlex weighted by ``w`` with x_i last, built once so
-    that orders compare by identity; ``_grevlex_key`` itself when that is
-    the same order (equal weights, x_i the last variable)."""
-    j = len(w) - 1 - i
-    if not j and len(set(w)) == 1:
-        return _grevlex_key
-
-    def key(e):
-        rev = e[::-1]
-        return (-sum(map(operator.mul, w, e)), e[i], *rev[:j], *rev[j + 1:])
-
-    return key
-
-
 def _saturate_variable(ring, basis, i):
     """(I : x_i^infinity) of a homogeneous I by Bayer's method, for I and the
-    result as bases (pairs, sort key); I's own ``basis`` when x_i is no zero
+    result as bases (pairs, order); I's own ``basis`` when x_i is no zero
     divisor modulo I.
 
     In grevlex with x_i last, weighted by the ring's positive weights,
@@ -413,19 +583,20 @@ def _saturate_variable(ring, basis, i):
     gives a basis of the saturation in the same order.
     """
     tower = ring.tower
-    pairs, key = basis
-    bkey = _bayer_key(ring._weights[1], i)
-    if key is not bkey:
-        pairs = _buchberger(tower, bkey, _dicts_of_pairs(tower, pairs))
-    if not any(lt[i] for lt, _ in pairs):
+    pairs, order = basis
+    border = _bayer(ring._weights[1], i)
+    if order is not border:
+        pairs = _buchberger(tower, border, _repack(tower, basis, border))
+    powers = [border.unpack(lt)[i] for lt, _ in pairs]
+    if not any(powers):
         return basis
     divided = []
-    for lt, tail in pairs:
-        if lt[i]:  # x_i^lt[i] divides every term
-            q = (0,) * i + (lt[i],) + (0,) * (len(lt) - 1 - i)
-            lt, tail = _exp_sub(lt, q), {_exp_sub(e, q): c for e, c in tail.items()}
+    for a, (lt, tail) in zip(powers, pairs):
+        if a:  # x_i^a divides every term
+            q = a * border.cols[i]
+            lt, tail = lt - q, {e - q: c for e, c in tail.items()}
         divided.append((lt, tail))
-    return _reduce_basis(divided, tower, bkey), bkey
+    return _reduce_basis(divided, tower, border), border
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +608,7 @@ def dimension(ideal):
     The number of variables minus the size of a smallest variable set that
     meets the support of every leading monomial of the reduced basis.
     """
-    lts = [lt for lt, _ in ideal._pairs()]
+    lts = [ideal._order.unpack(lt) for lt, _ in ideal._pairs()]
     if lts and not any(lts[0]):
         raise UnitIdealError("dimension of the unit ideal is undefined")
     supports = {frozenset(i for i, a in enumerate(lt) if a) for lt in lts}

@@ -8,6 +8,9 @@ by grevlex.
 Polynomials are immutable; their terms map exponent tuples to the tower's
 internal coefficient representation.  Coefficients surface as
 :class:`~coxdescent.fields.FieldElement` through the public accessors.
+
+No exponent a polynomial is made with, by parsing or by
+:meth:`MultigradedRing.monomial`, may pass :data:`EXPONENT_CAP`.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from .linalg import RATIONALS, rational_solve, rref
 
 
 # ---------------------------------------------------------------------------
-# the monomial order: grevlex
+# the exponent cap
 
-def _grevlex_key(e):
-    """Sort key that puts the largest exponent first."""
-    return (-sum(e), *e[::-1])
+# The Groebner engine packs each exponent vector into one int, a field of
+# _FIELD_BITS bits per variable (groebner._Order).  EXPONENT_CAP is the
+# largest exponent, and the largest (weighted) degree in a computation,
+# that such a field holds beside its guard bits.
+_FIELD_BITS = 16
+EXPONENT_CAP = (1 << _FIELD_BITS - 2) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +131,8 @@ class MultigradedRing:
         e = tuple(int(x) for x in exponents)
         if len(e) != self.nvars or any(x < 0 for x in e):
             raise ValueError("bad exponent tuple %r" % (e,))
+        if max(e, default=0) > EXPONENT_CAP:
+            raise ValueError(_past_the_cap(max(e)))
         c = self.tower.element(coeff)
         if c.is_zero():
             return self.zero()
@@ -173,31 +181,20 @@ def _positive_weights(grading):
 # ---------------------------------------------------------------------------
 # polynomials
 
-def _exp_add(a, b):
-    return tuple(map(operator.add, a, b))
-
-
-def _exp_sub(a, b):
-    return tuple(map(operator.sub, a, b))
-
-
-def _exp_divides(a, b):
-    """a | b componentwise."""
-    return all(map(operator.le, a, b))
-
-
 def _add_scaled(h, g, tower, c=None, q=None, new=None):
     """h += c * x^q * g, in place on term dicts {exponent: raw coefficient}.
 
     ``c=None`` stands for 1 and ``q=None`` for x^0, so a plain sum pays no
-    multiplication.  Terms that cancel are deleted, keeping h free of zeros.
-    Each exponent that was not yet a key of h is appended to the list
-    ``new``, when one is given.
+    multiplication.  A shift ``q`` is added to each exponent, so it is for
+    the engine's packed exponents (ints) only; tuple callers pass terms
+    already shifted.  Terms that cancel are deleted, keeping h free of
+    zeros.  Each exponent that was not yet a key of h is appended to the
+    list ``new``, when one is given.
     """
     add, mul, zero = tower.c_add, tower.c_mul, tower.c_zero
     for e, v in g.items():
         if q is not None:
-            e = _exp_add(e, q)
+            e = e + q
         if c is not None:
             v = mul(c, v)
         cur = h.get(e)
@@ -218,8 +215,12 @@ def _mul_terms(a, b, tower):
     out = {}
     small, big = (a, b) if len(a) <= len(b) else (b, a)
     for e1, c1 in small.items():
-        _add_scaled(out, big, tower, c1, e1)
+        _add_scaled(out, {tuple(map(operator.add, e, e1)): c for e, c in big.items()}, tower, c1)
     return out
+
+
+def _past_the_cap(a):
+    return "exponent %d is past the cap %d" % (a, EXPONENT_CAP)
 
 
 class Polynomial:
@@ -244,7 +245,9 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms in decreasing monomial order as (exponent, raw coeff)."""
-        return sorted(self._t.items(), key=lambda kv: _grevlex_key(kv[0]))
+        from .groebner import _grevlex_sorted  # groebner imports this module
+        t = self._t
+        return [(e, t[e]) for e in _grevlex_sorted(t)]
 
     @property
     def terms(self):
@@ -488,7 +491,7 @@ class _Parser:
                     if toks[pos] != ")":
                         raise ParseError("missing ')'")
                     pos += 1
-                    prod = g if prod is None else _mul_terms(prod, g, tower)
+                    prod = g if prod is None else _capped(_mul_terms(prod, g, tower))
                 elif tok.isdigit():
                     c = mul(c, tower.c_from_int(_parse_int(tok)))
                 else:
@@ -506,7 +509,10 @@ class _Parser:
                 if i is None:
                     c = mul(c, tower.c_pow(tower.gen().rep, k))
                 else:
-                    exps[i] += k
+                    k += exps[i]
+                    if k > EXPONENT_CAP:
+                        raise ParseError(_past_the_cap(k))
+                    exps[i] = k
             if toks[pos] != "*":
                 break
             pos += 1
@@ -515,9 +521,15 @@ class _Parser:
             return {}
         if prod is None:
             return {tuple(exps): c}
-        out = {}
-        _add_scaled(out, prod, tower, c, tuple(exps))
-        return out
+        return _capped({tuple(map(operator.add, e, exps)): mul(c, v) for e, v in prod.items()})
+
+
+def _capped(t):
+    """The term dict ``t`` of a parsed product, if no exponent passes the cap."""
+    top = max(itertools.chain.from_iterable(t), default=0)
+    if top > EXPONENT_CAP:
+        raise ParseError(_past_the_cap(top))
+    return t
 
 
 def _parse_polynomial(ring, text):
@@ -562,8 +574,8 @@ def _exps_of_degree(ring, degree):
 
 def monomials_of_degree(ring, degree):
     """Monomials of the given multidegree, in decreasing monomial order."""
-    exps = _exps_of_degree(ring, degree)
-    exps.sort(key=_grevlex_key)
+    from .groebner import _grevlex_sorted  # groebner imports this module
+    exps = _grevlex_sorted(_exps_of_degree(ring, degree))
     return [Polynomial(ring, {e: ring.tower.c_one}) for e in exps]
 
 

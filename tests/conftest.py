@@ -13,6 +13,7 @@ import pytest
 
 from coxdescent import (FieldTower, MultigradedRing, ParseError, make_custom,
                         make_product_projective, make_segre_p1p1, monomials_of_degree)
+from coxdescent.rings import EXPONENT_CAP
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 # Python's limit on decimal digits in int(), 0 where there is none
@@ -162,6 +163,13 @@ def seeded(seed):
     return random.Random(seed)
 
 
+def grevlex_key(e):
+    """Sort key of the textbook grevlex order on exponent tuples, largest
+    first: higher total degree, then the smaller last differing exponent.
+    The reference for the engine's packed orders."""
+    return (-sum(e), *e[::-1])
+
+
 def eliminating_saturate(ideal, direction):
     """(I : G^infinity) as the package computed it before Bayer saturation:
     one elimination per generator of G, intersected with containment
@@ -267,7 +275,7 @@ class _RefParser:
         f = self.factor()
         while self.peek() == "*":
             self.next()
-            f = f * self.factor()
+            f = _ref_capped(f * self.factor())
         return f
 
     def factor(self):
@@ -293,8 +301,18 @@ class _RefParser:
             e = self.next()
             if e is None or not e.isdigit():
                 raise ParseError("expected exponent after '^'")
+            if tok != "t" and int(e) > EXPONENT_CAP:
+                raise ParseError("exponent %d is past the cap %d" % (int(e), EXPONENT_CAP))
             return base ** int(e)
         return base
+
+
+def _ref_capped(f):
+    """f, unless one of its exponents passes the cap."""
+    top = max((a for e in f._t for a in e), default=0)
+    if top > EXPONENT_CAP:
+        raise ParseError("exponent %d is past the cap %d" % (top, EXPONENT_CAP))
+    return f
 
 
 def reference_parse(ring, text):

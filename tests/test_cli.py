@@ -7,6 +7,8 @@ from coxdescent.cli import main
 from coxdescent.problemfile import load_problem, parse_problem
 from coxdescent.errors import ParseError
 
+from coxdescent.rings import EXPONENT_CAP
+
 from conftest import DATA, DIGIT_LIMIT
 
 P1P1 = DATA + "/example_p1p1.prob"
@@ -157,6 +159,29 @@ class TestErrors:
         rc, out, err = run(capsys, "strict-ci", str(path))
         assert (rc, out) == (2, "")
         assert err == "parse error: line 3: in ideal a: GF(101) has no extension generator t\n"
+
+    def test_exponent_cap(self, capsys, tmp_path):
+        path = tmp_path / "cap.prob"
+        path.write_text("field p=101\nambient product 1 1\nideal a = x0^%d\n" % EXPONENT_CAP)
+        assert run(capsys, "gb", str(path)) == (0, "x0^%d\n" % EXPONENT_CAP, "")
+        path.write_text("field p=101\nambient product 1 1\nideal a = x0^%d\n"
+                        % (EXPONENT_CAP + 1))
+        rc, out, err = run(capsys, "gb", str(path))
+        assert (rc, out) == (2, "")
+        assert err == ("parse error: line 3: in ideal a: exponent %d is past the cap %d\n"
+                       % (EXPONENT_CAP + 1, EXPONENT_CAP))
+
+    def test_engine_exponent_guard(self, capsys, tmp_path):
+        # both generators lie within the cap; their S-pair lcm, of degree
+        # 2*cap - 21, does not
+        half = EXPONENT_CAP - 10
+        path = tmp_path / "lcm.prob"
+        path.write_text("field p=101\nambient product 1 1\nideal a = x0^%d*y0, x1^%d*y0\n"
+                        % (half, half))
+        rc, out, err = run(capsys, "gb", str(path))
+        assert (rc, out) == (3, "")
+        assert err == ("error: an S-pair lcm of degree past the exponent cap %d in a "
+                       "Groebner computation\n" % EXPONENT_CAP)
 
     @pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
     def test_integer_past_the_digit_limit(self, capsys, tmp_path):

@@ -12,9 +12,7 @@ from coxdescent import (ActionError, DescentPreconditionError, FieldTower,
                         is_invariant_ideal, lower_piece_basis, make_custom,
                         make_product_projective, make_segre_p1p1, monomials_of_degree)
 from coxdescent.groebner import defining_ideal
-from coxdescent.rings import _grevlex_key
-
-from conftest import echelon, coords_of, span_equal, random_poly, seeded
+from conftest import echelon, coords_of, grevlex_key, span_equal, random_poly, seeded
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +29,7 @@ def frob_only(p1p1_gf9):
 
 def spans_match(ring, polys_a, polys_b):
     """Whether two lists of polynomials span the same coefficient space."""
-    exps = sorted({e for f in polys_a + polys_b for e in f._t}, key=_grevlex_key)
+    exps = sorted({e for f in polys_a + polys_b for e in f._t}, key=grevlex_key)
     rows_a = [[f.coefficient(e) for e in exps] for f in polys_a]
     rows_b = [[f.coefficient(e) for e in exps] for f in polys_b]
     return span_equal(ring.tower, rows_a, rows_b)
@@ -292,9 +290,9 @@ class TestDescend:
         seen = []
         orig = G._buchberger
 
-        def counting(tower, key, polys):
-            seen.append(frozenset(frozenset(p.items()) for p in polys))
-            return orig(tower, key, polys)
+        def counting(tower, order, polys):
+            seen.append(frozenset(frozenset(order.unpack_terms(p).items()) for p in polys))
+            return orig(tower, order, polys)
 
         monkeypatch.setattr(G, "_buchberger", counting)
         descend(p1p1_gf9, swap, fs)
@@ -318,9 +316,9 @@ class TestDescend:
         seen = []
         orig = G._buchberger
 
-        def recording(tower, key, polys):
-            seen.append(frozenset(frozenset(p.items()) for p in polys))
-            return orig(tower, key, polys)
+        def recording(tower, order, polys):
+            seen.append(frozenset(frozenset(order.unpack_terms(p).items()) for p in polys))
+            return orig(tower, order, polys)
 
         monkeypatch.setattr(G, "_buchberger", recording)
         res = descend(amb, action, fs)

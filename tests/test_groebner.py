@@ -4,17 +4,17 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxdescent import (FieldTower, IdealHandle, Multidegree, MultigradedRing,
-                        SaturationDirectionError, UnitIdealError,
+from coxdescent import (ExponentCapError, FieldTower, IdealHandle, Multidegree,
+                        MultigradedRing, SaturationDirectionError, UnitIdealError,
                         ambient_dimension, dimension, height, ideal_equal,
                         intersect, is_strict_ci, make_product_projective,
                         monomials_of_degree, normal_form, reduced_gb, saturate)
 from coxdescent import groebner as G
-from coxdescent.rings import _grevlex_key
+from coxdescent.rings import EXPONENT_CAP
 
 from conftest import (SMALL_AMBIENT_DEGREES, coords_of, echelon, eliminating_saturate,
-                      in_span, membership_oracle, piece_monomial_multiples, random_poly,
-                      seeded, small_ambients, sparse_poly)
+                      grevlex_key, in_span, membership_oracle, piece_monomial_multiples,
+                      random_poly, seeded, small_ambients, sparse_poly)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ class TestReducedGB:
         gb = mk(ring, "3*x0*y0 + x1*y1", "5*x0*y1").reduced_gb()
         for g in gb:
             assert g.leading_coefficient() == ring.tower.one()
-        keys = [_grevlex_key(g.leading_exponent()) for g in gb]
+        keys = [grevlex_key(g.leading_exponent()) for g in gb]
         assert keys == sorted(keys)
 
     def test_spolys_reduce_to_zero(self, ring):
@@ -382,13 +382,17 @@ def random_monomial_direction(ring, rng):
                               for _ in range(rng.randint(1, 3))])
 
 
-def record_buchberger_keys(monkeypatch):
-    """The sort keys of the Buchberger runs from now on, in call order."""
-    keys = []
+def record_buchberger_orders(monkeypatch):
+    """The monomial orders of the Buchberger runs from now on, in call order."""
+    orders = []
     run = G._buchberger
-    monkeypatch.setattr(G, "_buchberger",
-                        lambda tower, key, polys: keys.append(key) or run(tower, key, polys))
-    return keys
+
+    def recording(tower, order, polys):
+        orders.append(order)
+        return run(tower, order, polys)
+
+    monkeypatch.setattr(G, "_buchberger", recording)
+    return orders
 
 
 class TestBayerSaturation:
@@ -436,22 +440,25 @@ class TestBayerSaturation:
         ring = ambients["p1p1"].ring
         ideal = mk(ring, "x0*y0", "x1*y1")
         ideal.reduced_gb()
-        keys = record_buchberger_keys(monkeypatch)
+        orders = record_buchberger_orders(monkeypatch)
         sat = saturate(ideal, mk(ring, "x0*x1"))
         assert [str(g) for g in sat.reduced_gb()] == ["y0", "y1"]
         # the step by x1 starts from the basis the step by x0 left, in its
         # own order; grevlex comes once, at the end
-        assert [k is _grevlex_key for k in keys] == [False, False, True]
+        grevlex = G._grevlex(ring.nvars)
+        assert [k is grevlex for k in orders] == [False, False, True]
+        assert orders[:2] == [G._bayer(ring._weights[1], 0), G._bayer(ring._weights[1], 1)]
 
     def test_last_variable_step_on_p1p1_runs_no_conversion(self, ambients, monkeypatch):
         # equal weights and y1 last: the x-last order is grevlex itself
         ring = ambients["p1p1"].ring
         ideal = mk(ring, "x0*y1", "x1*y0*y1")
         ideal.reduced_gb()
-        keys = record_buchberger_keys(monkeypatch)
+        orders = record_buchberger_orders(monkeypatch)
         sat = saturate(ideal, mk(ring, "y1"))
         assert [str(g) for g in sat.reduced_gb()] == ["x1*y0", "x0"]
-        assert keys == []
+        assert orders == []
+        assert G._bayer(ring._weights[1], ring.nvars - 1) is G._grevlex(ring.nvars)
 
     def test_binomial_direction_eliminates(self, ring, monkeypatch):
         calls = []
@@ -479,6 +486,51 @@ class TestBayerSaturation:
         small = mk(ring, "x0^2*y0", "x1^2*y1")
         assert [str(g) for g in eliminating_saturate(small, amb.irrelevant_ideal()).reduced_gb()] == [
             "x0^2*x1^2", "x0^2*y0", "x1^2*y1", "y0*y1"]
+
+
+class TestExponentGuard:
+    """Generators within the exponent cap whose computation passes it raise
+    ExponentCapError: the packed fields never carry silently."""
+
+    def test_s_pair_lcm_at_and_past_the_cap(self, ring):
+        cap = EXPONENT_CAP
+        # lcm x0^a*x1^b*y0 has degree a + b + 1 = cap; one more is past it
+        a, b = cap // 2, cap - 1 - cap // 2
+        gb = mk(ring, "x0^%d*y0" % a, "x1^%d*y0" % b).reduced_gb()
+        assert sorted(str(g) for g in gb) == ["x0^%d*y0" % a, "x1^%d*y0" % b]
+        with pytest.raises(ExponentCapError, match="S-pair lcm"):
+            mk(ring, "x0^%d*y0" % a, "x1^%d*y0" % (b + 1)).reduced_gb()
+
+    def test_skipped_pairs_past_the_cap_are_harmless(self, ring):
+        # coprime leading terms: the pair is never formed
+        gb = mk(ring, "x0^%d" % EXPONENT_CAP, "x1^%d" % EXPONENT_CAP).reduced_gb()
+        assert [str(g) for g in gb] == ["x0^%d" % EXPONENT_CAP, "x1^%d" % EXPONENT_CAP]
+
+    def test_elimination_terms_at_and_past_the_cap(self, ring):
+        cap = EXPONENT_CAP
+        both = intersect(mk(ring, "x0^500"), mk(ring, "x1^%d" % (cap - 500)))
+        assert [str(g) for g in both.reduced_gb()] == ["x0^500*x1^%d" % (cap - 500)]
+        with pytest.raises(ExponentCapError, match="S-polynomial term"):
+            intersect(mk(ring, "x0^500"), mk(ring, "x1^%d" % (cap - 499)))
+
+    def test_elimination_reduction_term_past_the_cap(self, gf101):
+        # u*x0^600 reduced by u + x1^k creates x0^600*x1^k
+        cap = EXPONENT_CAP
+        order = G._elimination(2)
+        for k, past in ((cap - 600, False), (cap - 599, True)):
+            h = order.pack_terms({(1, 600, 0): 1})
+            gb = [(order.pack((1, 0, 0)), order.pack_terms({(0, 0, k): 1}))]
+            if past:
+                with pytest.raises(ExponentCapError, match="reduction term"):
+                    G._normal_form_dict(h, gb, gf101, order)
+            else:
+                assert (order.unpack_terms(G._normal_form_dict(h, gb, gf101, order))
+                        == {(0, 600, k): 100})
+
+    def test_normal_form_of_a_polynomial_past_the_cap(self, ring):
+        half = EXPONENT_CAP // 2 + 1
+        with pytest.raises(ExponentCapError, match="a monomial"):
+            mk(ring, "x0").normal_form(ring.parse("x0^%d*x1^%d" % (half, half)))
 
 
 class TestMinTransversals:

@@ -1,24 +1,92 @@
-"""The heap-ordered normal form against the plain largest-term scan.
+"""The packed engine kernel against the tuple definitions it replaces.
 
-``_reference_normal_form`` is the straightforward loop: take the largest
-remaining term with ``min(work, key=key)``, reduce it by the first pair
-whose lt divides it, or move it to the result.  ``_normal_form_dict`` must
-return the same dict for the grevlex order and for the elimination order
-on lifted exponents, over a prime field and an extension field.
+The engine packs each exponent vector into one int per monomial order
+(``groebner._Order``).  The tuple definitions below are the reference: the
+textbook orders as sort keys, componentwise sum and divisibility, and
+``_reference_normal_form``, the straightforward loop that takes the largest
+remaining term with ``min(work, key=key)``, reduces it by the first pair
+whose lt divides it, or moves it to the result.  ``_normal_form_dict`` on
+packed terms must return the same dict once unpacked, for grevlex, the
+elimination order and the weighted x_i-last orders of Bayer steps (with the
+unequal weights of the Hirzebruch surface F1), over a prime field and an
+extension field; and every packing must agree with the tuple definitions on
+round trips, products, comparisons and divisibility, including exponents at
+the field boundary, at the exponent cap and one past it.
 """
 
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxdescent import FieldTower
-from coxdescent import groebner
-from coxdescent.groebner import _elim_key, _normal_form_dict
-from coxdescent.rings import _add_scaled, _exp_add, _exp_divides, _exp_sub, _grevlex_key
+from coxdescent import ExponentCapError, FieldTower
+from coxdescent import groebner as G
+from coxdescent.groebner import _normal_form_dict
+from coxdescent.rings import EXPONENT_CAP, _add_scaled
+
+from conftest import grevlex_key, make_f1
 
 TOWERS = {"gf101": FieldTower(101), "gf9": FieldTower(3, 2)}
-ORDERS = {"grevlex": (_grevlex_key, 0), "elim": (_elim_key, 1)}
+F1_WEIGHTS = make_f1(TOWERS["gf101"]).ring._weights[1]  # (1, 1, 2, 1)
+CAP = EXPONENT_CAP
+
+
+# ---------------------------------------------------------------------------
+# the tuple definitions
+
+def _exp_add(a, b):
+    return tuple(map(operator.add, a, b))
+
+
+def _exp_sub(a, b):
+    return tuple(map(operator.sub, a, b))
+
+
+def _exp_divides(a, b):
+    return all(map(operator.le, a, b))
+
+
+def _elim_key(e):
+    """The auxiliary coordinate e[0] first, then grevlex on the rest."""
+    return (-e[0], *grevlex_key(e[1:]))
+
+
+def _bayer_key(w, i):
+    """Grevlex weighted by ``w``, with x_i last."""
+    j = len(w) - 1 - i
+
+    def key(e):
+        rev = e[::-1]
+        return (-sum(map(operator.mul, w, e)), e[i], *rev[:j], *rev[j + 1:])
+
+    return key
+
+
+def _weights(n):
+    return tuple(F1_WEIGHTS[j % len(F1_WEIGHTS)] for j in range(n))
+
+
+def orders(n):
+    """{name: (packed order, tuple sort key, length of its exponent tuples,
+    the tuple's degree that the order caps)} for n variables."""
+    w = _weights(n)
+    out = {"grevlex": (G._grevlex(n), grevlex_key, n, sum),
+           "elim": (G._elimination(n), _elim_key, n + 1, lambda e: sum(e[1:]))}
+    for i in range(n):
+        out["bayer%d" % i] = (G._bayer(w, i), _bayer_key(w, i), n,
+                              lambda e: sum(map(operator.mul, w, e)))
+    return out
+
+
+ORDER_NAMES = ["grevlex", "elim", "bayer0", "bayer1", "bayer2", "bayer3"]
+
+
+def _order(name, n):
+    """The named order on n variables; a Bayer index past n - 1 wraps."""
+    if name.startswith("bayer"):
+        name = "bayer%d" % (int(name[5:]) % n)
+    return orders(n)[name]
 
 
 def _reference_normal_form(h, gb, tower, key):
@@ -29,12 +97,32 @@ def _reference_normal_form(h, gb, tower, key):
         c = work.pop(m)
         for lt, tail in gb:
             if _exp_divides(lt, m):
-                _add_scaled(work, tail, tower, tower.c_neg(c), _exp_sub(m, lt))
+                _reference_add_scaled_in_place(work, tail, tower, tower.c_neg(c),
+                                               _exp_sub(m, lt))
                 break
         else:
             result[m] = c
     return result
 
+
+def _reference_add_scaled_in_place(h, g, tower, c, q):
+    for e, v in g.items():
+        e = _exp_add(e, q)
+        s = tower.c_add(h.get(e, tower.c_zero), tower.c_mul(c, v))
+        if s == tower.c_zero:
+            h.pop(e, None)
+        else:
+            h[e] = s
+
+
+def _reference_add_scaled(h, g, tower, c, q):
+    out = dict(h)
+    _reference_add_scaled_in_place(out, g, tower, c, q)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# random term dicts
 
 def _nonzero(tower):
     return [a.rep for a in tower.elements() if a.rep != tower.c_zero]
@@ -63,23 +151,30 @@ def _pairs(rng, tower, nvars, lifted, key):
     return pairs
 
 
+def _packed_pairs(order, pairs):
+    return [(order.pack(lt), order.pack_terms(tail)) for lt, tail in pairs]
+
+
 class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32), st.sampled_from(sorted(TOWERS)),
-           st.sampled_from(sorted(ORDERS)), st.integers(1, 4))
+           st.sampled_from(ORDER_NAMES), st.integers(1, 4))
     def test_random_dicts_and_pairs(self, seed, tower_name, order_name, nvars):
         tower = TOWERS[tower_name]
-        key, lifted = ORDERS[order_name]
+        order, key, _, _ = _order(order_name, nvars)
+        lifted = int(order_name == "elim")
         rng = random.Random(seed)
         h = _term_dict(rng, tower, nvars, lifted, 8)
         gb = _pairs(rng, tower, nvars, lifted, key)
-        assert _normal_form_dict(h, gb, tower, key) == _reference_normal_form(h, gb, tower, key)
+        packed = _normal_form_dict(order.pack_terms(h), _packed_pairs(order, gb), tower, order)
+        assert order.unpack_terms(packed) == _reference_normal_form(h, gb, tower, key)
 
     @pytest.mark.parametrize("tower_name", sorted(TOWERS))
     def test_empty_basis_returns_the_dict(self, tower_name):
         tower = TOWERS[tower_name]
+        order = G._grevlex(3)
         h = _term_dict(random.Random(1), tower, 3, 0, 8)
-        assert _normal_form_dict(h, [], tower, _grevlex_key) == h
+        assert order.unpack_terms(_normal_form_dict(order.pack_terms(h), [], tower, order)) == h
 
     def test_cancelled_term_created_again(self, monkeypatch):
         """x^2 + xy + y^2 against (x^2 + y^2, xy + y^2) over GF(101).
@@ -89,21 +184,23 @@ class TestAgainstReference:
         The term must be counted once: the normal form is -y^2.
         """
         tower = TOWERS["gf101"]
+        order = G._grevlex(2)
         x2, xy, y2 = (2, 0), (1, 1), (0, 2)
         h = {x2: 1, xy: 1, y2: 1}
         gb = [(x2, {y2: 1}), (xy, {y2: 1})]
         pushed = []
-        push = groebner.heapq.heappush
+        push = G.heapq.heappush
 
         def recording_push(heap, item):
-            pushed.append(item[1])
+            pushed.append(order.unpack(-item))
             push(heap, item)
 
-        monkeypatch.setattr(groebner.heapq, "heappush", recording_push)
-        result = _normal_form_dict(h, gb, tower, _grevlex_key)
+        monkeypatch.setattr(G.heapq, "heappush", recording_push)
+        result = order.unpack_terms(_normal_form_dict(order.pack_terms(h),
+                                                      _packed_pairs(order, gb), tower, order))
         assert pushed == [y2]
         assert result == {y2: 100}
-        assert result == _reference_normal_form(h, gb, tower, _grevlex_key)
+        assert result == _reference_normal_form(h, gb, tower, grevlex_key)
 
 
 def _grevlex_greater(a, b):
@@ -128,20 +225,110 @@ class TestKeys:
     def test_key_puts_the_larger_exponent_first(self, ab):
         a, b = ab
         if a != b:
-            for key, greater in ((_grevlex_key, _grevlex_greater), (_elim_key, _elim_greater)):
+            n = len(a)
+            for key, greater, order in ((grevlex_key, _grevlex_greater, G._grevlex(n)),
+                                        (_elim_key, _elim_greater, G._elimination(n - 1))):
                 assert (key(a) < key(b)) == greater(a, b)
+                assert (order.pack(a) > order.pack(b)) == greater(a, b)
 
 
-def _reference_add_scaled(h, g, tower, c, q):
-    out = dict(h)
-    for e, v in g.items():
-        e = _exp_add(e, q)
-        s = tower.c_add(out.get(e, tower.c_zero), tower.c_mul(c, v))
-        if s == tower.c_zero:
-            out.pop(e, None)
+# ---------------------------------------------------------------------------
+# the packings against the tuple definitions, at the cap and past it
+
+@st.composite
+def _vector(draw, length, lifted):
+    """An exponent tuple whose capped part has a total degree near 0, near
+    the cap or one past it, spread over the variables or piled on one."""
+    rest = length - lifted
+    d = draw(st.sampled_from([0, 1, CAP - 1, CAP, CAP + 1]) | st.integers(0, CAP + 1))
+    if draw(st.booleans()):
+        e = [0] * rest
+        e[draw(st.integers(0, rest - 1))] = d
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=rest - 1, max_size=rest - 1)))
+        e = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+    head = [draw(st.integers(0, 3) | st.just(CAP + 1))] if lifted else []
+    return tuple(head + e)
+
+
+@st.composite
+def _case(draw):
+    """(order name, n, a, b), b often a multiple of a."""
+    name = draw(st.sampled_from(ORDER_NAMES))
+    n = draw(st.integers(1, 5))
+    _, _, length, _ = _order(name, n)
+    lifted = int(name == "elim")
+    a = draw(_vector(length, lifted))
+    if draw(st.booleans()):
+        b = _exp_add(a, draw(_vector(length, lifted)))
+    else:
+        b = draw(_vector(length, lifted))
+    return name, n, a, b
+
+
+class TestPacking:
+    @settings(max_examples=400, deadline=None)
+    @given(_case())
+    def test_packings_agree_with_the_tuple_definitions(self, case):
+        name, n, a, b = case
+        order, key, _, degree = _order(name, n)
+        packed = {}
+        for e in (a, b):
+            if degree(e) > CAP:
+                with pytest.raises(ExponentCapError):
+                    order.pack(e)
+            else:
+                packed[e] = order.pack(e)
+                assert order.unpack(packed[e]) == e
+        if len(packed) < 2:
+            return
+        ka, kb = packed[a], packed[b]
+        # comparison: the larger int is the larger monomial
+        assert (ka > kb) == (key(a) < key(b))
+        assert (ka == kb) == (a == b)
+        # divisibility
+        assert order.divides(ka, kb) == _exp_divides(a, b)
+        assert order.divides(kb, ka) == _exp_divides(b, a)
+        # product: exact within the cap; past it the carry is seen
+        ab, kab = _exp_add(a, b), ka + kb - order.zero
+        if degree(ab) <= CAP:
+            assert kab == order.pack(ab)
+        elif order.limit is not None:
+            assert kab >= order.limit
         else:
-            out[e] = s
-    return out
+            assert kab & order.guard
+        # lcm, as the S-pairs take it: exact also past the cap, where the
+        # S-pair check sees it (the elimination order checks terms instead)
+        lcm = tuple(map(max, a, b))
+        kl = order.key(lcm)
+        assert kl == ka + kb - order.pack(tuple(map(min, a, b)))
+        if degree(lcm) <= CAP:
+            assert kl == order.pack(lcm)
+        elif order.limit is not None:
+            assert kl >= order.limit
+
+    @pytest.mark.parametrize("name", ORDER_NAMES)
+    def test_field_boundaries(self, name):
+        n = 4
+        order, key, length, degree = _order(name, n)
+        lifted = int(name == "elim")
+        for i in range(lifted, length):
+            for a in (0, 1, CAP - 1, CAP, CAP + 1, 2 * CAP + 1, 2 * CAP + 2, 1 << 40):
+                e = tuple(a if j == i else 0 for j in range(length))
+                if degree(e) > CAP:
+                    with pytest.raises(ExponentCapError):
+                        order.pack(e)
+                else:
+                    assert order.unpack(order.pack(e)) == e
+        if lifted:  # the auxiliary exponent is not capped
+            e = (1 << 40,) + (0,) * (length - 2) + (CAP,)
+            assert order.unpack(order.pack(e)) == e
+
+    def test_sorting_past_the_cap_is_exact(self):
+        rng = random.Random(5)
+        exps = {tuple(rng.choice([0, 1, CAP, CAP + 1, 5 * CAP, 1 << 20]) for _ in range(4))
+                for _ in range(60)}
+        assert G._grevlex_sorted(exps) == sorted(exps, key=grevlex_key)
 
 
 class TestAddScaled:
@@ -149,18 +336,21 @@ class TestAddScaled:
     @given(st.integers(0, 2 ** 32), st.sampled_from(sorted(TOWERS)))
     def test_new_lists_exactly_the_new_exponents(self, seed, tower_name):
         tower = TOWERS[tower_name]
+        order = G._grevlex(3)
         rng = random.Random(seed)
         h = _term_dict(rng, tower, 3, 0, 8)
         g = _term_dict(rng, tower, 3, 0, 8)
         c = rng.choice(_nonzero(tower))
         q = _exponent(rng, 3, 0)
         expected = _reference_add_scaled(h, g, tower, c, q)
+        ph, pg, pq = order.pack_terms(h), order.pack_terms(g), order.pack(q) - order.zero
 
-        without = dict(h)
-        _add_scaled(without, g, tower, c, q)
-        assert without == expected
+        without = dict(ph)
+        _add_scaled(without, pg, tower, c, pq)
+        assert order.unpack_terms(without) == expected
 
-        with_list, new = dict(h), []
-        _add_scaled(with_list, g, tower, c, q, new)
-        assert with_list == expected
-        assert new == [e for e in (_exp_add(e, q) for e in g) if e not in h]
+        with_list, new = dict(ph), []
+        _add_scaled(with_list, pg, tower, c, pq, new)
+        assert order.unpack_terms(with_list) == expected
+        assert [order.unpack(e) for e in new] == [
+            e for e in (_exp_add(e, q) for e in g) if e not in h]

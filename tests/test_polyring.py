@@ -11,9 +11,9 @@ from coxdescent import (FieldTower, InhomogeneousError, Multidegree,
                         degree_leq, make_product_projective,
                         monomials_of_degree, multidegree)
 
-from coxdescent.rings import _grevlex_key, _positive_weights
+from coxdescent.rings import EXPONENT_CAP, _positive_weights
 
-from conftest import DIGIT_LIMIT, random_poly, reference_parse, seeded
+from conftest import DIGIT_LIMIT, grevlex_key, random_poly, reference_parse, seeded
 
 # Hirzebruch surface F1: neither grading row nor their sum is positive on
 # every variable, but y = (1, 2) is.
@@ -42,6 +42,12 @@ class TestConstruction:
     def test_zero_or_inhomogeneous_relation_rejected(self, gf101, kwargs):
         with pytest.raises(InhomogeneousError):
             MultigradedRing(gf101, ["x", "y"], grading=[[1, 1]], **kwargs)
+
+    def test_monomial_exponent_cap(self, ring):
+        assert str(ring.monomial((0, 1, EXPONENT_CAP, 0))) == "x1*y0^%d" % EXPONENT_CAP
+        with pytest.raises(ValueError, match="^exponent %d is past the cap %d$"
+                           % (EXPONENT_CAP + 1, EXPONENT_CAP)):
+            ring.monomial((0, 1, EXPONENT_CAP + 1, 0))
 
     def test_nonstandard_positive_grading_accepted(self, gf101):
         r = MultigradedRing(gf101, ["x", "y"], grading=[[2, -1], [-1, 1]])
@@ -202,7 +208,7 @@ class TestMonomialsOfDegree:
 
     def test_listed_in_monomial_order(self, ring):
         monos = monomials_of_degree(ring, Multidegree((2, 1)))
-        keys = [_grevlex_key(m.leading_exponent()) for m in monos]
+        keys = [grevlex_key(m.leading_exponent()) for m in monos]
         assert keys == sorted(keys)
 
 
@@ -254,6 +260,27 @@ class TestPrinterParser:
             ring.parse("t*x0")
         with pytest.raises(ParseError, match="no extension generator t"):
             ring.parse("x0 + t^2*x1")
+
+    @pytest.mark.parametrize("at, past", [
+        ("x0^{cap}*y0", "x0^{next}*y0"),
+        ("x0^{prev}*x0", "x0^{cap}*x0"),
+        ("x0*x0^{prev}", "x0*x0^{cap}"),
+        ("(x0^{prev})*(x0)", "(x0^{cap})*(x0)"),
+        ("x0*(y1 + x0^{prev})", "x0*(y1 + x0^{cap})"),
+        ("2*(x0^{prev} - y0)*x0", "2*(x0^{cap} - y0)*x0")])
+    def test_exponent_cap(self, ring, at, past):
+        # an exponent at the cap parses; one past it, however it is reached,
+        # is a parse error
+        cap = EXPONENT_CAP
+        values = {"prev": cap - 1, "cap": cap, "next": cap + 1}
+        f = ring.parse(at.format(**values))
+        assert max(a for e in f._t for a in e) == cap
+        with pytest.raises(ParseError, match="^exponent %d is past the cap %d$" % (cap + 1, cap)):
+            ring.parse(past.format(**values))
+
+    def test_field_generator_is_not_capped(self):
+        f = PARSE_RINGS["GF(3^2)"].parse("t^%d*x0" % (EXPONENT_CAP + 1))
+        assert max(f._t) == (1, 0, 0, 0)
 
     @pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
     @pytest.mark.parametrize("text", ["%s*x0", "x0^%s", "x0 - (y0 + %s*y1)", "t^%s*x0"])
