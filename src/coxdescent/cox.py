@@ -139,15 +139,6 @@ def _cohen_macaulay(ring):
     return len(ring.defining) == ring.nvars - ambient_dimension(ring)
 
 
-def _plus_prime(ring, polys, c):
-    """(polys) + P for P generated by the variables indexed by ``c``: those
-    variables, and the polys with every term in P dropped."""
-    x = ring.gens()
-    rest = [Polynomial(ring, {e: a for e, a in f._t.items() if not any(e[i] for i in c)})
-            for f in polys]
-    return IdealHandle(ring, rest + [x[i] for i in c])
-
-
 def _strict_ci_verdict(amb, ideal):
     """The verdict of :func:`is_strict_ci` on the handle of validated input.
 
@@ -157,11 +148,12 @@ def _strict_ci_verdict(amb, ideal):
     contains G, iff ht(I + G) = s.  When G is generated by monomials, V(I + G)
     is the union of the V(I + P) over the minimal primes P of G, which are
     generated by variables; so ht(I + G) is the least ht(I + P), and each
-    I + P (:func:`_plus_prime`) has a small basis where I + G, with all of
-    G's products, has a large one.  The same argument gives I : P^inf = I
-    for each P with ht(I + P) > s, also after saturating by other primes,
-    whose result is an intersection of primary components of I.  So I is
-    saturated only by the primes with ht(I + P) = s, one after another.
+    I + P (``IdealHandle._plus_prime``) has a small basis where I + G, with
+    all of G's products, has a large one.  The same argument gives
+    I : P^inf = I for each P with ht(I + P) > s, also after saturating by
+    other primes, whose result is an intersection of primary components of
+    I.  So I is saturated only by the primes with ht(I + P) = s, one after
+    another.
     """
     s = len(ideal.gens)
     h = height(ideal)
@@ -169,11 +161,10 @@ def _strict_ci_verdict(amb, ideal):
         return StrictCIVerdict(status="not_ci", height=h, expected=s)
     ring = amb.ring
     if _cohen_macaulay(ring) and all(len(g) == 1 for g in ring.irrelevant):
-        gb = ideal.reduced_gb()
         x = ring.gens()
         sat = ideal
         for c in _monomial_primes(ring.irrelevant):
-            if height(_plus_prime(ring, gb, c)) == s:
+            if height(ideal._plus_prime(c)) == s:
                 sat = saturate(sat, IdealHandle(ring, [x[i] for i in c]))
         if sat is ideal:
             return StrictCIVerdict(status="strict", height=h, expected=s)

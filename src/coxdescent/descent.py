@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .cox import _strict_ci_verdict, _validate_hypersurfaces
 from .errors import (ActionError, DescentPreconditionError, RingMismatchError)
-from .groebner import IdealHandle, _grevlex_sorted, defining_ideal, ideal_equal
+from .groebner import IdealHandle, defining_ideal, ideal_equal
 from .linalg import RATIONALS, echelon_basis, kernel, kernel_gfp, rational_solve, rref
-from .rings import Multidegree, Polynomial, _exps_of_degree, monomials_of_degree
+from .rings import Multidegree, Polynomial, _exps_of_degree, _grevlex_key, monomials_of_degree
 
 _MAX_ORDER = 10000
 
@@ -233,7 +233,7 @@ def _piece_basis(ring, degree, polys):
     those outside the initial ideal of the defining ideal, after reduction
     modulo the defining ideal.
     """
-    exps = _grevlex_sorted(_exps_of_degree(ring, degree))
+    exps = sorted(_exps_of_degree(ring, degree), key=_grevlex_key)
     jhandle = defining_ideal(ring) if ring.defining else None
     if jhandle is not None:
         exps = [e for e in exps if not jhandle._lead_divides(e)]
@@ -296,7 +296,7 @@ def fixed_space(action, vectors, subgroup_index):
     k = subgroup_index
     d, p = tower.d, tower.p
     mul, add, zero = tower.c_mul, tower.c_add, tower.c_zero
-    support = _grevlex_sorted({e for v in vectors for e in v._t})
+    support = sorted({e for v in vectors for e in v._t}, key=_grevlex_key)
     index = {e: i for i, e in enumerate(support)}
 
     def coords(f):

@@ -9,8 +9,8 @@ before basis computations.
 The engine runs on term dicts whose exponent vectors are packed into one
 int each (:class:`_Order`): one packing per monomial order, in which an int
 comparison is the order, a product is an int add and divisibility is one
-subtraction and one AND.  Polynomials keep exponent tuples; their terms are
-packed on the way into the engine and unpacked on the way out.
+subtraction and one AND.  Only :class:`IdealHandle` packs and unpacks:
+Polynomials keep exponent tuples, which :func:`rings._grevlex_key` orders.
 
 The engine is deterministic: normal pair selection (smallest lcm first in
 the ring's order) with both Buchberger criteria, and reduced bases are
@@ -26,8 +26,7 @@ import struct
 
 from .errors import (ExponentCapError, InhomogeneousError, RingMismatchError,
                      SaturationDirectionError, UnitIdealError)
-from .rings import (_FIELD_BITS, EXPONENT_CAP, Polynomial, _add_scaled,
-                    _require_homogeneous)
+from .rings import _FIELD_BITS, Polynomial, _add_scaled, _require_homogeneous
 
 # ---------------------------------------------------------------------------
 # monomial orders as packings: an exponent vector is one int, and comparing
@@ -37,56 +36,56 @@ from .rings import (_FIELD_BITS, EXPONENT_CAP, Polynomial, _add_scaled,
 class _Order:
     """A monomial order as one packing of exponent vectors into ints.
 
-    K(e) = sum over rows r of (bias_r + W_r . e) * 2^(width * (R - 1 - r)),
+    K(e) = sum over rows r of (bias_r + W_r . e) * 2^(16 * (R - 1 - r)),
     for the weight matrix W whose top row is ``weights`` and whose other
     rows are -x_i for i in reversed(``perm``): the top field holds the
-    weighted degree (unbounded), and below it one ``width``-bit field per
-    variable holds ``bias`` - e_i.  So an int comparison is the order
-    (grevlex for unit weights and the identity perm); K(e) = K(0) +
-    sum(e_i * cols[i]) makes products and quotients int adds; and a | b is
-    ``a <= b and not (a - b) & divmask``: the fields of a - b hold
-    b_i - a_i, and the guard bit (each field's top bit) is set in the
-    lowest negative one, in none when none is negative.  ``a <= b`` follows
-    from the rest in a graded order; the elimination order needs it.
+    weighted degree (unbounded), and below it one 16-bit field
+    (``_FIELD_BITS``) per variable holds ``bias`` - e_i.  So an int
+    comparison is the order (grevlex for unit weights and the identity
+    perm); K(e) = K(0) + sum(e_i * cols[i]) makes products and quotients
+    int adds; and a | b is ``a <= b and not (a - b) & divmask``: the fields
+    of a - b hold b_i - a_i, and the guard bit (each field's top bit) is
+    set in the lowest negative one, in none when none is negative.
+    ``a <= b`` follows from the rest in a graded order; the elimination
+    order needs it.
 
-    Carries.  With cap = 2^(width - 2) - 1 and bias = 2*cap + 1, a weighted
-    degree at most cap bounds each e_i by cap (weights are positive), so
-    every field is exact and below its guard bit: :meth:`pack` compares the
-    weighted degree with cap, once.  A term that a reduction or an
-    S-polynomial creates is below the term it comes from, so of no larger
-    weighted degree: comparing each S-pair lcm with ``limit`` =
-    (cap + 1) << top before its S-polynomial is formed keeps every term
-    exact, and no per-term ``guard`` is needed (0).  The lcm itself is
-    exact, as each of its exponents is within the cap.
+    Carries.  With cap = 2^14 - 1 (``EXPONENT_CAP``) and bias = 2*cap + 1,
+    a weighted degree at most cap bounds each e_i by cap (weights are
+    positive), so every field is exact and below its guard bit:
+    :meth:`pack` compares the weighted degree with cap, once.  A term that
+    a reduction or an S-polynomial creates is below the term it comes from,
+    so of no larger weighted degree: comparing each S-pair lcm with
+    ``limit`` = (cap + 1) << top before its S-polynomial is formed keeps
+    every term exact, and no per-term ``guard`` is needed (0).  The lcm
+    itself is exact, as each of its exponents is within the cap.
     """
 
-    def __init__(self, weights, perm, width=_FIELD_BITS):
+    def __init__(self, weights, perm):
         n = len(perm)
-        self.width = width
-        self.cap = (1 << width - 2) - 1
+        self.cap = (1 << _FIELD_BITS - 2) - 1
         shifts = [0] * n
         for j, i in enumerate(perm):
-            shifts[i] = width * j
-        self.top = top = width * n
+            shifts[i] = _FIELD_BITS * j
+        self.top = top = _FIELD_BITS * n
         self._low = (1 << top) - 1  # the variable fields
         bias = 2 * self.cap + 1
         self.zero = sum(bias << s for s in shifts)  # K(0)
         self.cols = tuple((w << top) - (1 << s) for w, s in zip(weights, shifts))
-        self.divmask = sum(1 << s + width - 1 for s in shifts)
+        self.divmask = sum(1 << s + _FIELD_BITS - 1 for s in shifts)
         self.limit = (self.cap + 1) << top
         self.guard = 0
-        # pack and unpack move all fields at once through bytes; the key
-        # below is the same K for any width
+        # pack and unpack move all fields at once through bytes, one
+        # unsigned short ("H") per 16-bit field
         self._degree = sum if set(weights) <= {1} else (
             lambda e: sum(map(operator.mul, weights, e)))
         self._arrange = (None if perm == tuple(range(n)) else operator.itemgetter(*perm))
         self._restore = (None if self._arrange is None
                          else operator.itemgetter(*(perm.index(i) for i in range(n))))
-        code = {16: "H", 32: "I", 64: "Q"}.get(width)
-        self._fields = code and struct.Struct("<%d%s" % (n, code))
+        self._fields = struct.Struct("<%dH" % n)
 
     def key(self, e):
-        """K(e), exact whenever no e_i passes ``bias``; for sorting and lcms."""
+        """K(e) of an S-pair lcm, which may pass the cap that :meth:`pack`
+        enforces; exact while no e_i passes ``bias``."""
         return self.zero + sum(map(operator.mul, e, self.cols))
 
     def pack(self, e):
@@ -120,7 +119,7 @@ class _Elimination(_Order):
     grevlex on e.
 
     It packs e as grevlex does and adds aux on top, above the degree field,
-    now ``width`` bits wide: an aux-free exponent packs to its grevlex int.
+    now a 16-bit field: an aux-free exponent packs to its grevlex int.
     The order is not graded, so no lcm bounds the degree of e.  But a
     created term is x^e * x^m / x^lt with e, m within the cap and x^lt | x^m,
     so each exponent and the degree of e stay at most 2*cap: no field
@@ -132,10 +131,10 @@ class _Elimination(_Order):
     def __init__(self, n):
         rest = self.rest = _grevlex(n)
         self.cap, self.zero, self.divmask = rest.cap, rest.zero, rest.divmask
-        self.auxshift = rest.top + rest.width
+        self.auxshift = rest.top + _FIELD_BITS
         self.cols = (1 << self.auxshift,) + rest.cols
         self.limit = None
-        self.guard = 1 << rest.top + rest.width - 2
+        self.guard = 1 << self.auxshift - 2
 
     def pack(self, e):
         return self.rest.pack(e[1:]) + (e[0] << self.auxshift)
@@ -150,8 +149,8 @@ def _cap_error(cap, what):
 
 
 @functools.lru_cache(maxsize=None)
-def _grevlex(n, width=_FIELD_BITS):
-    return _Order((1,) * n, tuple(range(n)), width)
+def _grevlex(n):
+    return _Order((1,) * n, tuple(range(n)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,20 +167,6 @@ def _bayer(w, i):
     if i == n - 1 and len(set(w)) == 1:
         return _grevlex(n)
     return _Order(w, tuple(j for j in range(n) if j != i) + (i,))
-
-
-def _grevlex_sorted(exps):
-    """The exponent tuples ``exps`` sorted largest first in grevlex, by their
-    packing at the engine's width or, past its cap, at one that holds them."""
-    exps = list(exps)
-    if not exps:
-        return exps
-    degree = max(map(sum, exps))
-    if degree <= EXPONENT_CAP:
-        key = _grevlex(len(exps[0])).pack
-    else:
-        key = _grevlex(len(exps[0]), degree.bit_length() + 2).key
-    return sorted(exps, key=key, reverse=True)
 
 
 def _repack(tower, basis, order):
@@ -325,8 +310,10 @@ class IdealHandle:
 
     In a quotient Cox ring the defining ideal is adjoined before any basis
     computation, so all results are canonical representatives modulo it.
-    The basis is kept as (lt, tail) pairs packed in grevlex; exponents are
-    packed on the way in and unpacked on the way out.
+    The handle is where exponent tuples become packed ints and back.  Its
+    basis is kept as (lt, tail) pairs packed in grevlex, which every query
+    reads as they are: only :meth:`reduced_gb` and the handles that
+    saturation and intersection return unpack whole bases.
     """
 
     def __init__(self, ring, gens):
@@ -337,15 +324,13 @@ class IdealHandle:
 
     def reduced_gb(self):
         """Unique reduced basis: monic, tails reduced, sorted."""
-        ring, order = self.ring, self._order
-        if self._gb_pairs is None:
-            polys = [order.pack_terms(g._t) for g in self.gens + ring.defining]
-            self._gb_pairs = _buchberger(ring.tower, order, polys)
-        return _polys_of_pairs(ring, self._gb_pairs)
+        return _polys_of_pairs(self.ring, self._pairs())
 
     def _pairs(self):
         if self._gb_pairs is None:
-            self.reduced_gb()
+            order = self._order
+            polys = [order.pack_terms(g._t) for g in self.gens + self.ring.defining]
+            self._gb_pairs = _buchberger(self.ring.tower, order, polys)
         return self._gb_pairs
 
     def normal_form(self, f):
@@ -361,11 +346,29 @@ class IdealHandle:
         k = self._order.pack(e)
         return any(self._order.divides(lt, k) for lt, _ in self._pairs())
 
+    def _plus_prime(self, c):
+        """I + P for P generated by the variables indexed by ``c``, its basis
+        built from theirs and I's reduced basis with every term in P dropped."""
+        ring, order = self.ring, self._order
+        x = ring.gens()
+        p = tuple(x[i] for i in c)
+        # field i of a grevlex int holds bias - e_i, so a term is in P when
+        # one of P's fields differs from K(0)'s
+        mask = sum(((1 << _FIELD_BITS) - 1) << _FIELD_BITS * i for i in c)
+        rest = [{k: v for k, v in t.items() if k & mask == order.zero & mask}
+                for t in _dicts_of_pairs(ring.tower, self._pairs())]
+        h = IdealHandle(ring, self.gens + p)
+        h._gb_pairs = _buchberger(ring.tower, order, rest + [order.pack_terms(g._t) for g in p])
+        return h
+
     def contains(self, f):
         return self.normal_form(f).is_zero()
 
     def contains_ideal(self, other):
-        return all(self.contains(g) for g in other.reduced_gb())
+        if other.ring is not self.ring:
+            raise RingMismatchError("ideals from different rings")
+        return _contains(self.ring.tower, (self._pairs(), self._order),
+                         (other._pairs(), other._order))
 
     def equals(self, other):
         if other.ring is not self.ring:

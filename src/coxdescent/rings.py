@@ -219,6 +219,12 @@ def _mul_terms(a, b, tower):
     return out
 
 
+def _grevlex_key(e):
+    """Sort key of grevlex on exponent tuples, the largest monomial first:
+    higher total degree, then the smaller last differing exponent."""
+    return (-sum(e), e[::-1])
+
+
 def _past_the_cap(a):
     return "exponent %d is past the cap %d" % (a, EXPONENT_CAP)
 
@@ -245,9 +251,7 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms in decreasing monomial order as (exponent, raw coeff)."""
-        from .groebner import _grevlex_sorted  # groebner imports this module
-        t = self._t
-        return [(e, t[e]) for e in _grevlex_sorted(t)]
+        return [(e, self._t[e]) for e in sorted(self._t, key=_grevlex_key)]
 
     @property
     def terms(self):
@@ -258,10 +262,10 @@ class Polynomial:
     def leading_exponent(self):
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
-        return self.sorted_terms()[0][0]
+        return min(self._t, key=_grevlex_key)
 
     def leading_coefficient(self):
-        return FieldElement(self.ring.tower, self.sorted_terms()[0][1])
+        return FieldElement(self.ring.tower, self._t[self.leading_exponent()])
 
     def coefficient(self, exponents):
         c = self._t.get(tuple(exponents))
@@ -347,7 +351,7 @@ class Polynomial:
     def monic(self):
         if not self._t:
             return self
-        inv = self.ring.tower.c_inv(self.sorted_terms()[0][1])
+        inv = self.ring.tower.c_inv(self._t[self.leading_exponent()])
         return self * FieldElement(self.ring.tower, inv)
 
     # -- comparison / output
@@ -574,8 +578,7 @@ def _exps_of_degree(ring, degree):
 
 def monomials_of_degree(ring, degree):
     """Monomials of the given multidegree, in decreasing monomial order."""
-    from .groebner import _grevlex_sorted  # groebner imports this module
-    exps = _grevlex_sorted(_exps_of_degree(ring, degree))
+    exps = sorted(_exps_of_degree(ring, degree), key=_grevlex_key)
     return [Polynomial(ring, {e: ring.tower.c_one}) for e in exps]
 
 

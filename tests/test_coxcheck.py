@@ -8,7 +8,7 @@ from coxdescent import (IdealHandle, InhomogeneousError, Multidegree, Multigrade
                         is_complete_intersection, is_strict_ci, make_custom,
                         make_product_projective, make_segre_p1p1, subscheme_ideal)
 from coxdescent import cox
-from coxdescent.cox import _cohen_macaulay, _plus_prime
+from coxdescent.cox import _cohen_macaulay
 from coxdescent.groebner import _monomial_primes, defining_ideal
 
 from conftest import (SMALL_AMBIENT_DEGREES, eliminating_saturate, random_poly, seeded,
@@ -282,8 +282,8 @@ class TestHeightShortcut:
         fs = [sparse_poly(ring, Multidegree(rng.choice(VERDICT_DEGREES[name])), rng)
               for _ in range(rng.randint(1, 3))]
         # ht(I + G) is the least ht(I + P) over the minimal primes P of G
-        gb = IdealHandle(ring, fs).reduced_gb()
-        assert (min(height(_plus_prime(ring, gb, c)) for c in _monomial_primes(ring.irrelevant))
+        ideal = IdealHandle(ring, fs)
+        assert (min(height(ideal._plus_prime(c)) for c in _monomial_primes(ring.irrelevant))
                 == height(IdealHandle(ring, fs + list(ring.irrelevant))))
 
     def test_strict_verdict_runs_no_saturation(self, p2p2, monkeypatch):

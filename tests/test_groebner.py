@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxdescent import (ExponentCapError, FieldTower, IdealHandle, Multidegree,
-                        MultigradedRing, SaturationDirectionError, UnitIdealError,
-                        ambient_dimension, dimension, height, ideal_equal,
+                        MultigradedRing, RingMismatchError, SaturationDirectionError,
+                        UnitIdealError, ambient_dimension, dimension, height, ideal_equal,
                         intersect, is_strict_ci, make_product_projective,
                         monomials_of_degree, normal_form, reduced_gb, saturate)
 from coxdescent import groebner as G
@@ -486,6 +486,57 @@ class TestBayerSaturation:
         small = mk(ring, "x0^2*y0", "x1^2*y1")
         assert [str(g) for g in eliminating_saturate(small, amb.irrelevant_ideal()).reduced_gb()] == [
             "x0^2*x1^2", "x0^2*y0", "x1^2*y1", "y0*y1"]
+
+
+def count_unpacked_bases(monkeypatch):
+    """The sizes of the bases unpacked into Polynomials from now on."""
+    sizes = []
+    unpack = G._polys_of_pairs
+
+    def counting(ring, pairs):
+        sizes.append(len(pairs))
+        return unpack(ring, pairs)
+
+    monkeypatch.setattr(G, "_polys_of_pairs", counting)
+    return sizes
+
+
+class TestPackedBases:
+    """Queries read the packed basis; only an explicit request unpacks it."""
+
+    def test_queries_unpack_no_basis(self, amb, ring, monkeypatch):
+        unpacked = count_unpacked_bases(monkeypatch)
+        a = mk(ring, "x0*y0 + x1*y1")
+        b = mk(ring, "x0*y0 + x1*y1", "x0*y1")
+        assert (dimension(a), height(a), dimension(b), height(b)) == (3, 1, 2, 2)
+        assert a.contains(ring.parse("x1*x0*y0 + x1^2*y1"))
+        assert not a.contains(ring.parse("x0*y1"))
+        assert not a.equals(b) and b.equals(mk(ring, "x0*y1", "x1*y1 + x0*y0"))
+        assert b.contains_ideal(a) and not a.contains_ideal(b)
+        assert is_strict_ci(amb, ["x0*y0 + x1*y1"]).status == "strict"
+        assert unpacked == []
+        assert [str(g) for g in b.reduced_gb()] == ["x1*y1^2", "x0*y0 + x1*y1", "x0*y1"]
+        assert unpacked == [3]
+
+    @pytest.mark.parametrize("texts", [["x0"], []])
+    def test_contains_ideal_across_rings(self, ring, gf101, texts):
+        other = make_product_projective([1, 1], gf101).ring
+        with pytest.raises(RingMismatchError):
+            mk(ring, "x0").contains_ideal(mk(other, *texts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_AMBIENT_DEGREES)), st.integers(0, 2 ** 32))
+    def test_plus_prime_basis_as_from_scratch_property(self, ambients, name, seed):
+        # I + P from I's packed basis with P's terms dropped is the basis
+        # that I's generators and P's variables give
+        ring = ambients[name].ring
+        rng = seeded(seed)
+        ideal = IdealHandle(ring, [sparse_poly(ring, Multidegree(rng.choice(
+            SMALL_AMBIENT_DEGREES[name])), rng) for _ in range(rng.randint(1, 3))])
+        x = ring.gens()
+        for c in G._monomial_primes(ring.irrelevant):
+            plus = ideal._plus_prime(c)
+            assert plus.equals(IdealHandle(ring, list(ideal.gens) + [x[i] for i in c]))
 
 
 class TestExponentGuard:

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and no
-module relies on ``assert``, which ``python -O`` strips."""
+"""Every module-level import in the package is used by its module, no module
+imports another inside a function, and no module relies on ``assert``, which
+``python -O`` strips."""
 
 import ast
 import pathlib
@@ -31,6 +32,26 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def local_package_imports(source):
+    """Line numbers of the relative imports below module level."""
+    tree = ast.parse(source)
+    top = {id(n) for n in tree.body}
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and n.level >= 1 and id(n) not in top]
+
+
+def test_detects_a_local_package_import():
+    source = "from . import a\ndef f():\n    from .b import c\n    import os\n"
+    assert local_package_imports(source) == [3]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_function_local_package_imports(path):
+    # modules reach each other only through module-level imports, so the
+    # import graph is the layering
+    assert local_package_imports(path.read_text()) == []
 
 
 def bare_asserts(source):

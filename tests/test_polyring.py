@@ -143,6 +143,20 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             f ** -1
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["GF(101)", "GF(3^2)", "GF(7^3)"]), st.integers(0, 2 ** 32))
+    def test_leading_term_is_the_first_sorted_term(self, name, seed):
+        r = PARSE_RINGS[name]
+        rng = seeded(seed)
+        f = r.one() * rng.randrange(2)
+        for d in rng.sample([(1, 0), (0, 1), (1, 1), (2, 1), (0, 3)], rng.randint(1, 3)):
+            f = f + random_poly(r, Multidegree(d), rng)
+        e, c = f.sorted_terms()[0]
+        assert f.leading_exponent() == e
+        assert f.leading_coefficient().rep == c
+        assert f.monic() == f * f.leading_coefficient().inverse()
+        assert f.monic().sorted_terms()[0] == (e, r.tower.c_one)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
     def test_ring_axioms_random(self, s1, s2, s3):
