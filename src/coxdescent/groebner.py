@@ -12,6 +12,11 @@ comparison is the order, a product is an int add and divisibility is one
 subtraction and one AND.  Only :class:`IdealHandle` packs and unpacks:
 Polynomials keep exponent tuples, which :func:`rings._grevlex_key` orders.
 
+Over GF(p) normal forms keep coefficients as plain ints, reduced mod p
+once per popped term (the heap division of Monagan and Pearce, J. Symb.
+Comput. 2011); over GF(p^d), d > 1, they call the tower's arithmetic.
+Membership tests stop at the first term that no leading term divides.
+
 The engine is deterministic: normal pair selection (smallest lcm first in
 the ring's order) with both Buchberger criteria, and reduced bases are
 unique for a fixed order.
@@ -194,31 +199,64 @@ def _monic_pair(t, tower):
     return lt, {e: mul(inv, c) for e, c in t.items() if e != lt}
 
 
-def _normal_form_dict(h, gb, tower, order):
-    """Full normal form of ``h`` against (lt, tail) pairs ``gb``.
+def _normal_form_dict(h, gb, tower, order, zero_test=False):
+    """Full normal form of ``h`` against (lt, tail) pairs ``gb``; with
+    ``zero_test``, only its leading term, found at the first term that no lt
+    divides, so the result is empty exactly when the full one is.
 
     Each pair stands for the monic polynomial x^lt + tail.  A heap of the
     negated exponents beside the ``work`` dict hands out its terms from the
     largest down.  A step only adds terms smaller than the one it reduces,
-    so no popped exponent comes back; an entry whose term was cancelled is
-    skipped when popped.  In the elimination order each created term passes
-    the order's degree guard.
+    so no popped exponent comes back.  In the elimination order each created
+    term passes the order's degree guard.
+
+    Over a prime field coefficients are plain ints: a step adds ``c * v``
+    into ``work`` unreduced, and a coefficient is reduced mod p once, when
+    popped (a popped 0 is skipped), so each term keeps one heap entry.
+    Over GF(p^d), d > 1, steps use the tower's closures and delete a
+    cancelled term, whose heap entry is then skipped.
     """
-    neg = tower.c_neg
     push, pop = heapq.heappush, heapq.heappop
     divmask, guard = order.divmask, order.guard
     work = dict(h)
     heap = [-e for e in work]
     heapq.heapify(heap)
-    new = []
     result = {}
+    if tower.d == 1:
+        p = tower.p
+        while heap:
+            m = -pop(heap)
+            c = work.pop(m) % p
+            if not c:
+                continue
+            for lt, tail in gb:
+                if lt <= m and not (lt - m) & divmask:  # lt | m, as in _Order.divides
+                    c, q = -c, m - lt
+                    for e, v in tail.items():
+                        e += q
+                        cur = work.get(e)
+                        if cur is None:
+                            if e & guard:
+                                raise _cap_error(order.cap, "a reduction term")
+                            work[e] = c * v
+                            push(heap, -e)
+                        else:
+                            work[e] = cur + c * v
+                    break
+            else:
+                if zero_test:
+                    return {m: c}
+                result[m] = c
+        return result
+    neg = tower.c_neg
+    new = []
     while heap:
         m = -pop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
         for lt, tail in gb:
-            if lt <= m and not (lt - m) & divmask:  # lt | m, as in _Order.divides
+            if lt <= m and not (lt - m) & divmask:
                 _add_scaled(work, tail, tower, neg(c), m - lt, new)
                 for e in new:
                     if e & guard:
@@ -227,6 +265,8 @@ def _normal_form_dict(h, gb, tower, order):
                 new.clear()
                 break
         else:
+            if zero_test:
+                return {m: c}
             result[m] = c
     return result
 
@@ -312,15 +352,24 @@ class IdealHandle:
     computation, so all results are canonical representatives modulo it.
     The handle is where exponent tuples become packed ints and back.  Its
     basis is kept as (lt, tail) pairs packed in grevlex, which every query
-    reads as they are: only :meth:`reduced_gb` and the handles that
-    saturation and intersection return unpack whole bases.
+    reads as they are: only :meth:`reduced_gb` unpacks a whole basis, and
+    so does the first read of ``gens`` on a handle that saturation or
+    intersection returns.  :meth:`contains` unpacks nothing and stops at
+    the first term that no leading term divides.
     """
 
     def __init__(self, ring, gens):
         self.ring = ring
-        self.gens = tuple(ring._coerce_poly(g) for g in gens)
+        self._gens = tuple(ring._coerce_poly(g) for g in gens)
         self._order = _grevlex(ring.nvars)
         self._gb_pairs = None  # [(lt, tail)] engine form
+
+    @property
+    def gens(self):
+        """The generators; a handle made from a basis unpacks it on first read."""
+        if self._gens is None:
+            self._gens = tuple(_polys_of_pairs(self.ring, self._gb_pairs))
+        return self._gens
 
     def reduced_gb(self):
         """Unique reduced basis: monic, tails reduced, sorted."""
@@ -335,11 +384,14 @@ class IdealHandle:
 
     def normal_form(self, f):
         """Remainder of f on division by the reduced basis; zero iff f is in I."""
+        return Polynomial(self.ring, self._order.unpack_terms(self._reduce(f)))
+
+    def _reduce(self, f, zero_test=False):
         if f.ring is not self.ring:
             raise RingMismatchError("polynomial from a different ring")
         order = self._order
-        r = _normal_form_dict(order.pack_terms(f._t), self._pairs(), self.ring.tower, order)
-        return Polynomial(self.ring, order.unpack_terms(r))
+        return _normal_form_dict(order.pack_terms(f._t), self._pairs(), self.ring.tower, order,
+                                 zero_test)
 
     def _lead_divides(self, e):
         """Whether the leading term of some basis element divides x^e."""
@@ -362,7 +414,7 @@ class IdealHandle:
         return h
 
     def contains(self, f):
-        return self.normal_form(f).is_zero()
+        return not self._reduce(f, zero_test=True)
 
     def contains_ideal(self, other):
         if other.ring is not self.ring:
@@ -426,9 +478,10 @@ def _eliminate(ring, dicts):
 
 
 def _handle_with_gb(ring, pairs):
-    """A handle whose generators are the reduced basis given as (lt, tail) pairs."""
-    h = IdealHandle(ring, _polys_of_pairs(ring, pairs))
-    h._gb_pairs = pairs
+    """A handle whose generators are the reduced basis given as (lt, tail)
+    pairs, unpacked on first read."""
+    h = IdealHandle(ring, ())
+    h._gens, h._gb_pairs = None, pairs
     return h
 
 
@@ -527,7 +580,8 @@ def _contains(tower, basis, other):
     """Whether the ideal of ``basis`` contains that of ``other``, both as
     (pairs, order); the test runs in ``basis``'s order."""
     gb, order = basis
-    return not any(_normal_form_dict(t, gb, tower, order) for t in _repack(tower, other, order))
+    return not any(_normal_form_dict(t, gb, tower, order, zero_test=True)
+                   for t in _repack(tower, other, order))
 
 
 def _meet(ring, a, b):

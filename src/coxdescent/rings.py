@@ -525,7 +525,13 @@ class _Parser:
             return {}
         if prod is None:
             return {tuple(exps): c}
-        return _capped({tuple(map(operator.add, e, exps)): mul(c, v) for e, v in prod.items()})
+        # prod's terms were capped as parsed, so only a coordinate that exps
+        # moves can pass the cap, and only in a term that is not a constant
+        if any(map(any, prod)):
+            top = max((e[i] + k for i, k in enumerate(exps) if k for e in prod), default=0)
+            if top > EXPONENT_CAP:
+                raise ParseError(_past_the_cap(top))
+        return {tuple(map(operator.add, e, exps)): mul(c, v) for e, v in prod.items()}
 
 
 def _capped(t):

@@ -518,6 +518,18 @@ class TestPackedBases:
         assert [str(g) for g in b.reduced_gb()] == ["x1*y1^2", "x0*y0 + x1*y1", "x0*y1"]
         assert unpacked == [3]
 
+    def test_result_handles_unpack_their_generators_on_first_read(self, ring, monkeypatch):
+        unpacked = count_unpacked_bases(monkeypatch)
+        a = mk(ring, "x0*y0", "x0*y1")
+        results = [saturate(a, mk(ring, "x0")), intersect(mk(ring, "x0"), mk(ring, "y0")),
+                   G.saturate_single(a, ring.parse("x0"))]
+        assert unpacked == []
+        for h in results:
+            assert h.gens == tuple(h.reduced_gb())
+            assert h.gens is h.gens
+        assert [str(g) for h in results for g in h.gens] == ["y0", "y1", "x0*y0", "y0", "y1"]
+        assert unpacked == [2, 2, 1, 1, 2, 2]
+
     @pytest.mark.parametrize("texts", [["x0"], []])
     def test_contains_ideal_across_rings(self, ring, gf101, texts):
         other = make_product_projective([1, 1], gf101).ring

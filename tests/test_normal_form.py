@@ -8,10 +8,13 @@ remaining term with ``min(work, key=key)``, reduces it by the first pair
 whose lt divides it, or moves it to the result.  ``_normal_form_dict`` on
 packed terms must return the same dict once unpacked, for grevlex, the
 elimination order and the weighted x_i-last orders of Bayer steps (with the
-unequal weights of the Hirzebruch surface F1), over a prime field and an
-extension field; and every packing must agree with the tuple definitions on
-round trips, products, comparisons and divisibility, including exponents at
-the field boundary, at the exponent cap and one past it.
+unequal weights of the Hirzebruch surface F1), in both of the loops it
+picks between: plain ints over a prime field (up to the Mersenne prime
+2^61 - 1, whose products take 122 bits) and the tower's arithmetic over
+the extension field GF(9).  Every packing must agree with the tuple
+definitions on round trips, products, comparisons and divisibility,
+including exponents at the field boundary, at the exponent cap and one
+past it.
 """
 
 import operator
@@ -27,7 +30,7 @@ from coxdescent.rings import EXPONENT_CAP, _add_scaled
 
 from conftest import grevlex_key, make_f1
 
-TOWERS = {"gf101": FieldTower(101), "gf9": FieldTower(3, 2)}
+TOWERS = {"gf101": FieldTower(101), "gf9": FieldTower(3, 2), "m61": FieldTower(2 ** 61 - 1)}
 F1_WEIGHTS = make_f1(TOWERS["gf101"]).ring._weights[1]  # (1, 1, 2, 1)
 CAP = EXPONENT_CAP
 
@@ -124,8 +127,11 @@ def _reference_add_scaled(h, g, tower, c, q):
 # ---------------------------------------------------------------------------
 # random term dicts
 
-def _nonzero(tower):
-    return [a.rep for a in tower.elements() if a.rep != tower.c_zero]
+def _coeff(rng, tower):
+    """A random nonzero raw coefficient."""
+    if tower.d == 1:
+        return rng.randrange(1, tower.p)
+    return rng.choice([a.rep for a in tower.elements() if a.rep != tower.c_zero])
 
 
 def _exponent(rng, nvars, lifted):
@@ -136,8 +142,7 @@ def _exponent(rng, nvars, lifted):
 
 
 def _term_dict(rng, tower, nvars, lifted, max_terms):
-    coeffs = _nonzero(tower)
-    return {_exponent(rng, nvars, lifted): rng.choice(coeffs)
+    return {_exponent(rng, nvars, lifted): _coeff(rng, tower)
             for _ in range(rng.randint(1, max_terms))}
 
 
@@ -176,18 +181,45 @@ class TestAgainstReference:
         h = _term_dict(random.Random(1), tower, 3, 0, 8)
         assert order.unpack_terms(_normal_form_dict(order.pack_terms(h), [], tower, order)) == h
 
-    def test_cancelled_term_created_again(self, monkeypatch):
-        """x^2 + xy + y^2 against (x^2 + y^2, xy + y^2) over GF(101).
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(sorted(TOWERS)),
+           st.sampled_from(ORDER_NAMES), st.integers(1, 4), st.booleans())
+    def test_zero_test_returns_the_leading_term(self, seed, tower_name, order_name, nvars,
+                                                member):
+        """The zero-test mode is empty exactly when the full normal form is,
+        and otherwise holds the full remainder's leading term alone.  A
+        ``member`` h is a multiple of the first pair, so it reduces to 0."""
+        tower = TOWERS[tower_name]
+        order, key, _, _ = _order(order_name, nvars)
+        lifted = int(order_name == "elim")
+        rng = random.Random(seed)
+        gb = _pairs(rng, tower, nvars, lifted, key)
+        if member:
+            (lt, tail), a, c = gb[0], _exponent(rng, nvars, lifted), _coeff(rng, tower)
+            h = {_exp_add(lt, a): c, **{_exp_add(e, a): tower.c_mul(c, v) for e, v in tail.items()}}
+        else:
+            h = _term_dict(rng, tower, nvars, lifted, 8)
+        ph, pgb = order.pack_terms(h), _packed_pairs(order, gb)
+        full = _normal_form_dict(ph, pgb, tower, order)
+        lead = _normal_form_dict(ph, pgb, tower, order, zero_test=True)
+        assert bool(lead) == bool(full)
+        if member:
+            assert not full
+        if full:
+            m = max(full)
+            assert lead == {m: full[m]}
 
-        Reducing x^2 cancels y^2, which leaves a stale heap entry for it;
-        reducing xy creates y^2 again, so a fresh entry joins the stale one.
-        The term must be counted once: the normal form is -y^2.
+    def test_cancelled_term_created_again(self, monkeypatch):
+        """x^2 + xy + y^2 against (x^2 + y^2, xy + y^2).
+
+        Reducing x^2 cancels y^2 and reducing xy creates it again.  The
+        term must be counted once: the normal form is -y^2.  Over GF(9) the
+        cancelled term is deleted, leaving a stale heap entry, and y^2
+        comes back with a fresh one.  Over GF(101) the sum stays in ``work``,
+        unreduced, until y^2 is popped, so no exponent is pushed twice.
         """
-        tower = TOWERS["gf101"]
         order = G._grevlex(2)
         x2, xy, y2 = (2, 0), (1, 1), (0, 2)
-        h = {x2: 1, xy: 1, y2: 1}
-        gb = [(x2, {y2: 1}), (xy, {y2: 1})]
         pushed = []
         push = G.heapq.heappush
 
@@ -196,11 +228,21 @@ class TestAgainstReference:
             push(heap, item)
 
         monkeypatch.setattr(G.heapq, "heappush", recording_push)
-        result = order.unpack_terms(_normal_form_dict(order.pack_terms(h),
-                                                      _packed_pairs(order, gb), tower, order))
-        assert pushed == [y2]
-        assert result == {y2: 100}
-        assert result == _reference_normal_form(h, gb, tower, grevlex_key)
+        for name in ("gf101", "gf9"):
+            tower = TOWERS[name]
+            one = tower.c_one
+            h = {x2: one, xy: one, y2: one}
+            gb = [(x2, {y2: one}), (xy, {y2: one})]
+            pushed.clear()
+            result = order.unpack_terms(_normal_form_dict(order.pack_terms(h),
+                                                          _packed_pairs(order, gb), tower, order))
+            if name == "gf9":
+                assert pushed == [y2]
+                assert result == {y2: tower.c_neg(one)}
+            else:
+                assert len(pushed) == len(set(pushed))
+                assert result == {y2: 100}
+            assert result == _reference_normal_form(h, gb, tower, grevlex_key)
 
 
 def _grevlex_greater(a, b):
@@ -344,7 +386,7 @@ class TestAddScaled:
         rng = random.Random(seed)
         h = _term_dict(rng, tower, 3, 0, 8)
         g = _term_dict(rng, tower, 3, 0, 8)
-        c = rng.choice(_nonzero(tower))
+        c = _coeff(rng, tower)
         q = _exponent(rng, 3, 0)
         expected = _reference_add_scaled(h, g, tower, c, q)
         ph, pg, pq = order.pack_terms(h), order.pack_terms(g), order.pack(q) - order.zero
