@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groebner import (IdealHandle, _monomial_primes, ambient_dimension, defining_ideal,
-                       height, saturate)
+from .groebner import (IdealHandle, _dicts_of_pairs, _monomial_primes, _normal_form_dict,
+                       ambient_dimension, defining_ideal, height, saturate)
 from .rings import MultigradedRing, Polynomial, _require_homogeneous
 
 _FACTOR_LETTERS = "xyzwuv"
@@ -170,7 +170,11 @@ def _strict_ci_verdict(amb, ideal):
             return StrictCIVerdict(status="strict", height=h, expected=s)
     else:
         sat = saturate(ideal, amb.irrelevant_ideal())
-    witness = next((g for g in sat.reduced_gb() if not ideal.contains(g)), None)
+    # both bases are packed in the same grevlex order; only the witness is unpacked
+    tower, order, gb = ring.tower, ideal._order, ideal._pairs()
+    witness = next((t for t in _dicts_of_pairs(tower, sat._pairs())
+                    if _normal_form_dict(t, gb, tower, order, zero_test=True)), None)
     if witness is None:
         return StrictCIVerdict(status="strict", height=h, expected=s)
+    witness = Polynomial(ring, order.unpack_terms(witness))
     return StrictCIVerdict(status="not_strict", witness=witness, height=h, expected=s)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .cox import _strict_ci_verdict, _validate_hypersurfaces
 from .errors import (ActionError, DescentPreconditionError, RingMismatchError)
+from .fields import _power as _square_and_multiply
 from .groebner import IdealHandle, defining_ideal, ideal_equal
 from .linalg import RATIONALS, echelon_basis, kernel, kernel_gfp, rational_solve, rref
 from .rings import Multidegree, Polynomial, _exps_of_degree, _grevlex_key, monomials_of_degree
@@ -60,8 +61,8 @@ class SemilinearAction:
         self.perm = tuple(perm)
         self.scalars = tuple(scalars)
         self._check_degree_compatible()
-        self._powers = self._compute_powers()
-        self.order = len(self._powers)
+        self.order = self._find_order()
+        self._powers = {}  # the powers apply has asked for, by exponent mod order
 
     # -- structure
 
@@ -75,30 +76,38 @@ class SemilinearAction:
                 if sum(Fraction(a) * x for a, x in zip(row, moved)) != 0:
                     raise ActionError("variable permutation does not preserve the grading kernel")
 
-    def _compute_powers(self):
-        """[identity, a, a^2, ...] up to the action's order."""
+    def _identity(self):
         n = self.ring.nvars
-        identity = (0, tuple(range(n)), (self.ring.tower.c_one,) * n)
-        powers = [identity]
-        for _ in range(_MAX_ORDER):
-            state = self._compose(powers[-1])
+        return (0, tuple(range(n)), (self.ring.tower.c_one,) * n)
+
+    def _find_order(self):
+        """The least k > 0 with a^k the identity, walking a, a^2, ..."""
+        identity = self._identity()
+        a = state = (self.frob_power, self.perm, self.scalars)
+        for k in range(1, _MAX_ORDER + 1):
             if state == identity:
-                return powers
-            powers.append(state)
+                return k
+            state = self._compose(state, a)
         raise ActionError("action order exceeds %d" % _MAX_ORDER)
 
-    def _compose(self, state):
-        """state o (this action), states as (frob, perm, scalars)."""
+    def _compose(self, second, first):
+        """second o first, states as (frob, perm, scalars)."""
         tower = self.ring.tower
-        e2, p2, s2 = state
-        e1, p1, s1 = self.frob_power, self.perm, self.scalars
-        perm = tuple(p2[p1[i]] for i in range(len(p1)))
-        scalars = tuple(tower.c_mul(tower.c_frob(s1[i], e2), s2[p1[i]])
-                        for i in range(len(p1)))
+        mul, frob = tower.c_mul, tower.c_frob
+        e2, p2, s2 = second
+        e1, p1, s1 = first
+        perm = tuple(p2[j] for j in p1)
+        scalars = tuple(mul(frob(c, e2), s2[j]) for c, j in zip(s1, p1))
         return ((e1 + e2) % tower.d, perm, scalars)
 
     def _power(self, times):
-        return self._powers[times % self.order]
+        """a^times by square-and-multiply, kept once asked for."""
+        k = times % self.order
+        state = self._powers.get(k)
+        if state is None:
+            a = (self.frob_power, self.perm, self.scalars)
+            state = self._powers[k] = _square_and_multiply(a, k, self._identity(), self._compose)
+        return state
 
     # -- application
 

@@ -1,5 +1,7 @@
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -95,6 +97,13 @@ class TestSemilinearAction:
         assert apply_action(a, ring.parse("x0")) == ring.parse("t*y0")
         # order doubles because the scalar has to cycle away
         assert apply_action(a, ring.parse("x0"), a.order) == ring.parse("x0")
+        # each power, built by squaring, is the repeated action
+        f = random_poly(ring, Multidegree((2, 1)), seeded(5))
+        g = f
+        for k in range(1, a.order + 1):
+            g = apply_action(a, g)
+            assert apply_action(a, f, k) == g
+            assert apply_action(a, g, -k) == f
 
 
 class TestInvariance:
@@ -341,6 +350,33 @@ class TestOrderBound:
             start += length
         with pytest.raises(ActionError, match="order exceeds"):
             SemilinearAction(amb.ring, 0, var_map)
+
+    def test_large_order_within_time_and_memory_budget(self):
+        # cycles 3, 5, 7, 8, 11 on the 34 variables of P^33 over GF(3^2), with
+        # Frobenius: order 9240.  A table of all its powers would hold about
+        # 26 MB; the order walk keeps one state, apply one power
+        amb = make_product_projective([33], FieldTower(3, 2))
+        var_map, start = {}, 0
+        for length in (3, 5, 7, 8, 11):
+            for i in range(length):
+                var_map["x%d" % (start + i)] = "x%d" % (start + (i + 1) % length)
+            start += length
+        f = amb.ring.parse("x0*x3 + t*x10^2 + x33")
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            act = SemilinearAction(amb.ring, 1, var_map)
+            g = act.apply(f, 4621)
+            elapsed = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert act.order == 9240
+        assert elapsed < 3.0
+        assert peak < 2 ** 20
+        assert str(g) == "x1*x4 + 2*t*x11^2 + x23"
+        assert act.apply(g, -4621) == f
+        assert act.apply(act.apply(f, 4620), 1) == g
 
 
 class TestCycleOverGF16:

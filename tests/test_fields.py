@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxdescent import FieldTower, ParseError, TowerMismatchError, frobenius
-from coxdescent.fields import _is_prime, _pmod, _pmul, _ppowmod
+from coxdescent.fields import (_LOG_BOUND, _is_prime, _pinvmod, _pmod, _pmul, _ppowmod,
+                               _ptrim)
 
 from conftest import DIGIT_LIMIT
 
@@ -287,3 +289,107 @@ def test_element_integer_past_the_digit_limit_is_a_parse_error(text):
     big = "1" * (DIGIT_LIMIT + 1)
     with pytest.raises(ParseError, match="^integer of %d digits is too long$" % len(big)):
         FieldTower(3, 2).element(text % big)
+
+
+# GF(2^14) is the largest tower on discrete logs (q equals the bound), GF(101^3)
+# the benchmark's tower on coefficient tuples
+AGREEMENT_TOWERS = [(3, 2), (2, 4), (5, 3), (101, 2), (2, 14), (101, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def tower_of(p, d):
+    return FieldTower(p, d)
+
+
+class TestClosuresAgainstPowerBasis:
+    """Every ``c_*`` closure against arithmetic on coefficient lists mod the
+    minimal polynomial (``_pmul``, ``_pmod``, ``_pinvmod``)."""
+
+    def check(self, tw, a, b, n, i, m):
+        p, d, mp = tw.p, tw.d, list(tw.min_poly)
+        ra, rb = tw.c_from_coeffs(a), tw.c_from_coeffs(b)
+        a, b = _ptrim(list(a)), _ptrim(list(b))
+
+        def coeffs(r):
+            cs = tw.c_coeffs(r)
+            assert len(cs) == d
+            return _ptrim(list(cs))
+
+        def power(x, k):
+            return _ppowmod(x, k, mp, p) if k >= 0 else _ppowmod(_pinvmod(x, mp, p), -k, mp, p)
+
+        pad = itertools.zip_longest
+        assert coeffs(ra) == a and coeffs(rb) == b
+        assert (ra == tw.c_zero) == (not a)
+        assert coeffs(tw.c_add(ra, rb)) == _ptrim([(x + y) % p for x, y in pad(a, b, fillvalue=0)])
+        assert coeffs(tw.c_sub(ra, rb)) == _ptrim([(x - y) % p for x, y in pad(a, b, fillvalue=0)])
+        assert coeffs(tw.c_neg(ra)) == [-x % p for x in a]
+        assert tw.c_sub(ra, ra) == tw.c_add(ra, tw.c_neg(ra)) == tw.c_zero
+        assert coeffs(tw.c_mul(ra, rb)) == _pmod(_pmul(a, b, p), mp, p)
+        assert coeffs(tw.c_frob(ra, i)) == power(a, p ** (i % d))
+        assert coeffs(tw.c_from_int(m)) == _ptrim([m % p])
+        if a:
+            assert coeffs(tw.c_inv(ra)) == _pinvmod(a, mp, p)
+            assert coeffs(tw.c_pow(ra, n)) == power(a, n)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                tw.c_inv(ra)
+            if n < 0:
+                with pytest.raises(ZeroDivisionError):
+                    tw.c_pow(ra, n)
+            else:
+                assert coeffs(tw.c_pow(ra, n)) == ([] if n else [1])
+
+    @pytest.mark.parametrize("p, d", AGREEMENT_TOWERS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_operands(self, p, d, data):
+        cs = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+        self.check(tower_of(p, d), data.draw(cs), data.draw(cs), data.draw(st.integers(-40, 40)),
+                   data.draw(st.integers(-2 * d, 2 * d)), data.draw(st.integers(-10**6, 10**6)))
+
+    @pytest.mark.parametrize("p, d", [(3, 2), (2, 4)])
+    def test_every_pair(self, p, d):
+        tw = tower_of(p, d)
+        every = list(itertools.product(range(p), repeat=d))
+        for k, (a, b) in enumerate(itertools.product(every, every)):
+            self.check(tw, a, b, k % 11 - 5, k % (2 * d + 1) - d, k)
+
+
+class TestLogRepresentation:
+    def test_towers_within_the_bound_store_ints(self):
+        assert 2 ** 14 == _LOG_BOUND
+        assert isinstance(FieldTower(2, 14).c_one, int)
+        assert isinstance(FieldTower(127, 2).gen().rep, int)
+        assert isinstance(FieldTower(3, 9).gen().rep, tuple)  # 19683 elements
+        assert isinstance(FieldTower(101, 3).gen().rep, tuple)
+
+    @pytest.mark.parametrize("p, d", [(3, 2), (2, 4)])
+    def test_reps_are_ints_and_zero_is_zero(self, p, d):
+        tw = tower_of(p, d)
+        assert (tw.c_zero, tw.c_one) == (0, 1)
+        for a in tw.elements():
+            assert isinstance(a.rep, int)
+            assert (a.rep == 0) == (not any(a.coeffs)) == a.is_zero()
+
+    @pytest.mark.parametrize("p, d", [(3, 2), (2, 4)])
+    def test_str_round_trip(self, p, d):
+        tw = tower_of(p, d)
+        for a in tw.elements():
+            assert tw.element(str(a)) == a
+
+    @pytest.mark.parametrize("p, d", [(3, 2), (101, 2), (101, 3)])
+    def test_division_by_zero(self, p, d):
+        tw = tower_of(p, d)
+        with pytest.raises(ZeroDivisionError):
+            tw.element(1) / tw.element(0)
+        with pytest.raises(ZeroDivisionError):
+            tw.c_inv(tw.c_zero)
+
+    @pytest.mark.parametrize("p, d", [(3, 2), (2, 4), (101, 2)])
+    def test_elements_order_and_gen_text(self, p, d):
+        tw = tower_of(p, d)
+        assert [a.coeffs for a in tw.elements()] == list(itertools.product(range(p), repeat=d))
+        assert str(tw.gen()) == "t"
+        assert tw.gen().coeffs == (0, 1) + (0,) * (d - 2)
+
