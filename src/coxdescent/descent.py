@@ -12,13 +12,13 @@ reassembled from conjugates of the generators in a single class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .cox import _strict_ci_verdict, _validate_hypersurfaces
 from .errors import (ActionError, DescentPreconditionError, RingMismatchError)
 from .fields import _power as _square_and_multiply
 from .groebner import IdealHandle, defining_ideal, ideal_equal
-from .linalg import RATIONALS, echelon_basis, kernel, kernel_gfp, rational_solve, rref
+from .linalg import _integer_rref, echelon_basis, kernel_gfp, rref
 from .rings import Multidegree, Polynomial, _exps_of_degree, _grevlex_key, monomials_of_degree
 
 _MAX_ORDER = 10000
@@ -60,21 +60,48 @@ class SemilinearAction:
             raise ActionError("variable map is not a permutation")
         self.perm = tuple(perm)
         self.scalars = tuple(scalars)
-        self._check_degree_compatible()
+        self._solve_grading()
+        degree_map = self._degree_map(self.perm)
+        self._check_degree_compatible(degree_map)
         self.order = self._find_order()
         self._powers = {}  # the powers apply has asked for, by exponent mod order
+        self._degree_maps = {1 % self.order: degree_map}  # the same for apply_degree
 
     # -- structure
 
-    def _check_degree_compatible(self):
+    def _solve_grading(self):
+        """The grading G's solve over Q on ints, from the RREF of [G | I].
+
+        Its rows with a pivot in G give ``_solution``: (variable, row e) pairs
+        such that x_v = e . b / ``_denominator``, all other x zero, solves
+        G x = b for every b in the image of G.  The rows past them give
+        ``_cokernel``, rows k with k G = 0: b is in the image iff k . b = 0
+        for each.
+        """
         grading = self.ring.grading
-        for v in kernel(RATIONALS, grading):
-            moved = [None] * len(v)
-            for i, j in enumerate(self.perm):
-                moved[j] = v[i]
-            for row in grading:
-                if sum(Fraction(a) * x for a, x in zip(row, moved)) != 0:
-                    raise ActionError("variable permutation does not preserve the grading kernel")
+        n, r = self.ring.nvars, self.ring.rank
+        d, red, pivots = _integer_rref(
+            [list(row) + [int(i == k) for i in range(r)] for k, row in enumerate(grading)])
+        self._denominator = d
+        self._solution = [(pc, row[n:]) for row, pc in zip(red, pivots) if pc < n]
+        self._cokernel = [row[n:] for row, pc in zip(red, pivots) if pc >= n]
+
+    def _degree_map(self, perm):
+        """The integer matrix M with M b / ``_denominator`` the degree that
+        the variable permutation ``perm`` takes b to: G P x for the solution
+        x of G x = b, P sending x_i to x_perm[i]."""
+        r = self.ring.rank
+        return [[sum(g[perm[v]] * e[c] for v, e in self._solution) for c in range(r)]
+                for g in self.ring.grading]
+
+    def _check_degree_compatible(self, degree_map):
+        # P preserves ker G iff G P = A G for A = degree_map / d: the map
+        # takes the degree of each variable to the degree of its image
+        d, grading = self._denominator, self.ring.grading
+        for i, j in enumerate(self.perm):
+            col = [row[i] for row in grading]
+            if any(sum(map(mul, m, col)) != d * row[j] for m, row in zip(degree_map, grading)):
+                raise ActionError("variable permutation does not preserve the grading kernel")
 
     def _identity(self):
         n = self.ring.nvars
@@ -134,20 +161,19 @@ class SemilinearAction:
 
     def apply_degree(self, degree, times=1):
         """The induced action on multidegrees."""
-        grading = self.ring.grading
-        x = rational_solve(grading, list(degree))
-        if x is None:
+        if any(sum(map(mul, k, degree)) for k in self._cokernel):
             raise ActionError("degree %s is not in the grading lattice image" % (degree,))
-        _, perm, _ = self._power(times)
-        moved = [None] * len(x)
-        for i, j in enumerate(perm):
-            moved[j] = x[i]
+        k = times % self.order
+        degree_map = self._degree_maps.get(k)
+        if degree_map is None:
+            degree_map = self._degree_maps[k] = self._degree_map(self._power(k)[1])
+        d = self._denominator
         out = []
-        for row in grading:
-            v = sum(a * m for a, m in zip(row, moved))
-            if v.denominator != 1:
+        for m in degree_map:
+            v, rest = divmod(sum(map(mul, m, degree)), d)
+            if rest:
                 raise ActionError("induced degree action is not integral")
-            out.append(int(v))
+            out.append(v)
         return Multidegree(out)
 
     def degree_orbit(self, degree):

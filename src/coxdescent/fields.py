@@ -11,7 +11,8 @@ depends on the size q = p^d:
   arithmetic mod q - 1, sums read the Zech logarithm off two tables.  The
   exp, log and log1p tables are ``array('H')``s of about q entries each,
   built in the constructor in O(q) steps and cached per tower;
-- d > 1 and q above the bound: a tuple of d residues.
+- d > 1 and q above the bound: a tuple of d residues, inverted through
+  the norm to GF(p).
 
 Only ``c_coeffs``/``c_from_coeffs`` (and ``c_from_int``) see the
 representation; text, parsing and linear algebra over GF(p) go through
@@ -94,25 +95,6 @@ def _pgcd(a, b, p):
         bm = [(c * inv) % p for c in b]
         a, b = b, _pmod(a, bm, p)
     return a
-
-
-def _pinvmod(a, m, p):
-    # extended Euclid in GF(p)[t]; m monic, gcd(a, m) = 1
-    r0, r1 = list(m), _pmod(a, m, p)
-    s0, s1 = [], [1]
-    while r1:
-        inv = pow(r1[-1], p - 2, p)
-        # dividing by the monic r1/lc leaves the remainder of dividing by r1
-        q, r = _pdivmod(r0, [(c * inv) % p for c in r1], p)
-        q = [(c * inv) % p for c in q]
-        r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([(x - y) % p for x, y in
-                             itertools.zip_longest(s0, _pmul(q, s1, p), fillvalue=0)])
-    # r0 = gcd, should be a nonzero constant
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    c = pow(r0[0], p - 2, p)
-    return [(x * c) % p for x in s0]
 
 
 # the first 12 primes: as Miller-Rabin bases they decide every n below
@@ -361,11 +343,16 @@ class FieldTower:
                 return tuple(out)
 
             def c_inv(a):
+                # a^-1 = N(a)^-1 * b for b the product of the conjugates
+                # sigma^i(a), 0 < i < d, and the norm N(a) = a * b in GF(p)
                 if not any(a):
                     raise ZeroDivisionError("division by zero in GF(%d^%d)" % (p, d))
-                inv = _pinvmod(list(a), mp, p)
-                inv += [0] * (d - len(inv))
-                return tuple(inv)
+                b = conj = c_frob(a)
+                for _ in range(d - 2):
+                    conj = c_frob(conj)
+                    b = c_mul(b, conj)
+                n = pow(c_mul(a, b)[0], p - 2, p)
+                return tuple(x * n % p for x in b)
 
             # Frobenius matrices, built on first use: column j of frob_mats[i]
             # is t^(j*p^i) mod min_poly

@@ -29,9 +29,9 @@ import heapq
 import operator
 import struct
 
-from .errors import (ExponentCapError, InhomogeneousError, RingMismatchError,
+from .errors import (ExponentCapError, RingMismatchError,
                      SaturationDirectionError, UnitIdealError)
-from .rings import _FIELD_BITS, Polynomial, _add_scaled, _require_homogeneous
+from .rings import _FIELD_BITS, Polynomial, _add_scaled, _first_off_degree
 
 # ---------------------------------------------------------------------------
 # monomial orders as packings: an exponent vector is one int, and comparing
@@ -546,11 +546,7 @@ def saturate(ideal, direction):
     grevlex = ideal._order
     basis = (ideal._pairs(), grevlex)
     meet = functools.partial(_meet, ring)
-    bayer = all(len(g) == 1 for g in gens)
-    try:
-        _require_homogeneous(ideal.gens)  # ring.defining is homogeneous already
-    except InhomogeneousError:
-        bayer = False
+    bayer = all(len(g) == 1 for g in gens) and _homogeneous(ideal)
     if bayer:
         for c in _monomial_primes(gens):
             parts = []
@@ -574,6 +570,17 @@ def saturate(ideal, direction):
     if order is not grevlex:
         pairs = _buchberger(tower, grevlex, _repack(tower, basis, grevlex))
     return _handle_with_gb(ring, pairs)
+
+
+def _homogeneous(ideal):
+    """Whether every generator of the handle is homogeneous (ring.defining
+    is already); a handle made from a basis reads it packed."""
+    if ideal._gens is None:
+        unpack = ideal._order.unpack
+        terms = [map(unpack, (lt, *tail)) for lt, tail in ideal._gb_pairs]
+    else:
+        terms = [f._t for f in ideal._gens if f]
+    return all(_first_off_degree(ideal.ring, t)[2] is None for t in terms)
 
 
 def _contains(tower, basis, other):

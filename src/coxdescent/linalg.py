@@ -1,22 +1,20 @@
-"""Small exact linear algebra: one Gauss-Jordan row reducer over a field.
+"""Small exact linear algebra: one Gauss-Jordan row reducer over a field,
+and its fraction-free twin over the integers.
 
 :func:`rref` works over any object with the field interface ``c_zero``,
 ``c_one``, ``c_sub``, ``c_mul`` and ``c_inv``: a
-:class:`~coxdescent.fields.FieldTower` (graded pieces and fixed spaces),
-:func:`prime_field` (restriction of scalars) or :data:`RATIONALS`
-(gradings).  Kernels and solves read off its canonical result.  Vectors are
-plain lists of the field's raw coefficients.
+:class:`~coxdescent.fields.FieldTower` (graded pieces and fixed spaces) or
+:func:`prime_field` (restriction of scalars).  Kernels read off its
+canonical result.  Vectors are plain lists of the field's raw coefficients.
+
+:func:`_integer_rref` is Bareiss's elimination (Math. Comp. 22, 1968) for
+integer matrices such as gradings: the rational RREF scaled by one common
+integer, so ranks, solves and kernels over Q stay on ints.
 """
 
 from __future__ import annotations
 
-import operator
-from fractions import Fraction
 from types import SimpleNamespace
-
-RATIONALS = SimpleNamespace(
-    c_zero=Fraction(0), c_one=Fraction(1), c_sub=operator.sub, c_mul=operator.mul,
-    c_inv=lambda a: 1 / Fraction(a))
 
 
 def prime_field(p):
@@ -89,18 +87,38 @@ def kernel_gfp(p, mat):
     return kernel(prime_field(p), mat)
 
 
-def rational_solve(rows, rhs):
-    """One solution of A x = b over the rationals, or None.
+def _integer_rref(rows):
+    """Gauss-Jordan elimination of an integer matrix, on integers only:
+    (d, rows, pivots) with ``rows`` = d times the nonzero rows of the
+    rational RREF, so that every pivot entry is d, a nonzero integer.
 
-    Free variables are set to zero.
+    Each step replaces a row r by (p * r - r[c] * pivot row) // q, p the new
+    pivot and q the one before it; by Sylvester's identity every entry is
+    then a minor of the input, so the division is exact.  What rref over Q
+    reads off reads off here, scaled by d:
+
+    - the rank is ``len(pivots)``;
+    - on an augmented matrix [A | b], A x = b has a solution iff the last
+      column is no pivot, and x_pc = row[-1] / d with free variables zero
+      is the RREF solution (the adjugate solve when A is square);
+    - for each free column f, the vector with d at f and -row[f] at each
+      pivot column of ``row`` spans the kernel with the others.
     """
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    red, pivots = rref(RATIONALS, [list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots and pivots[-1] == ncols:  # inconsistent system
-        return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[-1]
-    return x
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    d, top, pivots = 1, 0, []
+    for c in range(ncols):
+        k = next((k for k in range(top, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[top], rows[k] = rows[k], rows[top]
+        prow = rows[top]
+        p = prow[c]
+        for k, row in enumerate(rows):
+            if k != top:
+                a = row[c]
+                rows[k] = [(p * x - a * y) // d for x, y in zip(row, prow)]
+        d = p
+        pivots.append(c)
+        top += 1
+    return d, rows[:top], pivots

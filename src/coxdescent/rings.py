@@ -22,7 +22,7 @@ import re
 
 from .errors import (InhomogeneousError, ParseError, RingMismatchError)
 from .fields import FieldElement, FieldTower, _parse_int, _power, format_rep
-from .linalg import RATIONALS, rational_solve, rref
+from .linalg import _integer_rref
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +34,9 @@ from .linalg import RATIONALS, rational_solve, rref
 # that such a field holds beside its guard bits.
 _FIELD_BITS = 16
 EXPONENT_CAP = (1 << _FIELD_BITS - 2) - 1
+
+# the width of a grading row's field in a ring's packed degree columns
+_DEGREE_BITS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +87,18 @@ class MultigradedRing:
         self.grading = grading
         self.rank = len(grading)
         self._weights = _positive_weights(grading)
+        # one int per variable packs its grading column, row k in a signed
+        # field of _DEGREE_BITS bits at bit k * _DEGREE_BITS, under its
+        # weight.  For e0 of weighted degree at most _degree_limit, the sums
+        # sum(e_i * cols[i]) of e and e0 agree exactly when their degrees
+        # do: equal sums force equal weighted degrees, which keep every
+        # row's field below its sign bit.
+        top = _DEGREE_BITS * self.rank
+        self._degree_cols = tuple(
+            sum(g << _DEGREE_BITS * k for k, g in enumerate(col)) + (w << top)
+            for col, w in zip(zip(*grading), self._weights[1]))
+        big = max(abs(g) for row in grading for g in row)
+        self._degree_limit = ((1 << _DEGREE_BITS) - 2 * big) // (4 * big)
 
         self.defining = ()
         self.irrelevant = ()
@@ -142,8 +157,7 @@ class MultigradedRing:
         return _parse_polynomial(self, text)
 
     def multidegree_of_exp(self, e):
-        return Multidegree(sum(row[i] * e[i] for i in range(self.nvars))
-                           for row in self.grading)
+        return Multidegree(sum(map(operator.mul, row, e)) for row in self.grading)
 
     def __repr__(self):
         return "MultigradedRing(%r, vars=%s)" % (self.tower, ",".join(self.variables))
@@ -161,20 +175,27 @@ def _positive_weights(grading):
     those square systems in turn finds a point of it.  The sum of the rows
     is tried first: it is the search's answer for every product of
     projective spaces, whose search makes thousands of solves at 8 factors.
+    Each solve is the RREF solution y = num / d, scaled to the least
+    integer multiple.
     """
     w = tuple(map(sum, zip(*grading)))
     if all(x >= 1 for x in w):
         return (1,) * len(grading), w
-    nvars = len(grading[0])
-    rank = len(rref(RATIONALS, grading)[1])
+    nvars, r = len(grading[0]), len(grading)
+    rank = len(_integer_rref(grading)[2])
     for subset in itertools.combinations(range(nvars), rank):
-        y = rational_solve([[row[j] for row in grading] for j in subset], [1] * rank)
-        if y is None:
+        d, red, pivots = _integer_rref([[row[j] for row in grading] + [1] for j in subset])
+        if not pivots or pivots[-1] == r:  # no equations (a zero grading), or inconsistent
             continue
-        w = [sum(yi * row[j] for yi, row in zip(y, grading)) for j in range(nvars)]
-        if all(x >= 1 for x in w):
-            scale = math.lcm(*(v.denominator for v in y))
-            return tuple(int(v * scale) for v in y), tuple(int(x * scale) for x in w)
+        if d < 0:
+            d, red = -d, [[-x for x in row] for row in red]
+        y = [0] * r
+        for row, pc in zip(red, pivots):
+            y[pc] = row[-1]
+        w = [sum(map(operator.mul, y, col)) for col in zip(*grading)]
+        if all(x >= d for x in w):  # w / d >= 1
+            g = math.gcd(d, *y)
+            return tuple(v // g for v in y), tuple(x // g for x in w)
     raise ValueError("grading admits no positive weight combination")
 
 
@@ -280,16 +301,13 @@ class Polynomial:
         if not self._t:
             raise InhomogeneousError("zero polynomial has no multidegree")
         ring = self.ring
-        it = iter(self._t)
-        e0 = next(it)
-        deg = ring.multidegree_of_exp(e0)
-        for e in it:
-            d = ring.multidegree_of_exp(e)
-            if d != deg:
-                raise InhomogeneousError(
-                    "inhomogeneous polynomial: monomials %s and %s have degrees %s and %s"
-                    % (_monomial_str(ring, e0), _monomial_str(ring, e), deg, d),
-                    monomials=(e0, e))
+        deg, e0, e = _first_off_degree(ring, self._t)
+        if e is not None:
+            raise InhomogeneousError(
+                "inhomogeneous polynomial: monomials %s and %s have degrees %s and %s"
+                % (_monomial_str(ring, e0), _monomial_str(ring, e), deg,
+                   ring.multidegree_of_exp(e)),
+                monomials=(e0, e))
         return deg
 
     # -- arithmetic
@@ -370,6 +388,20 @@ class Polynomial:
 
     def __repr__(self):
         return "<%s>" % poly_str(self)
+
+
+def _first_off_degree(ring, exps):
+    """(degree of the first exponent of the nonempty ``exps``, that exponent,
+    the first exponent of another degree or None), comparing packed degrees
+    (see :class:`MultigradedRing`) unless the first is past their limit."""
+    it = iter(exps)
+    e0 = next(it)
+    deg = ring.multidegree_of_exp(e0)
+    if sum(map(operator.mul, ring._weights[0], deg)) > ring._degree_limit:
+        return deg, e0, next((e for e in it if ring.multidegree_of_exp(e) != deg), None)
+    cols = ring._degree_cols
+    k0 = sum(map(operator.mul, e0, cols))
+    return deg, e0, next((e for e in it if sum(map(operator.mul, e, cols)) != k0), None)
 
 
 def _require_homogeneous(polys):

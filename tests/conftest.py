@@ -5,14 +5,20 @@ package's internal linalg module: they work on FieldElement values through
 the public arithmetic API, so they can serve as oracles.
 """
 
+import itertools
+import math
+import operator
 import random
 import re
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from coxdescent import (FieldTower, MultigradedRing, ParseError, make_custom,
-                        make_product_projective, make_segre_p1p1, monomials_of_degree)
+from coxdescent import (ActionError, FieldTower, Multidegree, MultigradedRing, ParseError,
+                        make_custom, make_product_projective, make_segre_p1p1,
+                        monomials_of_degree)
 from coxdescent.rings import EXPONENT_CAP
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
@@ -189,6 +195,131 @@ def eliminating_saturate(ideal, direction):
         if ideal.contains_ideal(result):
             return _handle_with_gb(ideal.ring, ideal._pairs())
     return result
+
+
+# ---------------------------------------------------------------------------
+# gradings over the rationals: Fraction solves, the oracles of the package's
+# integer grading computations
+
+# the rationals with the field interface of linalg.rref
+RATIONALS = SimpleNamespace(
+    c_zero=Fraction(0), c_one=Fraction(1), c_sub=operator.sub, c_mul=operator.mul,
+    c_inv=lambda a: 1 / Fraction(a))
+
+
+def rational_rref(rows):
+    """(nonzero rows, pivot columns) of the RREF over Q, by plain
+    Gauss-Jordan on Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    top, pivots = 0, []
+    for c in range(ncols):
+        k = next((k for k in range(top, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[top], rows[k] = rows[k], rows[top]
+        rows[top] = [x / rows[top][c] for x in rows[top]]
+        for k in range(len(rows)):
+            if k != top and rows[k][c]:
+                a = rows[k][c]
+                rows[k] = [x - a * y for x, y in zip(rows[k], rows[top])]
+        pivots.append(c)
+        top += 1
+    return rows[:top], pivots
+
+
+def rational_solve(rows, rhs):
+    """One solution of A x = b over Q with free variables zero, or None."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    red, pivots = rational_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:  # inconsistent system
+        return None
+    x = [Fraction(0)] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[-1]
+    return x
+
+
+def rational_kernel(rows):
+    """The RREF free-variable kernel basis over Q."""
+    ncols = len(rows[0])
+    red, pivots = rational_rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(int(i == fc)) for i in range(ncols)]
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+    return basis
+
+
+def preserves_grading_kernel(grading, perm):
+    """Whether x_i -> x_perm[i] maps the kernel of the grading into itself."""
+    for v in rational_kernel(grading):
+        moved = [None] * len(v)
+        for i, j in enumerate(perm):
+            moved[j] = v[i]
+        if any(sum(a * x for a, x in zip(row, moved)) for row in grading):
+            return False
+    return True
+
+
+def rational_apply_degree(action, degree, times=1):
+    """SemilinearAction.apply_degree by a Fraction solve of the grading."""
+    grading = action.ring.grading
+    x = rational_solve(grading, list(degree))
+    if x is None:
+        raise ActionError("degree %s is not in the grading lattice image" % (degree,))
+    _, perm, _ = action._power(times)
+    moved = [None] * len(x)
+    for i, j in enumerate(perm):
+        moved[j] = x[i]
+    out = []
+    for row in grading:
+        v = sum(a * m for a, m in zip(row, moved))
+        if v.denominator != 1:
+            raise ActionError("induced degree action is not integral")
+        out.append(int(v))
+    return Multidegree(out)
+
+
+def rational_positive_weights(grading):
+    """rings._positive_weights by Fraction solves: the row sum, else the
+    first solvable square subsystem w_S(y) = 1 whose w is positive."""
+    w = tuple(map(sum, zip(*grading)))
+    if all(x >= 1 for x in w):
+        return (1,) * len(grading), w
+    nvars = len(grading[0])
+    rank = len(rational_rref(grading)[1])
+    for subset in itertools.combinations(range(nvars), rank):
+        y = rational_solve([[row[j] for row in grading] for j in subset], [1] * rank)
+        if y is None:
+            continue
+        w = [sum(yi * row[j] for yi, row in zip(y, grading)) for j in range(nvars)]
+        if all(x >= 1 for x in w):
+            scale = math.lcm(*(v.denominator for v in y))
+            return tuple(int(v * scale) for v in y), tuple(int(x * scale) for x in w)
+    raise ValueError("grading admits no positive weight combination")
+
+
+def tuple_multidegree(f):
+    """(degree of the first term of the nonzero f, None or the first term
+    and the first of another degree), one degree tuple per term."""
+    grading = f.ring.grading
+
+    def degree(e):
+        return Multidegree(sum(g * a for g, a in zip(row, e)) for row in grading)
+
+    it = iter(f._t)
+    e0 = next(it)
+    deg = degree(e0)
+    for e in it:
+        if degree(e) != deg:
+            return deg, (e0, e)
+    return deg, None
 
 
 F1_GRADING = ((1, 1, 0, -1), (0, 0, 1, 1))

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import coxdescent.descent as D
 import coxdescent.groebner as G
@@ -14,7 +15,8 @@ from coxdescent import (ActionError, DescentPreconditionError, FieldTower,
                         is_invariant_ideal, lower_piece_basis, make_custom,
                         make_product_projective, make_segre_p1p1, monomials_of_degree)
 from coxdescent.groebner import defining_ideal
-from conftest import echelon, coords_of, grevlex_key, span_equal, random_poly, seeded
+from conftest import (echelon, coords_of, grevlex_key, preserves_grading_kernel, random_poly,
+                      rational_apply_degree, seeded, span_equal)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +106,79 @@ class TestSemilinearAction:
             g = apply_action(a, g)
             assert apply_action(a, f, k) == g
             assert apply_action(a, g, -k) == f
+
+
+@st.composite
+def graded_permutations(draw):
+    """(grading, perm) on n <= 6 variables.  Half the gradings mix, by an
+    integer matrix with negative entries, rows from the orbit of a positive
+    row under the permutation, so that many keep the grading kernel and have
+    rank below their row count; the rest are random."""
+    n = draw(st.integers(2, 6))
+    perm = draw(st.permutations(range(n)))
+    nrows = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        orbit = [draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))]
+        for _ in range(draw(st.integers(0, 3))):
+            orbit.append([orbit[-1][j] for j in perm])
+        mix = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(orbit),
+                                     max_size=len(orbit)), min_size=nrows, max_size=nrows))
+        grading = [[sum(c * row[j] for c, row in zip(m, orbit)) for j in range(n)] for m in mix]
+    else:
+        grading = draw(st.lists(st.lists(st.integers(-2, 3), min_size=n, max_size=n),
+                                min_size=nrows, max_size=nrows))
+    return grading, perm
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ActionError as exc:
+        return "ActionError: %s" % exc
+
+
+class TestDegreeMapAgainstFractions:
+    """The integer degree map built at construction against a Fraction
+    solve of the grading per call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graded_permutations(),
+           st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=4))
+    # full rank: (0, 1) maps to (1/2, 1/2); rank 1 of 2: (1, 0) is outside the image
+    @example(([[1, 0], [1, 2]], [1, 0]), [[0, 1, 0], [1, 1, 0], [0, 2, 0]])
+    @example(([[1, 1], [2, 2]], [1, 0]), [[1, 0, 0], [1, 2, 0]])
+    def test_apply_degree_property(self, gf9, case, degrees):
+        grading, perm = case
+        n, r = len(perm), len(grading)
+        try:
+            ring = MultigradedRing(gf9, ["v%d" % i for i in range(n)], grading=grading)
+        except ValueError:  # no positive weights
+            return
+        var_map = {"v%d" % i: "v%d" % j for i, j in enumerate(perm)}
+        if not preserves_grading_kernel(grading, perm):
+            with pytest.raises(ActionError, match="^variable permutation does not preserve "
+                                                  "the grading kernel$"):
+                SemilinearAction(ring, 1, var_map)
+            return
+        action = SemilinearAction(ring, 1, var_map)
+        for degree in degrees:
+            degree = Multidegree(degree[:r])
+            for times in (1, 2, 3, 0, -1):
+                assert (outcome(action.apply_degree, degree, times)
+                        == outcome(rational_apply_degree, action, degree, times))
+
+    def test_both_errors_reached(self, gf9):
+        ring = MultigradedRing(gf9, ["x", "y"], grading=[[1, 0], [1, 2]])
+        action = SemilinearAction(ring, 0, {"x": "y", "y": "x"})
+        assert action.apply_degree(Multidegree((1, 1))) == Multidegree((0, 2))
+        with pytest.raises(ActionError, match="^induced degree action is not integral$"):
+            action.apply_degree(Multidegree((0, 1)))
+        ring = MultigradedRing(gf9, ["x", "y"], grading=[[1, 1], [2, 2]])
+        action = SemilinearAction(ring, 0, {"x": "y", "y": "x"})
+        assert action.apply_degree(Multidegree((1, 2))) == Multidegree((1, 2))
+        with pytest.raises(ActionError, match=r"^degree \(1,0\) is not in the grading "
+                                              r"lattice image$"):
+            action.apply_degree(Multidegree((1, 0)))
 
 
 class TestInvariance:

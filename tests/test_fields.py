@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxdescent import FieldTower, ParseError, TowerMismatchError, frobenius
-from coxdescent.fields import (_LOG_BOUND, _is_prime, _pinvmod, _pmod, _pmul, _ppowmod,
+from coxdescent.fields import (_LOG_BOUND, _is_prime, _pdivmod, _pmod, _pmul, _ppowmod,
                                _ptrim)
 
 from conftest import DIGIT_LIMIT
@@ -294,6 +294,25 @@ def test_element_integer_past_the_digit_limit_is_a_parse_error(text):
 # GF(2^14) is the largest tower on discrete logs (q equals the bound), GF(101^3)
 # the benchmark's tower on coefficient tuples
 AGREEMENT_TOWERS = [(3, 2), (2, 4), (5, 3), (101, 2), (2, 14), (101, 3)]
+
+
+def _pinvmod(a, m, p):
+    """a^-1 mod the monic m by extended Euclid in GF(p)[t], gcd(a, m) = 1:
+    the oracle for the towers' inverses."""
+    r0, r1 = list(m), _pmod(a, m, p)
+    s0, s1 = [], [1]
+    while r1:
+        inv = pow(r1[-1], p - 2, p)
+        # dividing by the monic r1/lc leaves the remainder of dividing by r1
+        q, r = _pdivmod(r0, [(c * inv) % p for c in r1], p)
+        q = [(c * inv) % p for c in q]
+        r0, r1 = r1, r
+        s0, s1 = s1, _ptrim([(x - y) % p for x, y in
+                             itertools.zip_longest(s0, _pmul(q, s1, p), fillvalue=0)])
+    if len(r0) != 1:
+        raise ZeroDivisionError("element is not invertible")
+    c = pow(r0[0], p - 2, p)
+    return [(x * c) % p for x in s0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -530,6 +530,23 @@ class TestPackedBases:
         assert [str(g) for h in results for g in h.gens] == ["y0", "y1", "x0*y0", "y0", "y1"]
         assert unpacked == [2, 2, 1, 1, 2, 2]
 
+    def test_chained_saturation_unpacks_no_basis(self, ring, monkeypatch):
+        # a saturation result's generators are its packed basis, and the next
+        # saturation reads their degrees there; inhomogeneous ones still
+        # take the elimination
+        unpacked = count_unpacked_bases(monkeypatch)
+        singles = []
+        single = G.saturate_single
+        monkeypatch.setattr(G, "saturate_single",
+                            lambda ideal, g: singles.append(str(g)) or single(ideal, g))
+        a = mk(ring, "x0*y0", "x0*y1", "x1^2*y1")
+        twice = saturate(saturate(a, mk(ring, "x0")), mk(ring, "x1"))
+        b = saturate(mk(ring, "x0*y0 + x1"), mk(ring, "y0"))
+        again = saturate(b, mk(ring, "x1"))
+        assert (singles, unpacked) == (["y0", "x1"], [])
+        assert [str(g) for g in twice.reduced_gb()] == ["y0", "y1"]
+        assert [str(g) for g in again.reduced_gb()] == ["x0*y0 + x1"]
+
     @pytest.mark.parametrize("texts", [["x0"], []])
     def test_contains_ideal_across_rings(self, ring, gf101, texts):
         other = make_product_projective([1, 1], gf101).ring

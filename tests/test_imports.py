@@ -3,7 +3,10 @@ imports another inside a function, and no module relies on ``assert``, which
 ``python -O`` strips."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +69,15 @@ def test_detects_a_bare_assert():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_bare_asserts(path):
     assert bare_asserts(path.read_text()) == []
+
+
+def test_cli_imports_no_fractions_or_decimal():
+    # gradings are solved on integers; fractions (and the decimal module it
+    # imports) cost every CLI process about 4 ms
+    code = ("import sys, coxdescent.cli\n"
+            "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

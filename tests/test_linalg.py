@@ -3,8 +3,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from coxdescent import FieldTower
-from coxdescent.linalg import (RATIONALS, kernel, prime_field, rational_solve,
-                               rref)
+from coxdescent.linalg import _integer_rref, kernel, prime_field, rref
+
+from conftest import RATIONALS, rational_rref
 
 GF7 = prime_field(7)
 GF9 = FieldTower(3, 2)
@@ -91,14 +92,60 @@ class TestKernel:
         assert kernel(GF7, []) == []
 
 
+def integer_solve(rows, rhs):
+    """The RREF solution of A x = b over Q that _integer_rref reads off, or
+    None when there is none."""
+    ncols = len(rows[0])
+    d, red, pivots = _integer_rref([row + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = Fraction(row[-1], d)
+    return x
+
+
+class TestIntegerRref:
+    @settings(max_examples=100, deadline=None)
+    @given(matrices())
+    def test_scaled_rational_rref(self, mat):
+        d, red, pivots = _integer_rref(mat)
+        assert d != 0 and all(isinstance(x, int) for row in red for x in row)
+        assert all(row[pc] == d for row, pc in zip(red, pivots))
+        assert ([[Fraction(x, d) for x in row] for row in red], pivots) == rational_rref(mat)
+        assert (red, pivots) == _integer_rref(mat)[1:]
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(min_rows=1))
+    def test_kernel_read_off(self, mat):
+        ncols = len(mat[0])
+        d, red, pivots = _integer_rref(mat)
+        basis = []
+        for fc in range(ncols):
+            if fc not in pivots:
+                v = [d * (i == fc) for i in range(ncols)]
+                for row, pc in zip(red, pivots):
+                    v[pc] = -row[fc]
+                basis.append(v)
+        assert [[Fraction(x, d) for x in v] for v in basis] == kernel(RATIONALS, mat)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in mat for v in basis)
+
+    def test_example(self):
+        # det [[2, 1], [1, 3]] = 5, and x = (2, 1) / 5 solves it against (1, 1)
+        assert _integer_rref([[2, 1, 1], [1, 3, 1]]) == (5, [[5, 0, 2], [0, 5, 1]], [0, 1])
+        assert _integer_rref([[0, 2], [0, 4]]) == (2, [[0, 2]], [1])
+
+
 class TestRationalSolve:
+    """Solutions over Q as _integer_rref reads them off an augmented matrix."""
+
     @settings(max_examples=100, deadline=None)
     @given(matrices(min_rows=1), st.lists(small_ints, min_size=5, max_size=5))
     def test_none_exactly_when_inconsistent(self, mat, rhs):
         rhs = rhs[:len(mat)]
-        x = rational_solve(mat, rhs)
-        rank = len(rref(RATIONALS, mat)[1])
-        rank_aug = len(rref(RATIONALS, [row + [b] for row, b in zip(mat, rhs)])[1])
+        x = integer_solve(mat, rhs)
+        rank = len(_integer_rref(mat)[2])
+        rank_aug = len(_integer_rref([row + [b] for row, b in zip(mat, rhs)])[2])
         if rank_aug > rank:
             assert x is None
         else:
@@ -106,4 +153,5 @@ class TestRationalSolve:
             assert [sum(a * xi for a, xi in zip(row, x)) for row in mat] == rhs
 
     def test_no_equations(self):
-        assert rational_solve([], []) is None
+        # no rows, or rows of no unknowns: rank 0, nothing to read off
+        assert _integer_rref([]) == _integer_rref([[], []]) == (1, [], [])

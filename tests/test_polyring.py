@@ -1,4 +1,5 @@
 import math
+import operator
 import subprocess
 import sys
 import time
@@ -11,9 +12,10 @@ from coxdescent import (FieldTower, InhomogeneousError, Multidegree,
                         degree_leq, make_product_projective,
                         monomials_of_degree, multidegree)
 
-from coxdescent.rings import EXPONENT_CAP, _positive_weights
+from coxdescent.rings import EXPONENT_CAP, Polynomial, _monomial_str, _positive_weights
 
-from conftest import DIGIT_LIMIT, grevlex_key, random_poly, reference_parse, seeded
+from conftest import (DIGIT_LIMIT, grevlex_key, random_poly, rational_kernel,
+                      rational_positive_weights, reference_parse, seeded, tuple_multidegree)
 
 # Hirzebruch surface F1: neither grading row nor their sum is positive on
 # every variable, but y = (1, 2) is.
@@ -54,9 +56,18 @@ class TestConstruction:
         assert r.parse("x*y").multidegree() == Multidegree((1, 0))
 
 
+# 1 to 3 rows on up to 6 variables, entries -2 to 3
+GRADINGS = st.integers(min_value=1, max_value=3).flatmap(
+    lambda rank: st.integers(min_value=rank, max_value=6).flatmap(
+        lambda nvars: st.lists(
+            st.lists(st.integers(min_value=-2, max_value=3), min_size=nvars, max_size=nvars),
+            min_size=rank, max_size=rank)))
+
+
 class TestWeightCertificate:
     def test_hirzebruch_f1(self, gf101):
         assert _positive_weights(F1_GRADING) == ((1, 2), (1, 1, 2, 1))
+        assert rational_positive_weights(F1_GRADING) == ((1, 2), (1, 1, 2, 1))
         r = MultigradedRing(gf101, ["x0", "x1", "y0", "y1"], grading=F1_GRADING)
         got = {str(m) for m in monomials_of_degree(r, Multidegree((1, 1)))}
         # y1 has degree (-1, 1)
@@ -79,12 +90,7 @@ class TestWeightCertificate:
             _positive_weights(((1, 0, -1), (0, 1, -1)))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=1, max_value=3).flatmap(
-        lambda rank: st.integers(min_value=rank, max_value=6).flatmap(
-            lambda nvars: st.lists(
-                st.lists(st.integers(min_value=-2, max_value=3),
-                         min_size=nvars, max_size=nvars),
-                min_size=rank, max_size=rank))))
+    @given(GRADINGS)
     def test_certificate_is_positive_row_combination(self, grading):
         try:
             y, w = _positive_weights(grading)
@@ -94,6 +100,18 @@ class TestWeightCertificate:
         assert list(w) == [sum(yi * row[j] for yi, row in zip(y, grading))
                            for j in range(len(grading[0]))]
         assert all(x > 0 for x in w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(GRADINGS)
+    def test_matches_fraction_solves_property(self, grading):
+        # the same subset order, so the same (y, w), or the same failure
+        try:
+            want = rational_positive_weights(grading)
+        except ValueError:
+            with pytest.raises(ValueError, match="^grading admits no positive weight"):
+                _positive_weights(grading)
+            return
+        assert _positive_weights(grading) == want
 
     def test_scipy_never_imported(self):
         code = (
@@ -187,6 +205,56 @@ class TestMultidegree:
     def test_zero_has_no_multidegree(self, ring):
         with pytest.raises(InhomogeneousError):
             multidegree(ring.zero())
+
+    def test_packed_degrees_past_their_range(self, gf101):
+        # x^(2^32 + 2^64) and y^(2^64 + 1) pack to the same int in a ring
+        # graded by the identity: the packing is read only below its limit
+        r = MultigradedRing(gf101, ["x", "y"], grading=[[1, 0], [0, 1]])
+        a, b = (2 ** 32 + 2 ** 64, 0), (0, 2 ** 64 + 1)
+        assert sum(map(operator.mul, a, r._degree_cols)) == sum(map(operator.mul, b, r._degree_cols))
+        with pytest.raises(InhomogeneousError) as exc:
+            Polynomial(r, {b: 1, a: 1}).multidegree()
+        assert exc.value.monomials == (b, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(GRADINGS, st.integers(0, 2 ** 32), st.sampled_from([0, 4, 2 ** 40]),
+           st.sampled_from([None, 3, 2 ** 40]))
+    def test_matches_degree_tuples_property(self, gf101, grading, seed, base, stray):
+        # terms e0 + integer kernel vectors share e0's degree; a stray term
+        # usually does not.  Exponents past 2^40 leave the packed range.
+        try:
+            ring = MultigradedRing(gf101, ["v%d" % i for i in range(len(grading[0]))],
+                                   grading=grading)
+        except ValueError:  # no positive weights
+            return
+        rng = seeded(seed)
+        n = ring.nvars
+        e0 = [base + rng.randint(0, 3) for _ in range(n)]
+        kernel = [[int(x * math.lcm(*(c.denominator for c in v))) for x in v]
+                  for v in rational_kernel(grading)]
+        exps = [tuple(e0)]
+        for _ in range(rng.randint(0, 4)):
+            e = list(e0)
+            for v in kernel:
+                k = rng.randint(-1, 1)
+                e = [a + k * x for a, x in zip(e, v)]
+            if min(e) >= 0:
+                exps.append(tuple(e))
+        if stray is not None:
+            exps.insert(rng.randint(1, len(exps)), tuple(rng.randint(0, stray) for _ in range(n)))
+        f = Polynomial(ring, dict.fromkeys(exps, 1))
+        deg, off = tuple_multidegree(f)
+        if off is None:
+            assert f.multidegree() == deg
+            return
+        with pytest.raises(InhomogeneousError) as exc:
+            f.multidegree()
+        e0, e = off
+        assert exc.value.monomials == off
+        assert str(exc.value) == (
+            "inhomogeneous polynomial: monomials %s and %s have degrees %s and %s"
+            % (_monomial_str(ring, e0), _monomial_str(ring, e), deg,
+               tuple_multidegree(Polynomial(ring, {e: 1}))[0]))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 2), st.integers(0, 2),
