@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groebner import (IdealHandle, _dicts_of_pairs, _monomial_primes, _normal_form_dict,
-                       ambient_dimension, defining_ideal, height, saturate)
+from .groebner import (IdealHandle, _dicts_of_pairs, _homogeneous, _monomial_primes,
+                       _normal_form_dict, ambient_dimension, defining_ideal, height, saturate)
 from .rings import MultigradedRing, Polynomial, _require_homogeneous
 
 _FACTOR_LETTERS = "xyzwuv"
@@ -79,7 +79,8 @@ def make_custom(ring):
 
 def subscheme_ideal(amb, ideal):
     """The ideal of the subscheme cut out by I: saturation against G."""
-    _require_homogeneous(ideal.gens)
+    if not _homogeneous(ideal):  # reads a basis handle packed
+        _require_homogeneous(ideal.gens)
     if ideal.is_unit():
         raise ValueError("subscheme ideal of the unit ideal is undefined")
     return saturate(ideal, amb.irrelevant_ideal())
@@ -153,7 +154,10 @@ def _strict_ci_verdict(amb, ideal):
     I : P^inf = I for each P with ht(I + P) > s, also after saturating by
     other primes, whose result is an intersection of primary components of
     I.  So I is saturated only by the primes with ht(I + P) = s, one after
-    another.
+    another.  Each saturation returns a grevlex basis, which with equal
+    weights is the x-last order of the ring's last variable: the next prime
+    containing it (the last factor's, on a product of projective spaces)
+    takes its one Bayer step without a conversion.
     """
     s = len(ideal.gens)
     h = height(ideal)

@@ -527,14 +527,18 @@ def saturate(ideal, direction):
     When every generator of ``direction`` is a single term and the ideal
     is homogeneous, this is I : P_1^inf : ... : P_m^inf over the primes
     P_C = (x : x in C) of the radical of G, C running over the minimal
-    transversals of the generators' supports; each I : P_C^inf is the
-    intersection of the I : x^inf, x in C, each computed by one Bayer step
-    (:func:`_saturate_variable`).  Otherwise it is the intersection of the
-    single saturations by the generators, found by elimination; that loop
-    stops early once the running result collapses to I itself.  In between,
-    bases stay in the order a step left them in, as (pairs, order); the
-    result is rebuilt in grevlex once, at the end.  Both paths return the
-    same reduced basis.
+    transversals of the generators' supports.  Each I : P_C^inf starts with
+    one Bayer step (:func:`_saturate_variable`) by a variable x_f of C, one
+    whose x-last order the basis is in if there is one: J = I : x_f^inf
+    contains I : P_C^inf, and equals it when normal forms modulo I show
+    that a power of every other x in C takes J into I (:func:`_certified`).
+    When they do not, I : P_C^inf is the intersection of the I : x^inf,
+    x in C, each by one Bayer step.  For other directions it is the
+    intersection of the single saturations by the generators, found by
+    elimination; that loop stops early once the running result collapses
+    to I itself.  In between, bases stay in the order a step left them in,
+    as (pairs, order); the result is rebuilt in grevlex once, at the end.
+    All paths return the same reduced basis.
     """
     ring = ideal.ring
     if direction.ring is not ring:
@@ -548,10 +552,17 @@ def saturate(ideal, direction):
     meet = functools.partial(_meet, ring)
     bayer = all(len(g) == 1 for g in gens) and _homogeneous(ideal)
     if bayer:
+        weights = ring._weights[1]
         for c in _monomial_primes(gens):
+            # a step in the basis's own order converts nothing
+            f = next((i for i in c if _bayer(weights, i) is basis[1]), c[0])
+            first, k = _saturate_variable(ring, basis, f)
+            if first is basis or _certified(tower, basis, first, k, [i for i in c if i != f]):
+                basis = first
+                continue
             parts = []
             for i in c:
-                part = _saturate_variable(ring, basis, i)
+                part = first if i == f else _saturate_variable(ring, basis, i)[0]
                 if part is basis:  # then so is the intersection
                     break
                 parts.append(part)
@@ -636,9 +647,10 @@ def _min_transversals(supports):
 
 
 def _saturate_variable(ring, basis, i):
-    """(I : x_i^infinity) of a homogeneous I by Bayer's method, for I and the
-    result as bases (pairs, order); I's own ``basis`` when x_i is no zero
-    divisor modulo I.
+    """(I : x_i^infinity, k) of a homogeneous I by Bayer's method, for I and
+    the result as bases (pairs, order), where x_i^k is the largest power
+    divided out; I's own ``basis`` (and 0) when x_i is no zero divisor
+    modulo I.
 
     In grevlex with x_i last, weighted by the ring's positive weights,
     x_i^k divides a homogeneous f exactly when it divides the leading term.
@@ -653,14 +665,44 @@ def _saturate_variable(ring, basis, i):
         pairs = _buchberger(tower, border, _repack(tower, basis, border))
     powers = [border.unpack(lt)[i] for lt, _ in pairs]
     if not any(powers):
-        return basis
+        return basis, 0
     divided = []
     for a, (lt, tail) in zip(powers, pairs):
         if a:  # x_i^a divides every term
             q = a * border.cols[i]
             lt, tail = lt - q, {e - q: c for e, c in tail.items()}
         divided.append((lt, tail))
-    return _reduce_basis(divided, tower, border), border
+    return (_reduce_basis(divided, tower, border), border), max(powers)
+
+
+def _certified(tower, basis, part, k, others):
+    """Whether J = I : x_f^infinity, with basis ``part``, is I : P^infinity
+    for P = (x_f, x_i : i in ``others``): True once, for every basis element
+    g of J and every i, some x_i^j * g with j <= k lies in I.
+
+    Then J lies in each I : x_i^infinity, so in their intersection
+    I : P^infinity, which lies in J.  Modulo I's ``basis``, in its own order,
+    r = NF(g) and then r = NF(x_i * r) is NF(x_i^j * g) after j steps: zero
+    exactly when x_i^j * g is in I.  False says nothing: a chain did not
+    reach zero within k steps, or a shift would take a term past the cap,
+    which a graded order does not check term by term (its ``guard`` is 0).
+    """
+    gb, order = basis
+    for g in _repack(tower, part, order):
+        r = _normal_form_dict(g, gb, tower, order)
+        if not r:
+            continue  # g is in I
+        for i in others:
+            col, s = order.cols[i], r
+            for _ in range(k):
+                if max(s) + col >= order.limit:
+                    return False
+                s = _normal_form_dict({e + col: c for e, c in s.items()}, gb, tower, order)
+                if not s:
+                    break
+            else:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxdescent import (ExponentCapError, FieldTower, IdealHandle, Multidegree,
-                        MultigradedRing, RingMismatchError, SaturationDirectionError,
-                        UnitIdealError, ambient_dimension, dimension, height, ideal_equal,
-                        intersect, is_strict_ci, make_product_projective,
-                        monomials_of_degree, normal_form, reduced_gb, saturate)
+from coxdescent import (ExponentCapError, FieldTower, IdealHandle, InhomogeneousError,
+                        Multidegree, MultigradedRing, RingMismatchError,
+                        SaturationDirectionError, UnitIdealError, ambient_dimension,
+                        dimension, height, ideal_equal, intersect, is_strict_ci,
+                        make_product_projective, monomials_of_degree, normal_form,
+                        reduced_gb, saturate, subscheme_ideal)
 from coxdescent import groebner as G
 from coxdescent.rings import EXPONENT_CAP
 
@@ -411,6 +412,74 @@ class TestBayerSaturation:
         assert (saturate(ideal, direction).reduced_gb()
                 == eliminating_saturate(ideal, direction).reduced_gb())
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_AMBIENT_DEGREES)), st.integers(0, 2 ** 32))
+    def test_uncertified_prime_falls_back_property(self, ambients, name, seed):
+        # x0*(f_1, ...) + (h) has the component V(x0, h) inside {x0 = 0}:
+        # I : x0^inf drops it and I : P^inf keeps it unless it lies in V(P),
+        # so the certificate mostly fails and the per-variable steps decide
+        amb = ambients[name]
+        ring = amb.ring
+        rng = seeded(seed)
+        degrees = SMALL_AMBIENT_DEGREES[name]
+        x0 = ring.gens()[0]
+        forms = [x0 * sparse_poly(ring, Multidegree(rng.choice(degrees)), rng)
+                 for _ in range(rng.randint(1, 2))]
+        ideal = IdealHandle(ring, forms + [sparse_poly(ring, Multidegree(rng.choice(degrees)), rng)])
+        direction = amb.irrelevant_ideal()
+        assert (saturate(ideal, direction).reduced_gb()
+                == eliminating_saturate(ideal, direction).reduced_gb())
+
+    def test_one_conversion_per_prime_of_a_not_strict_verdict(self, gf101, monkeypatch):
+        # on P2xP2 both primes hold a component of a CI of degrees (1,1),
+        # (1,1), (2,1).  The x-prime converts once, to x0 last; the y-prime
+        # starts from the grevlex rebuild, which is y2's order.  Each first
+        # step is certified, so no other variable takes a step
+        amb = make_product_projective([2, 2], gf101)
+        ring = amb.ring
+        rng = seeded(0)
+        polys = [random_poly(ring, Multidegree(d), rng) for d in [(1, 1), (1, 1), (2, 1)]]
+        steps = []
+        step = G._saturate_variable
+        monkeypatch.setattr(G, "_saturate_variable",
+                            lambda ring, basis, i: steps.append(i) or step(ring, basis, i))
+
+        def refuse(*args):
+            raise AssertionError("met")
+
+        monkeypatch.setattr(G, "_meet", refuse)
+        orders = record_buchberger_orders(monkeypatch)
+        assert is_strict_ci(amb, polys).status == "not_strict"
+        grevlex = G._grevlex(ring.nvars)
+        assert [k for k in orders if k is not grevlex] == [G._bayer(ring._weights[1], 0)]
+        assert steps == [0, 5]
+
+    def test_certificate_stops_at_the_exponent_cap(self, amb, ring, monkeypatch):
+        # J = I : x0^inf = (y0, y1^(cap-2)), with x0^3 divided out.  The
+        # chain x1^j*y1^(cap-2) reaches degree cap at j = 2, and the next
+        # shift would pass it, so the certificate falls back instead; x1 is
+        # no zero divisor modulo I, so I : P^inf = I
+        cap = EXPONENT_CAP
+        ideal = mk(ring, "x0^3*y0", "x0*y1^%d" % (cap - 2), "x0*y0*y1")
+        degrees = []
+        nf = G._normal_form_dict
+
+        def recording(h, gb, tower, order, zero_test=False):
+            if h:
+                degrees.append(max(h) >> order.top)
+            return nf(h, gb, tower, order, zero_test)
+
+        monkeypatch.setattr(G, "_normal_form_dict", recording)
+        direction = mk(ring, "x0", "x1")
+        assert saturate(ideal, direction).equals(ideal)
+        assert max(degrees) == cap
+        monkeypatch.undo()
+        assert ideal.equals(eliminating_saturate(ideal, direction))
+        # the y-prime's chain x0*y0^j never reaches I: cap - 2 steps, then
+        # the per-variable steps
+        sat = saturate(ideal, amb.irrelevant_ideal())
+        assert [str(g) for g in sat.reduced_gb()] == ["x0^3", "x0*y1"]
+
     def test_monomial_direction_runs_no_elimination(self, ambients, monkeypatch):
         def refuse(*args):
             raise AssertionError("eliminated")
@@ -546,6 +615,19 @@ class TestPackedBases:
         assert (singles, unpacked) == (["y0", "x1"], [])
         assert [str(g) for g in twice.reduced_gb()] == ["y0", "y1"]
         assert [str(g) for g in again.reduced_gb()] == ["x0*y0 + x1"]
+
+    def test_subscheme_of_a_saturation_unpacks_no_basis(self, amb, ring, monkeypatch):
+        sat = saturate(mk(ring, "x0*y0", "x0*x1*y1"), mk(ring, "x0"))
+        unpacked = count_unpacked_bases(monkeypatch)
+        sub = subscheme_ideal(amb, sat)
+        assert unpacked == []
+        assert [str(g) for g in sub.reduced_gb()] == ["x1", "y0"]
+        # an inhomogeneous ideal is still named by its generators
+        with pytest.raises(InhomogeneousError) as err:
+            subscheme_ideal(amb, mk(ring, "x0 + x0*y0"))
+        assert (str(err.value), err.value.monomials) == (
+            "inhomogeneous polynomial: monomials x0 and x0*y0 have degrees (1,0) and (1,1)",
+            ((1, 0, 0, 0), (1, 0, 1, 0)))
 
     @pytest.mark.parametrize("texts", [["x0"], []])
     def test_contains_ideal_across_rings(self, ring, gf101, texts):
