@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groebner import (IdealHandle, _dicts_of_pairs, _homogeneous, _monomial_primes,
-                       _normal_form_dict, ambient_dimension, defining_ideal, height, saturate)
+from .groebner import (IdealHandle, _dicts_of_pairs, _height_plus_prime, _homogeneous,
+                       _monomial_primes, _normal_form_dict, ambient_dimension, defining_ideal,
+                       height, saturate)
 from .rings import MultigradedRing, Polynomial, _require_homogeneous
 
 _FACTOR_LETTERS = "xyzwuv"
@@ -149,15 +150,17 @@ def _strict_ci_verdict(amb, ideal):
     contains G, iff ht(I + G) = s.  When G is generated by monomials, V(I + G)
     is the union of the V(I + P) over the minimal primes P of G, which are
     generated by variables; so ht(I + G) is the least ht(I + P), and each
-    I + P (``IdealHandle._plus_prime``) has a small basis where I + G, with
-    all of G's products, has a large one.  The same argument gives
+    ht(I + P) is read off I's basis with P's terms dropped
+    (:func:`~coxdescent.groebner._height_plus_prime`), where I + G, with all
+    of G's products, has a large basis.  The same argument gives
     I : P^inf = I for each P with ht(I + P) > s, also after saturating by
     other primes, whose result is an intersection of primary components of
     I.  So I is saturated only by the primes with ht(I + P) = s, one after
     another.  Each saturation returns a grevlex basis, which with equal
     weights is the x-last order of the ring's last variable: the next prime
     containing it (the last factor's, on a product of projective spaces)
-    takes its one Bayer step without a conversion.
+    takes its one Bayer step without a conversion; any other prime converts
+    once, to the x-last order of its own last variable.
     """
     s = len(ideal.gens)
     h = height(ideal)
@@ -168,7 +171,7 @@ def _strict_ci_verdict(amb, ideal):
         x = ring.gens()
         sat = ideal
         for c in _monomial_primes(ring.irrelevant):
-            if height(ideal._plus_prime(c)) == s:
+            if _height_plus_prime(ideal, c) == s:
                 sat = saturate(sat, IdealHandle(ring, [x[i] for i in c]))
         if sat is ideal:
             return StrictCIVerdict(status="strict", height=h, expected=s)

@@ -398,21 +398,6 @@ class IdealHandle:
         k = self._order.pack(e)
         return any(self._order.divides(lt, k) for lt, _ in self._pairs())
 
-    def _plus_prime(self, c):
-        """I + P for P generated by the variables indexed by ``c``, its basis
-        built from theirs and I's reduced basis with every term in P dropped."""
-        ring, order = self.ring, self._order
-        x = ring.gens()
-        p = tuple(x[i] for i in c)
-        # field i of a grevlex int holds bias - e_i, so a term is in P when
-        # one of P's fields differs from K(0)'s
-        mask = sum(((1 << _FIELD_BITS) - 1) << _FIELD_BITS * i for i in c)
-        rest = [{k: v for k, v in t.items() if k & mask == order.zero & mask}
-                for t in _dicts_of_pairs(ring.tower, self._pairs())]
-        h = IdealHandle(ring, self.gens + p)
-        h._gb_pairs = _buchberger(ring.tower, order, rest + [order.pack_terms(g._t) for g in p])
-        return h
-
     def contains(self, f):
         return not self._reduce(f, zero_test=True)
 
@@ -528,10 +513,12 @@ def saturate(ideal, direction):
     is homogeneous, this is I : P_1^inf : ... : P_m^inf over the primes
     P_C = (x : x in C) of the radical of G, C running over the minimal
     transversals of the generators' supports.  Each I : P_C^inf starts with
-    one Bayer step (:func:`_saturate_variable`) by a variable x_f of C, one
-    whose x-last order the basis is in if there is one: J = I : x_f^inf
-    contains I : P_C^inf, and equals it when normal forms modulo I show
-    that a power of every other x in C takes J into I (:func:`_certified`).
+    one Bayer step (:func:`_saturate_variable`) by a variable x_f of C: one
+    whose x-last order the basis is in if there is one, else C's last
+    variable, whose conversion and later grevlex rebuild measure cheaper
+    than the first variable's.  Any x_f is exact: J = I : x_f^inf contains
+    I : P_C^inf, and equals it when normal forms modulo I show that a power
+    of every other x in C takes J into I (:func:`_certified`).
     When they do not, I : P_C^inf is the intersection of the I : x^inf,
     x in C, each by one Bayer step.  For other directions it is the
     intersection of the single saturations by the generators, found by
@@ -555,7 +542,7 @@ def saturate(ideal, direction):
         weights = ring._weights[1]
         for c in _monomial_primes(gens):
             # a step in the basis's own order converts nothing
-            f = next((i for i in c if _bayer(weights, i) is basis[1]), c[0])
+            f = next((i for i in c if _bayer(weights, i) is basis[1]), c[-1])
             first, k = _saturate_variable(ring, basis, f)
             if first is basis or _certified(tower, basis, first, k, [i for i in c if i != f]):
                 basis = first
@@ -709,16 +696,19 @@ def _certified(tower, basis, part, k, others):
 # dimension and height
 
 def dimension(ideal):
-    """Krull dimension of R/I via the initial monomial ideal.
+    """Krull dimension of R/I via the initial monomial ideal."""
+    return _dimension_of_leads(ideal.ring.nvars, ideal._order, ideal._pairs())
 
-    The number of variables minus the size of a smallest variable set that
-    meets the support of every leading monomial of the reduced basis.
-    """
-    lts = [ideal._order.unpack(lt) for lt, _ in ideal._pairs()]
+
+def _dimension_of_leads(n, order, pairs):
+    """Krull dimension of k[x_0..x_{n-1}] modulo the ideal of the reduced
+    basis ``pairs``: n minus the size of a smallest variable set that meets
+    the support of every leading monomial."""
+    lts = [order.unpack(lt) for lt, _ in pairs]
     if lts and not any(lts[0]):
         raise UnitIdealError("dimension of the unit ideal is undefined")
     supports = {frozenset(i for i, a in enumerate(lt) if a) for lt in lts}
-    return ideal.ring.nvars - _min_hitting_set(supports)
+    return n - _min_hitting_set(supports)
 
 
 def _min_hitting_set(supports):
@@ -750,3 +740,22 @@ def ambient_dimension(ring):
 def height(ideal):
     """Codimension: dim of the ambient (quotient) ring minus dim R/I."""
     return ambient_dimension(ideal.ring) - dimension(ideal)
+
+
+def _height_plus_prime(ideal, c):
+    """ht(I + P) for P generated by the variables indexed by ``c``.
+
+    R/(I + P) is k[x_j : j not in c] modulo the images of I's reduced basis
+    with every term in P dropped, so its dimension is n - |c| minus a
+    smallest hitting set of the images' leading terms, none of which
+    involves P.  With no image left that hitting set is empty, and no basis
+    is computed.
+    """
+    ring, order = ideal.ring, ideal._order
+    # field i of a grevlex int holds bias - e_i, so a term is in P when
+    # one of P's fields differs from K(0)'s
+    mask = sum(((1 << _FIELD_BITS) - 1) << _FIELD_BITS * i for i in c)
+    rest = [{k: v for k, v in t.items() if k & mask == order.zero & mask}
+            for t in _dicts_of_pairs(ring.tower, ideal._pairs())]
+    pairs = _buchberger(ring.tower, order, rest) if any(rest) else []
+    return ambient_dimension(ring) - _dimension_of_leads(ring.nvars, order, pairs) + len(c)

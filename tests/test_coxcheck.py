@@ -7,9 +7,9 @@ from coxdescent import (IdealHandle, InhomogeneousError, Multidegree, Multigrade
                         StrictCIVerdict, dimension, height, ideal_equal,
                         is_complete_intersection, is_strict_ci, make_custom,
                         make_product_projective, make_segre_p1p1, subscheme_ideal)
-from coxdescent import cox
+from coxdescent import cox, groebner
 from coxdescent.cox import _cohen_macaulay
-from coxdescent.groebner import _monomial_primes, defining_ideal
+from coxdescent.groebner import _height_plus_prime, _monomial_primes, defining_ideal
 
 from conftest import (SMALL_AMBIENT_DEGREES, eliminating_saturate, random_poly, seeded,
                       small_ambients, sparse_poly)
@@ -283,7 +283,7 @@ class TestHeightShortcut:
               for _ in range(rng.randint(1, 3))]
         # ht(I + G) is the least ht(I + P) over the minimal primes P of G
         ideal = IdealHandle(ring, fs)
-        assert (min(height(ideal._plus_prime(c)) for c in _monomial_primes(ring.irrelevant))
+        assert (min(_height_plus_prime(ideal, c) for c in _monomial_primes(ring.irrelevant))
                 == height(IdealHandle(ring, fs + list(ring.irrelevant))))
 
     def test_strict_verdict_runs_no_saturation(self, p2p2, monkeypatch):
@@ -295,6 +295,24 @@ class TestHeightShortcut:
         rng = seeded(5)
         fs = [random_poly(ring, Multidegree((2, 2)), rng) for _ in range(2)]
         assert is_strict_ci(p2p2, fs).status == "strict"
+
+    @pytest.mark.parametrize("name, degrees, status, runs", [
+        ("p2p2", [(2, 2), (2, 2)], "strict", 1),
+        ("p1p1", [(0, 2), (2, 1)], "not_strict", 2)])
+    def test_heights_of_i_plus_p_read_the_basis_of_i(self, request, monkeypatch, name, degrees,
+                                                     status, runs):
+        # dropping P's terms from I's basis leaves nothing for both primes on
+        # P2xP2, so only I's own basis is computed.  On P1xP1 the (0,2) form
+        # is left mod (x0, x1), one more basis; (y0, y1) leaves nothing, and
+        # the step by y1 is in grevlex, which converts nothing
+        amb = request.getfixturevalue(name)
+        rng = seeded(3)
+        fs = [random_poly(amb.ring, Multidegree(d), rng) for d in degrees]
+        calls = []
+        run = groebner._buchberger
+        monkeypatch.setattr(groebner, "_buchberger", lambda *args: calls.append(args) or run(*args))
+        assert is_strict_ci(amb, fs).status == status
+        assert len(calls) == runs
 
     @pytest.mark.parametrize("texts, status", [(["x0^200*y0", "x1^200*y1"], "not_strict"),
                                                (["x0^200*y0"], "strict")])

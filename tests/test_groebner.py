@@ -432,7 +432,7 @@ class TestBayerSaturation:
 
     def test_one_conversion_per_prime_of_a_not_strict_verdict(self, gf101, monkeypatch):
         # on P2xP2 both primes hold a component of a CI of degrees (1,1),
-        # (1,1), (2,1).  The x-prime converts once, to x0 last; the y-prime
+        # (1,1), (2,1).  The x-prime converts once, to x2 last; the y-prime
         # starts from the grevlex rebuild, which is y2's order.  Each first
         # step is certified, so no other variable takes a step
         amb = make_product_projective([2, 2], gf101)
@@ -451,16 +451,16 @@ class TestBayerSaturation:
         orders = record_buchberger_orders(monkeypatch)
         assert is_strict_ci(amb, polys).status == "not_strict"
         grevlex = G._grevlex(ring.nvars)
-        assert [k for k in orders if k is not grevlex] == [G._bayer(ring._weights[1], 0)]
-        assert steps == [0, 5]
+        assert [k for k in orders if k is not grevlex] == [G._bayer(ring._weights[1], 2)]
+        assert steps == [2, 5]
 
     def test_certificate_stops_at_the_exponent_cap(self, amb, ring, monkeypatch):
-        # J = I : x0^inf = (y0, y1^(cap-2)), with x0^3 divided out.  The
-        # chain x1^j*y1^(cap-2) reaches degree cap at j = 2, and the next
-        # shift would pass it, so the certificate falls back instead; x1 is
+        # J = I : x1^inf = (y0, y1^(cap-2)), with x1^3 divided out.  The
+        # chain x0^j*y1^(cap-2) reaches degree cap at j = 2, and the next
+        # shift would pass it, so the certificate falls back instead; x0 is
         # no zero divisor modulo I, so I : P^inf = I
         cap = EXPONENT_CAP
-        ideal = mk(ring, "x0^3*y0", "x0*y1^%d" % (cap - 2), "x0*y0*y1")
+        ideal = mk(ring, "x1^3*y0", "x1*y1^%d" % (cap - 2), "x1*y0*y1")
         degrees = []
         nf = G._normal_form_dict
 
@@ -475,10 +475,10 @@ class TestBayerSaturation:
         assert max(degrees) == cap
         monkeypatch.undo()
         assert ideal.equals(eliminating_saturate(ideal, direction))
-        # the y-prime's chain x0*y0^j never reaches I: cap - 2 steps, then
+        # the y-prime's chain x1*y0^j never reaches I: cap - 2 steps, then
         # the per-variable steps
         sat = saturate(ideal, amb.irrelevant_ideal())
-        assert [str(g) for g in sat.reduced_gb()] == ["x0^3", "x0*y1"]
+        assert [str(g) for g in sat.reduced_gb()] == ["x1^3", "x1*y1"]
 
     def test_monomial_direction_runs_no_elimination(self, ambients, monkeypatch):
         def refuse(*args):
@@ -637,17 +637,17 @@ class TestPackedBases:
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(SMALL_AMBIENT_DEGREES)), st.integers(0, 2 ** 32))
-    def test_plus_prime_basis_as_from_scratch_property(self, ambients, name, seed):
-        # I + P from I's packed basis with P's terms dropped is the basis
-        # that I's generators and P's variables give
+    def test_height_plus_prime_as_from_scratch_property(self, ambients, name, seed):
+        # ht(I + P) read off I's packed basis with P's terms dropped is the
+        # height of the ideal of I's generators and P's variables
         ring = ambients[name].ring
         rng = seeded(seed)
         ideal = IdealHandle(ring, [sparse_poly(ring, Multidegree(rng.choice(
             SMALL_AMBIENT_DEGREES[name])), rng) for _ in range(rng.randint(1, 3))])
         x = ring.gens()
         for c in G._monomial_primes(ring.irrelevant):
-            plus = ideal._plus_prime(c)
-            assert plus.equals(IdealHandle(ring, list(ideal.gens) + [x[i] for i in c]))
+            assert (G._height_plus_prime(ideal, c)
+                    == height(IdealHandle(ring, list(ideal.gens) + [x[i] for i in c])))
 
 
 class TestExponentGuard:
