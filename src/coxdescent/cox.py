@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groebner import (IdealHandle, _dicts_of_pairs, _height_plus_prime, _homogeneous,
-                       _monomial_primes, _normal_form_dict, ambient_dimension, defining_ideal,
-                       height, saturate)
+from .groebner import (IdealHandle, _height_plus_prime, _homogeneous, _monomial_primes,
+                       _saturate_primes, ambient_dimension, defining_ideal, height, saturate)
 from .rings import MultigradedRing, Polynomial, _require_homogeneous
 
 _FACTOR_LETTERS = "xyzwuv"
@@ -155,12 +154,8 @@ def _strict_ci_verdict(amb, ideal):
     of G's products, has a large basis.  The same argument gives
     I : P^inf = I for each P with ht(I + P) > s, also after saturating by
     other primes, whose result is an intersection of primary components of
-    I.  So I is saturated only by the primes with ht(I + P) = s, one after
-    another.  Each saturation returns a grevlex basis, which with equal
-    weights is the x-last order of the ring's last variable: the next prime
-    containing it (the last factor's, on a product of projective spaces)
-    takes its one Bayer step without a conversion; any other prime converts
-    once, to the x-last order of its own last variable.
+    I.  So I is saturated only by the primes with ht(I + P) = s, and is
+    strict when there are none.
     """
     s = len(ideal.gens)
     h = height(ideal)
@@ -168,20 +163,13 @@ def _strict_ci_verdict(amb, ideal):
         return StrictCIVerdict(status="not_ci", height=h, expected=s)
     ring = amb.ring
     if _cohen_macaulay(ring) and all(len(g) == 1 for g in ring.irrelevant):
-        x = ring.gens()
-        sat = ideal
-        for c in _monomial_primes(ring.irrelevant):
-            if _height_plus_prime(ideal, c) == s:
-                sat = saturate(sat, IdealHandle(ring, [x[i] for i in c]))
-        if sat is ideal:
+        primes = [c for c in _monomial_primes(ring.irrelevant) if _height_plus_prime(ideal, c) == s]
+        if not primes:
             return StrictCIVerdict(status="strict", height=h, expected=s)
+        sat = _saturate_primes(ideal, primes)
     else:
         sat = saturate(ideal, amb.irrelevant_ideal())
-    # both bases are packed in the same grevlex order; only the witness is unpacked
-    tower, order, gb = ring.tower, ideal._order, ideal._pairs()
-    witness = next((t for t in _dicts_of_pairs(tower, sat._pairs())
-                    if _normal_form_dict(t, gb, tower, order, zero_test=True)), None)
+    witness = ideal._outside(sat)
     if witness is None:
         return StrictCIVerdict(status="strict", height=h, expected=s)
-    witness = Polynomial(ring, order.unpack_terms(witness))
     return StrictCIVerdict(status="not_strict", witness=witness, height=h, expected=s)

@@ -402,10 +402,16 @@ class IdealHandle:
         return not self._reduce(f, zero_test=True)
 
     def contains_ideal(self, other):
+        return self._outside(other) is None
+
+    def _outside(self, other):
+        """The first element of ``other``'s reduced basis that this ideal
+        does not contain, or None."""
         if other.ring is not self.ring:
             raise RingMismatchError("ideals from different rings")
-        return _contains(self.ring.tower, (self._pairs(), self._order),
-                         (other._pairs(), other._order))
+        t = _first_outside(self.ring.tower, (self._pairs(), self._order),
+                           (other._pairs(), other._order))
+        return None if t is None else Polynomial(self.ring, self._order.unpack_terms(t))
 
     def equals(self, other):
         if other.ring is not self.ring:
@@ -509,23 +515,13 @@ def _intersect(ring, a, b):
 def saturate(ideal, direction):
     """(I : G^infinity).
 
-    When every generator of ``direction`` is a single term and the ideal
-    is homogeneous, this is I : P_1^inf : ... : P_m^inf over the primes
-    P_C = (x : x in C) of the radical of G, C running over the minimal
-    transversals of the generators' supports.  Each I : P_C^inf starts with
-    one Bayer step (:func:`_saturate_variable`) by a variable x_f of C: one
-    whose x-last order the basis is in if there is one, else C's last
-    variable, whose conversion and later grevlex rebuild measure cheaper
-    than the first variable's.  Any x_f is exact: J = I : x_f^inf contains
-    I : P_C^inf, and equals it when normal forms modulo I show that a power
-    of every other x in C takes J into I (:func:`_certified`).
-    When they do not, I : P_C^inf is the intersection of the I : x^inf,
-    x in C, each by one Bayer step.  For other directions it is the
+    For a homogeneous I and single-term generators of ``direction``, this
+    is I : P_1^inf : ... : P_m^inf over the primes P_C = (x : x in C) of
+    G's radical, C running over the minimal transversals of the
+    generators' supports (:func:`_saturate_primes`).  Otherwise it is the
     intersection of the single saturations by the generators, found by
-    elimination; that loop stops early once the running result collapses
-    to I itself.  In between, bases stay in the order a step left them in,
-    as (pairs, order); the result is rebuilt in grevlex once, at the end.
-    All paths return the same reduced basis.
+    elimination, stopped once the running intersection is I
+    (:func:`_meet_until`).  All paths return the same reduced basis.
     """
     ring = ideal.ring
     if direction.ring is not ring:
@@ -533,41 +529,44 @@ def saturate(ideal, direction):
     gens = [g for g in direction.gens if not g.is_zero()]
     if not gens:
         raise SaturationDirectionError("cannot saturate with respect to the zero ideal")
+    if all(len(g) == 1 for g in gens) and _homogeneous(ideal):
+        return _saturate_primes(ideal, _monomial_primes(gens))
+    grevlex = ideal._order
+    singles = ((saturate_single(ideal, g)._pairs(), grevlex) for g in dict.fromkeys(gens))
+    return _handle_with_gb(ring, _meet_until(ring, (ideal._pairs(), grevlex), singles)[0])
+
+
+def _saturate_primes(ideal, primes):
+    """I : P_1^inf : ... : P_m^inf of a homogeneous I, each prime
+    P = (x_i : i in c) given by its variable indices c.
+
+    Each I : P^inf starts with one Bayer step (:func:`_saturate_variable`)
+    by a variable x_f of P: one whose x-last order the basis is in if there
+    is one, else P's last variable, whose conversion and later grevlex
+    rebuild measure cheaper than the first variable's.  Any x_f is exact:
+    J = I : x_f^inf contains I : P^inf, and equals it when a power of every
+    other x in P takes J into I (:func:`_certified`); else I : P^inf is the
+    intersection of the I : x^inf, x in P, each by one Bayer step.  Bases
+    stay in the order a step left them in, as (pairs, order), and are
+    rebuilt in grevlex once, at the end.
+    """
+    ring = ideal.ring
     tower = ring.tower
     grevlex = ideal._order
+    weights = ring._weights[1]
     basis = (ideal._pairs(), grevlex)
-    meet = functools.partial(_meet, ring)
-    bayer = all(len(g) == 1 for g in gens) and _homogeneous(ideal)
-    if bayer:
-        weights = ring._weights[1]
-        for c in _monomial_primes(gens):
-            # a step in the basis's own order converts nothing
-            f = next((i for i in c if _bayer(weights, i) is basis[1]), c[-1])
-            first, k = _saturate_variable(ring, basis, f)
-            if first is basis or _certified(tower, basis, first, k, [i for i in c if i != f]):
-                basis = first
-                continue
-            parts = []
-            for i in c:
-                part = first if i == f else _saturate_variable(ring, basis, i)[0]
-                if part is basis:  # then so is the intersection
-                    break
-                parts.append(part)
-            else:
-                basis = functools.reduce(meet, parts)
-    else:
-        result = None
-        for g in dict.fromkeys(gens):
-            s = (saturate_single(ideal, g)._pairs(), grevlex)
-            result = s if result is None else meet(result, s)
-            if _contains(tower, basis, result):
-                break  # running intersection already equals I; it can only stay I
+    for c in primes:
+        # a step in the basis's own order converts nothing
+        f = next((i for i in c if _bayer(weights, i) is basis[1]), c[-1])
+        first, k = _saturate_variable(ring, basis, f)
+        if first is basis or _certified(tower, basis, first, k, [i for i in c if i != f]):
+            basis = first
         else:
-            basis = result
-    pairs, order = basis
-    if order is not grevlex:
-        pairs = _buchberger(tower, grevlex, _repack(tower, basis, grevlex))
-    return _handle_with_gb(ring, pairs)
+            basis = _meet_until(ring, basis, (first if i == f else _saturate_variable(ring, basis, i)[0]
+                                              for i in c))
+    if basis[1] is not grevlex:
+        basis = _buchberger(tower, grevlex, _repack(tower, basis, grevlex)), grevlex
+    return _handle_with_gb(ring, basis[0])
 
 
 def _homogeneous(ideal):
@@ -581,24 +580,39 @@ def _homogeneous(ideal):
     return all(_first_off_degree(ideal.ring, t)[2] is None for t in terms)
 
 
-def _contains(tower, basis, other):
-    """Whether the ideal of ``basis`` contains that of ``other``, both as
-    (pairs, order); the test runs in ``basis``'s order."""
+def _first_outside(tower, basis, other):
+    """The first element of ``other``'s basis, packed in ``basis``'s order,
+    that the ideal of ``basis`` does not contain, or None; both bases as
+    (pairs, order)."""
     gb, order = basis
-    return not any(_normal_form_dict(t, gb, tower, order, zero_test=True)
-                   for t in _repack(tower, other, order))
+    return next((t for t in _repack(tower, other, order)
+                 if _normal_form_dict(t, gb, tower, order, zero_test=True)), None)
 
 
 def _meet(ring, a, b):
     """a intersect b for bases (pairs, order), skipping the elimination
     when one contains the other."""
     tower = ring.tower
-    if _contains(tower, a, b):
+    if _first_outside(tower, a, b) is None:
         return b
-    if _contains(tower, b, a):
+    if _first_outside(tower, b, a) is None:
         return a
     grevlex = _grevlex(ring.nvars)
     return _intersect(ring, _repack(tower, a, grevlex), _repack(tower, b, grevlex)), grevlex
+
+
+def _meet_until(ring, basis, parts):
+    """The intersection of the ``parts``, bases (pairs, order) of ideals
+    containing I's ``basis``, folded by :func:`_meet`: I's own basis as soon
+    as a running intersection is I, with no later part computed."""
+    result = None
+    for part in parts:
+        if part is basis:
+            return basis
+        result = part if result is None else _meet(ring, result, part)
+        if _first_outside(ring.tower, basis, result) is None:
+            return basis
+    return result
 
 
 def _monomial_primes(gens):
@@ -664,14 +678,14 @@ def _saturate_variable(ring, basis, i):
 
 def _certified(tower, basis, part, k, others):
     """Whether J = I : x_f^infinity, with basis ``part``, is I : P^infinity
-    for P = (x_f, x_i : i in ``others``): True once, for every basis element
-    g of J and every i, some x_i^j * g with j <= k lies in I.
+    for P = (x_f, x_i : i in ``others``): True once x_i^k * g lies in I for
+    every basis element g of J and every i.
 
     Then J lies in each I : x_i^infinity, so in their intersection
-    I : P^infinity, which lies in J.  Modulo I's ``basis``, in its own order,
-    r = NF(g) and then r = NF(x_i * r) is NF(x_i^j * g) after j steps: zero
-    exactly when x_i^j * g is in I.  False says nothing: a chain did not
-    reach zero within k steps, or a shift would take a term past the cap,
+    I : P^infinity, which lies in J.  Some x_i^j * g with j <= k lies in I
+    iff x_i^k * g does, iff one zero-test normal form of x_i^k * NF(g)
+    modulo I's ``basis``, in its own order, is empty.  False says nothing:
+    x_i^k * g is not in I, or the shift would take a term past the cap,
     which a graded order does not check term by term (its ``guard`` is 0).
     """
     gb, order = basis
@@ -679,15 +693,11 @@ def _certified(tower, basis, part, k, others):
         r = _normal_form_dict(g, gb, tower, order)
         if not r:
             continue  # g is in I
+        top = max(r)
         for i in others:
-            col, s = order.cols[i], r
-            for _ in range(k):
-                if max(s) + col >= order.limit:
-                    return False
-                s = _normal_form_dict({e + col: c for e, c in s.items()}, gb, tower, order)
-                if not s:
-                    break
-            else:
+            q = k * order.cols[i]
+            if top + q >= order.limit or _normal_form_dict(
+                    {e + q: c for e, c in r.items()}, gb, tower, order, zero_test=True):
                 return False
     return True
 

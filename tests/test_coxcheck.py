@@ -290,6 +290,7 @@ class TestHeightShortcut:
         def refuse(*args):
             raise AssertionError("saturated")
 
+        monkeypatch.setattr(cox, "_saturate_primes", refuse)
         monkeypatch.setattr(cox, "saturate", refuse)
         ring = p2p2.ring
         rng = seeded(5)
@@ -313,6 +314,20 @@ class TestHeightShortcut:
         monkeypatch.setattr(groebner, "_buchberger", lambda *args: calls.append(args) or run(*args))
         assert is_strict_ci(amb, fs).status == status
         assert len(calls) == runs
+
+    def test_not_strict_verdict_saturates_its_primes_in_one_pass(self, gf101, monkeypatch):
+        # two (1,1,1) forms vanish modulo each factor's prime, so all three
+        # primes are saturated in one pass: I's basis, then one conversion
+        # per prime and no rebuild in between; the last is to z1-last, which
+        # is grevlex, so no rebuild follows either
+        amb = make_product_projective([1, 1, 1], gf101)
+        rng = seeded(7)
+        fs = [random_poly(amb.ring, Multidegree((1, 1, 1)), rng) for _ in range(2)]
+        calls = []
+        run = groebner._buchberger
+        monkeypatch.setattr(groebner, "_buchberger", lambda *args: calls.append(args) or run(*args))
+        assert is_strict_ci(amb, fs).status == "not_strict"
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("texts, status", [(["x0^200*y0", "x1^200*y1"], "not_strict"),
                                                (["x0^200*y0"], "strict")])

@@ -456,9 +456,10 @@ class TestBayerSaturation:
 
     def test_certificate_stops_at_the_exponent_cap(self, amb, ring, monkeypatch):
         # J = I : x1^inf = (y0, y1^(cap-2)), with x1^3 divided out.  The
-        # chain x0^j*y1^(cap-2) reaches degree cap at j = 2, and the next
-        # shift would pass it, so the certificate falls back instead; x0 is
-        # no zero divisor modulo I, so I : P^inf = I
+        # certificate's one shift takes y1^(cap-2) by x0^3 to degree cap + 1,
+        # past the cap, so the shift test falls back before any reduction of
+        # it: no normal form reads a term above degree cap - 2.  x0 is no
+        # zero divisor modulo I, so I : P^inf = I
         cap = EXPONENT_CAP
         ideal = mk(ring, "x1^3*y0", "x1*y1^%d" % (cap - 2), "x1*y0*y1")
         degrees = []
@@ -472,13 +473,27 @@ class TestBayerSaturation:
         monkeypatch.setattr(G, "_normal_form_dict", recording)
         direction = mk(ring, "x0", "x1")
         assert saturate(ideal, direction).equals(ideal)
-        assert max(degrees) == cap
+        assert max(degrees) == cap - 2
         monkeypatch.undo()
         assert ideal.equals(eliminating_saturate(ideal, direction))
-        # the y-prime's chain x1*y0^j never reaches I: cap - 2 steps, then
-        # the per-variable steps
+        # the y-prime's step by y1 gives J = (x1) with k = cap - 2; one
+        # normal form shows that x1*y0^(cap-2) is not in I, and the
+        # per-variable steps decide
         sat = saturate(ideal, amb.irrelevant_ideal())
         assert [str(g) for g in sat.reduced_gb()] == ["x1^3", "x1*y1"]
+
+    def test_certificate_takes_one_normal_form_per_shift(self, amb, ring, monkeypatch):
+        # the y-prime's step by y1 divides y1^16381 out: J = I : y1^inf = (x0)
+        # with k = 16381, and x0*y0^j lies in I for no j.  A chain of
+        # x0*y0^j, j <= k, would take 16381 normal forms; the one shift by
+        # y0^k passes the cap at once, and the step by y0 decides
+        ideal = mk(ring, "x0^3*y0", "x0*y1^16381", "x0*y0*y1")
+        calls = []
+        nf = G._normal_form_dict
+        monkeypatch.setattr(G, "_normal_form_dict", lambda *args, **kw: calls.append(1) or nf(*args, **kw))
+        sat = saturate(ideal, amb.irrelevant_ideal())
+        assert [str(g) for g in sat.reduced_gb()] == ["x0^3", "x0*y1"]
+        assert len(calls) < 100
 
     def test_monomial_direction_runs_no_elimination(self, ambients, monkeypatch):
         def refuse(*args):
