@@ -12,14 +12,14 @@ reassembled from conjugates of the generators in a single class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from .cox import _strict_ci_verdict, _validate_hypersurfaces
 from .errors import (ActionError, DescentPreconditionError, RingMismatchError)
 from .fields import _power as _square_and_multiply
 from .groebner import IdealHandle, defining_ideal, ideal_equal
-from .linalg import _integer_rref, echelon_basis, kernel_gfp, rref
-from .rings import Multidegree, Polynomial, _exps_of_degree, _grevlex_key, monomials_of_degree
+from .linalg import _integer_rref, echelon_basis, kernel_gfp
+from .rings import Multidegree, Polynomial, _add_scaled, _exps_of_degree, _grevlex_key
 
 _MAX_ORDER = 10000
 
@@ -161,6 +161,8 @@ class SemilinearAction:
 
     def apply_degree(self, degree, times=1):
         """The induced action on multidegrees."""
+        if len(degree) != self.ring.rank:
+            raise ActionError("degree %s has wrong rank" % (degree,))
         if any(sum(map(mul, k, degree)) for k in self._cokernel):
             raise ActionError("degree %s is not in the grading lattice image" % (degree,))
         k = times % self.order
@@ -261,38 +263,38 @@ def degree_orbits(action, polys):
 # ---------------------------------------------------------------------------
 # graded pieces
 
-def _piece_basis(ring, degree, polys):
-    """Echelonized basis of the span of ``polys`` in a degree piece.
+def _echelon(tower, dicts):
+    """The RREF of the span of term dicts, as monic term dicts in decreasing
+    order of their leading exponents, each with its terms in decreasing
+    grevlex order, so that its first key is its lead.  The columns are the
+    monomials the dicts use: one that none uses would be a zero column,
+    which changes no RREF."""
+    support = sorted({e for t in dicts for e in t}, key=_grevlex_key)
+    zero = tower.c_zero
+    rows = echelon_basis(tower, [[t.get(e, zero) for e in support] for t in dicts])
+    return [{e: c for e, c in zip(support, row) if c != zero} for row in rows]
 
-    Coordinates are taken on the standard monomials of the (quotient) ring,
-    those outside the initial ideal of the defining ideal, after reduction
-    modulo the defining ideal.
+
+def _piece_basis(ring, degree, gens):
+    """Echelonized basis of the degree piece spanned by the monomial
+    multiples of ``gens``.
+
+    Each multiple x^m * f shifts f's exponents by an m of the degree gap;
+    in a quotient ring it is reduced modulo the defining ideal, so the
+    coordinates are on standard monomials.
     """
-    exps = sorted(_exps_of_degree(ring, degree), key=_grevlex_key)
     jhandle = defining_ideal(ring) if ring.defining else None
-    if jhandle is not None:
-        exps = [e for e in exps if not jhandle._lead_divides(e)]
-    index = {e: i for i, e in enumerate(exps)}
-    zero = ring.tower.c_zero
-    rows = []
-    for f in polys:
-        if jhandle is not None:
-            f = jhandle.normal_form(f)
-        row = [zero] * len(exps)
-        for e, c in f._t.items():
-            row[index[e]] = c
-        rows.append(row)
-    return [Polynomial(ring, {exps[i]: c for i, c in enumerate(row) if c != zero})
-            for row in echelon_basis(ring.tower, rows)]
+    mults = []
+    for f in gens:
+        for m in _exps_of_degree(ring, degree - f.multidegree()):
+            t = {tuple(map(add, e, m)): c for e, c in f._t.items()}
+            mults.append(t if jhandle is None else jhandle.normal_form(Polynomial(ring, t))._t)
+    return [Polynomial(ring, t) for t in _echelon(ring.tower, mults)]
 
 
 def graded_piece_basis(ideal, degree):
     """Echelonized basis of the degree piece spanned by generator multiples."""
-    ring = ideal.ring
-    degree = Multidegree(degree)
-    return _piece_basis(ring, degree, [
-        m * f for f in ideal.gens if not f.is_zero()
-        for m in monomials_of_degree(ring, degree - f.multidegree())])
+    return _piece_basis(ideal.ring, Multidegree(degree), [f for f in ideal.gens if f])
 
 
 def lower_piece_basis(ideal, degree):
@@ -304,11 +306,9 @@ def lower_piece_basis(ideal, degree):
     generators generating the ideal this is the degree piece of the ideal
     generated by all strictly lower pieces.
     """
-    ring = ideal.ring
     degree = Multidegree(degree)
-    return _piece_basis(ring, degree, [
-        m * f for f in ideal.gens if not f.is_zero() and f.multidegree() != degree
-        for m in monomials_of_degree(ring, degree - f.multidegree())])
+    return _piece_basis(ideal.ring, degree,
+                        [f for f in ideal.gens if f and f.multidegree() != degree])
 
 
 # ---------------------------------------------------------------------------
@@ -319,55 +319,43 @@ def fixed_space(action, vectors, subgroup_index):
 
     The fixed-point equation is solved by exact linear algebra over the
     prime field (restriction of scalars), which works in every
-    characteristic.  The result spans the fixed space over the subgroup's
-    fixed field; every returned element is literally fixed.
+    characteristic: on the GF(p)-basis t^a * w_i of the span, w_i its
+    echelon basis (:func:`_echelon`), an image's coordinates are its
+    coefficients at the leads of the w_i.  The result spans the fixed space
+    over the subgroup's fixed field; every returned element is literally
+    fixed.
     """
     ring = action.ring
     tower = ring.tower
-    vectors = [ring._coerce_poly(v) for v in vectors]
-    vectors = [v for v in vectors if not v.is_zero()]
-    if not vectors:
+    basis = _echelon(tower, [t for t in (ring._coerce_poly(v)._t for v in vectors) if t])
+    if not basis:
         return []
     k = subgroup_index
     d, p = tower.d, tower.p
-    mul, add, zero = tower.c_mul, tower.c_add, tower.c_zero
-    support = sorted({e for v in vectors for e in v._t}, key=_grevlex_key)
-    index = {e: i for i, e in enumerate(support)}
-
-    def coords(f):
-        row = [zero] * len(support)
-        for e, c in f._t.items():
-            if e not in index:
-                raise ActionError("space is not closed under the subgroup action")
-            row[index[e]] = c
-        return row
-
-    basis, pivots = rref(tower, [coords(v) for v in vectors])
+    mul, zero = tower.c_mul, tower.c_zero
     nb = len(basis)
-
-    def to_poly(row):
-        return Polynomial(ring, {support[i]: c for i, c in enumerate(row) if c != zero})
-
-    # GF(p)-basis t^a * w_i, a < d; t^a is the a-th unit coordinate row
+    # t^a is the a-th unit coordinate row
     units = [tower.c_from_coeffs([int(a == b) for b in range(d)]) for a in range(d)]
-    images = [coords(action.apply(to_poly([mul(u, x) for x in b]), k))
+    images = [action.apply(Polynomial(ring, {e: mul(u, c) for e, c in b.items()}), k)._t
               for b in basis for u in units]
-    if len(rref(tower, basis + images)[0]) != nb:
+    # an image term off the span's monomials is a new column, so it raises
+    # the rank too
+    if len(_echelon(tower, basis + images)) != nb:
         raise ActionError("space is not closed under the subgroup action")
-    # matrix of sigma^k - id; coordinates on the RREF basis are the entries
-    # at its pivots
-    cols = [[c for piv in pivots for c in tower.c_coeffs(image[piv])] for image in images]
+    # matrix of sigma^k - id
+    leads = [next(iter(b)) for b in basis]
+    cols = [[c for e in leads for c in tower.c_coeffs(image.get(e, zero))] for image in images]
     mat = [list(row) for row in zip(*cols)]
     for i in range(nb * d):
         mat[i][i] = (mat[i][i] - 1) % p
     out = []
     for vec in kernel_gfp(p, mat):
-        row = [zero] * len(support)
+        t = {}
         for i, b in enumerate(basis):
             c = tower.c_from_coeffs(vec[i * d:(i + 1) * d])
             if c != zero:
-                row = [add(x, mul(c, y)) for x, y in zip(row, b)]
-        f = to_poly(row)
+                _add_scaled(t, b, tower, c)
+        f = Polynomial(ring, t)
         if not f.is_zero():
             if action.apply(f, k) != f:
                 raise AssertionError("fixed-space element is not fixed")

@@ -393,11 +393,6 @@ class IdealHandle:
         return _normal_form_dict(order.pack_terms(f._t), self._pairs(), self.ring.tower, order,
                                  zero_test)
 
-    def _lead_divides(self, e):
-        """Whether the leading term of some basis element divides x^e."""
-        k = self._order.pack(e)
-        return any(self._order.divides(lt, k) for lt, _ in self._pairs())
-
     def contains(self, f):
         return not self._reduce(f, zero_test=True)
 
@@ -531,9 +526,11 @@ def saturate(ideal, direction):
         raise SaturationDirectionError("cannot saturate with respect to the zero ideal")
     if all(len(g) == 1 for g in gens) and _homogeneous(ideal):
         return _saturate_primes(ideal, _monomial_primes(gens))
-    grevlex = ideal._order
-    singles = ((saturate_single(ideal, g)._pairs(), grevlex) for g in dict.fromkeys(gens))
-    return _handle_with_gb(ring, _meet_until(ring, (ideal._pairs(), grevlex), singles)[0])
+    basis = ideal._pairs(), ideal._order
+    singles = (saturate_single(ideal, g)._pairs() for g in dict.fromkeys(gens))
+    # a single saturation equal to I is passed as I's own basis
+    parts = (basis if s == basis[0] else (s, basis[1]) for s in singles)
+    return _handle_with_gb(ring, _meet_until(ring, basis, parts)[0])
 
 
 def _saturate_primes(ideal, primes):
@@ -604,12 +601,17 @@ def _meet(ring, a, b):
 def _meet_until(ring, basis, parts):
     """The intersection of the ``parts``, bases (pairs, order) of ideals
     containing I's ``basis``, folded by :func:`_meet`: I's own basis as soon
-    as a running intersection is I, with no later part computed."""
+    as a running intersection is I, with no later part computed.  A part
+    equal to I must be I's ``basis`` object itself, so only a meet is
+    scanned against I."""
     result = None
     for part in parts:
         if part is basis:
             return basis
-        result = part if result is None else _meet(ring, result, part)
+        if result is None:
+            result = part
+            continue
+        result = _meet(ring, result, part)
         if _first_outside(ring.tower, basis, result) is None:
             return basis
     return result

@@ -3,7 +3,8 @@ and its fraction-free twin over the integers.
 
 :func:`rref` works over any object with the field interface ``c_zero``,
 ``c_one``, ``c_sub``, ``c_mul`` and ``c_inv``: a
-:class:`~coxdescent.fields.FieldTower` (graded pieces and fixed spaces) or
+:class:`~coxdescent.fields.FieldTower`, for descent's graded pieces and
+fixed spaces, whose rows its ``_echelon`` builds from term dicts, or
 :func:`prime_field` (restriction of scalars).  Kernels read off its
 canonical result.  Vectors are plain lists of the field's raw coefficients.
 

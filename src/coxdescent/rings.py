@@ -46,10 +46,12 @@ class Multidegree(tuple):
     """A degree in the Picard lattice: a tuple of r integers."""
 
     def __add__(self, other):
+        if len(other) != len(self):  # zip would truncate
+            raise ValueError("degree has wrong rank")
         return Multidegree(a + b for a, b in zip(self, other))
 
     def __sub__(self, other):
-        return Multidegree(a - b for a, b in zip(self, other))
+        return self + [-b for b in other]
 
     def __neg__(self):
         return Multidegree(-a for a in self)

@@ -15,8 +15,9 @@ from coxdescent import (ActionError, DescentPreconditionError, FieldTower,
                         is_invariant_ideal, lower_piece_basis, make_custom,
                         make_product_projective, make_segre_p1p1, monomials_of_degree)
 from coxdescent.groebner import defining_ideal
-from conftest import (echelon, coords_of, grevlex_key, preserves_grading_kernel, random_poly,
-                      rational_apply_degree, seeded, span_equal)
+from conftest import (echelon, coords_of, grevlex_key, piece_monomial_multiples,
+                      preserves_grading_kernel, random_poly, rational_apply_degree, seeded,
+                      span_equal)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,13 @@ class TestSemilinearAction:
     def test_degree_action(self, swap):
         assert swap.apply_degree(Multidegree((1, 0))) == Multidegree((0, 1))
         assert swap.apply_degree(Multidegree((1, 1))) == Multidegree((1, 1))
+
+    def test_degree_of_wrong_rank_rejected(self, swap):
+        # zip would cut (1,) to the degree (0, 1) and () to an orbit of (0, 0)
+        with pytest.raises(ActionError, match=r"^degree \(1,\) has wrong rank$"):
+            swap.apply_degree((1,))
+        with pytest.raises(ActionError, match="has wrong rank$"):
+            swap.degree_orbit(())
 
     def test_scaled_permutation(self, p1p1_gf9):
         ring = p1p1_gf9.ring
@@ -255,6 +263,14 @@ class TestGradedPieces:
         full = graded_piece_basis(sat, Multidegree((2, 1)))
         # every generator has degree < (2,1), so the lower piece is everything
         assert spans_match(ring, low, full)
+
+
+    def test_piece_of_wrong_rank_rejected(self, p1p1_gf9):
+        ring = p1p1_gf9.ring
+        ideal = IdealHandle(ring, [ring.parse("x0*y0 + x1*y1")])
+        for piece in (graded_piece_basis, lower_piece_basis):
+            with pytest.raises(ValueError, match="^degree has wrong rank$"):
+                piece(ideal, (1, 1, 7))
 
 
 class TestFixedSpace:
@@ -539,6 +555,78 @@ def test_frobenius_fixed_space_over_gf27_against_exhaustive_oracle():
                   for c0 in range(3) for c1 in range(3) if (c0, c1) != (0, 0)}
     assert gf3_combos == fixed
     assert len(fixed) == 8
+
+
+class TestCubicExtension:
+    """GF(101^3) stores its elements as coefficient tuples, q being past the
+    log-table bound: graded pieces against the public-arithmetic oracle of
+    conftest, a Frobenius fixed space and a descent round trip."""
+
+    @pytest.fixture(scope="class")
+    def gf101_3(self):
+        tower = FieldTower(101, 3)
+        assert tower.c_one == (1, 0, 0)
+        return tower
+
+    @staticmethod
+    def oracle_piece(ring, gens, degree, reduce=lambda f: f):
+        """The RREF of the monomial multiples of ``gens`` in ``degree``, by
+        conftest's echelon on coordinates over every monomial of it."""
+        monos = monomials_of_degree(ring, degree)
+        rows = echelon(ring.tower, [coords_of(reduce(f), monos)
+                                    for f in piece_monomial_multiples(gens, degree, ring)])
+        return [sum((m * c for m, c in zip(monos, row)), ring.zero()) for row in rows]
+
+    @pytest.mark.parametrize("degree", [(1, 1), (2, 1), (2, 2)])
+    def test_pieces_against_oracle(self, gf101_3, degree):
+        ring = make_product_projective([1, 1], gf101_3).ring
+        gens = [ring.parse("x0 + t*x1"), ring.parse("t^2*x0*y0 + x1*y1 + 5*t*x0*y1")]
+        ideal = IdealHandle(ring, gens)
+        degree = Multidegree(degree)
+        lower = [g for g in gens if g.multidegree() != degree]
+        assert graded_piece_basis(ideal, degree) == self.oracle_piece(ring, gens, degree)
+        assert lower_piece_basis(ideal, degree) == self.oracle_piece(ring, lower, degree)
+
+    @pytest.mark.parametrize("degree", [(1,), (2,), (3,)])
+    def test_pieces_modulo_the_quadric_against_oracle(self, gf101_3, degree):
+        ring = make_segre_p1p1(gf101_3).ring
+        gens = [ring.parse("t*z00 + z01"), ring.parse("z01*z10 + t^2*z00^2 + 3*z11^2")]
+        ideal = IdealHandle(ring, gens)
+        degree = Multidegree(degree)
+        lower = [g for g in gens if g.multidegree() != degree]
+        reduce = defining_ideal(ring).normal_form
+        assert graded_piece_basis(ideal, degree) == self.oracle_piece(ring, gens, degree, reduce)
+        assert lower_piece_basis(ideal, degree) == self.oracle_piece(ring, lower, degree, reduce)
+
+    def test_frobenius_fixed_space_is_rational(self, gf101_3):
+        ring = make_product_projective([1, 1], gf101_3).ring
+        frob = SemilinearAction(ring, 1, {})
+        u, v = ring.parse("x0*y0 + 2*x1*y1"), ring.parse("x0*y1 - x1*y0")
+        t = ring.tower.gen()
+        got = fixed_space(frob, [u * t + v, u * t**2 + v * 2], 1)
+        assert len(got) == 2
+        for g in got:
+            assert apply_action(frob, g) == g
+            assert all(c.coeffs[1:] == (0, 0) for _, c in g.terms)
+        assert spans_match(ring, got, [u, v])
+
+    def test_descend_round_trip(self, gf101_3):
+        amb = make_product_projective([1, 1], gf101_3)
+        ring = amb.ring
+        # the swap composed with Frobenius has order 6; the stabilizer of
+        # each class is Frobenius squared, which moves both generators
+        swap = SemilinearAction(ring, 1, {"x0": "y0", "x1": "y1", "y0": "x0", "y1": "x1"})
+        assert swap.order == 6
+        fs = [ring.parse("t*x0 + 2*t*x1"), ring.parse("t^2*y0 + 2*t^2*y1")]
+        assert all(apply_action(swap, f, 2) != f for f in fs)
+        res = descend(amb, swap, fs)
+        assert ideal_equal(IdealHandle(ring, res.new_gens), IdealHandle(ring, fs))
+        assert res.orbit_blocks == [(0, 2)]
+        assert all(din == dout for din, dout in res.degree_log)
+        for g in res.new_gens:
+            assert apply_action(swap, g, 2) == g
+        assert {str(apply_action(swap, g).monic()) for g in res.new_gens} == \
+            {str(g.monic()) for g in res.new_gens}
 
 
 class TestSegreQuotient:

@@ -520,6 +520,28 @@ class TestBayerSaturation:
         saturate(mk(ring, "x0", "x1*y0"), amb.irrelevant_ideal())
         assert not calls
 
+    def test_only_a_meet_is_scanned_against_the_ideal(self, ambients, monkeypatch):
+        # a part other than I's own basis object strictly contains I: a
+        # Bayer step divides a lead term out, and a single saturation equal
+        # to I is passed as I's basis.  So no scan precedes the first meet,
+        # and each meet takes three: two in _meet, one against I
+        calls = []
+        for name in ("_first_outside", "_meet"):
+            orig = getattr(G, name)
+            monkeypatch.setattr(G, name, lambda *args, name=name, orig=orig:
+                                calls.append(name) or orig(*args))
+        amb = ambients["p1p1"]
+        ring = amb.ring
+        # both primes' certificates fail, so each meets its two steps
+        sat = saturate(mk(ring, "x0*y0", "x1*y1"), amb.irrelevant_ideal())
+        assert [str(g) for g in sat.reduced_gb()] == ["x0*x1", "x0*y0", "x1*y1", "y0*y1"]
+        assert calls == 2 * (["_meet"] + ["_first_outside"] * 3)
+        # x0 + x1 is no zero divisor modulo I, so its single saturation is I
+        calls.clear()
+        ideal = mk(ring, "x0*y0 - x1*y1")
+        assert ideal_equal(saturate(ideal, mk(ring, "x0 + x1")), ideal)
+        assert calls == []
+
     def test_one_grevlex_rebuild_after_the_last_step(self, ambients, monkeypatch):
         ring = ambients["p1p1"].ring
         ideal = mk(ring, "x0*y0", "x1*y1")

@@ -202,6 +202,13 @@ class TestMultidegree:
         assert exc.value.monomials is not None
         assert len(exc.value.monomials) == 2
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_degree_of_wrong_rank_rejected(self, op):
+        # zip would cut either side to the rank of the other
+        for a, b in [((1, 1), (1, 1, 7)), ((1, 1, 7), (1, 1))]:
+            with pytest.raises(ValueError, match="^degree has wrong rank$"):
+                op(Multidegree(a), Multidegree(b))
+
     def test_zero_has_no_multidegree(self, ring):
         with pytest.raises(InhomogeneousError):
             multidegree(ring.zero())
