@@ -443,10 +443,12 @@ def descend(amb, action, polys):
         base_class = classes[0]
         base_gens = [g for g in work[start:end] if g.multidegree() == base_class]
         # sanity: the gamma generators of each class complete the lower
-        # piece to a basis of the full graded piece
+        # piece to a basis of the full graded piece, which the lower piece
+        # and the class's own generators span
         for cls in classes:
-            piece = graded_piece_basis(current, cls)
-            if len(lower_piece_basis(current, cls)) != len(piece) - gamma:
+            lower = lower_piece_basis(current, cls)
+            own = [f for f in current.gens if f and f.multidegree() == cls]
+            if len(_piece_basis(ring, cls, lower + own)) != len(lower) + gamma:
                 raise AssertionError(
                     "graded piece of degree %s is not generated as the "
                     "preconditions require" % (cls,))

@@ -11,8 +11,9 @@ depends on the size q = p^d:
   arithmetic mod q - 1, sums read the Zech logarithm off two tables.  The
   exp, log and log1p tables are ``array('H')``s of about q entries each,
   built in the constructor in O(q) steps and cached per tower;
-- d > 1 and q above the bound: a tuple of d residues, inverted through
-  the norm to GF(p).
+- d > 1 and q above the bound: a tuple of d residues, multiplied by the
+  GF(p)[t] helpers ``_pmul`` and ``_pmod`` that also build the towers, and
+  inverted through the norm to GF(p).
 
 Only ``c_coeffs``/``c_from_coeffs`` (and ``c_from_int``) see the
 representation; text, parsing and linear algebra over GF(p) go through
@@ -47,8 +48,8 @@ def _pmul(a, b, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+                out[i + j] += ai * bj
+    return _ptrim([c % p for c in out])
 
 
 def _pdivmod(a, m, p):
@@ -228,6 +229,8 @@ class FieldTower:
         self.p = p
         self.d = d
         if d == 1:
+            if min_poly is not None:
+                self._coerce_min_poly(min_poly)  # raises unless monic of degree 1
             self.min_poly = (0, 1)  # t - 0; read only by __eq__ and __hash__
         else:
             if min_poly is None:
@@ -302,21 +305,8 @@ class FieldTower:
             self.c_from_coeffs = lambda cs: cs[0] % p
         else:
             mp = list(self.min_poly)
-            # reduction rows: t^(d+k) in the power basis, k = 0 .. d-2
-            red = [None] * (d - 1)
-            cur = [(-c) % p for c in mp[:d]]  # t^d
-            red[0] = tuple(cur)
-            for k in range(1, d - 1):
-                top = cur[-1]
-                cur = [0] + cur[:-1]
-                if top:
-                    cur = [(c + top * r) % p for c, r in zip(cur, red[0])]
-                red[k] = tuple(cur)
-
-            zero = (0,) * d
-            one = (1,) + (0,) * (d - 1)
-            self.c_zero = zero
-            self.c_one = one
+            self.c_zero = (0,) * d
+            self.c_one = (1,) + (0,) * (d - 1)
 
             def c_add(a, b):
                 return tuple((x + y) % p for x, y in zip(a, b))
@@ -328,19 +318,8 @@ class FieldTower:
                 return tuple((-x) % p for x in a)
 
             def c_mul(a, b):
-                full = [0] * (2 * d - 1)
-                for i, ai in enumerate(a):
-                    if ai:
-                        for j, bj in enumerate(b):
-                            full[i + j] += ai * bj
-                out = [c % p for c in full[:d]]
-                for k in range(d - 1):
-                    c = full[d + k] % p
-                    if c:
-                        row = red[k]
-                        for i in range(d):
-                            out[i] = (out[i] + c * row[i]) % p
-                return tuple(out)
+                r = _pmod(_pmul(a, b, p), mp, p)
+                return tuple(r) + (0,) * (d - len(r))
 
             def c_inv(a):
                 # a^-1 = N(a)^-1 * b for b the product of the conjugates
@@ -360,8 +339,7 @@ class FieldTower:
             cols = []
             cur = [1]
             for j in range(d):
-                c = list(cur) + [0] * (d - len(cur))
-                cols.append(tuple(c[:d]))
+                cols.append(tuple(cur) + (0,) * (d - len(cur)))
                 cur = _pmod(_pmul(cur, tp, p), mp, p)
             frob_mats = [None, cols]  # frob_mats[0], the identity, is never read
 
@@ -548,6 +526,22 @@ def _parse_coeffs(s, p, d):
     return coeffs
 
 
+def _operator(name, reflected=False):
+    """A :class:`FieldElement` operator: the tower's ``c_<name>`` on the two
+    raw operands, the other one first when ``reflected``."""
+    attr = "c_" + name
+
+    def op(self, other):
+        r = self._coerce(other)
+        if r is NotImplemented:
+            return NotImplemented
+        tower = self.tower
+        a, b = (r, self.rep) if reflected else (self.rep, r)
+        return FieldElement(tower, getattr(tower, attr)(a, b))
+
+    return op
+
+
 class FieldElement:
     """An element of GF(p^d), canonical in the power basis."""
 
@@ -570,45 +564,12 @@ class FieldElement:
             return self.tower.c_from_int(other)
         return NotImplemented
 
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.tower, self.tower.c_add(self.rep, r))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.tower, self.tower.c_sub(self.rep, r))
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.tower, self.tower.c_sub(r, self.rep))
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.tower, self.tower.c_mul(self.rep, r))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.tower, self.tower.c_div(self.rep, r))
-
-    def __rtruediv__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.tower, self.tower.c_mul(r, self.tower.c_inv(self.rep)))
+    __add__ = __radd__ = _operator("add")
+    __sub__ = _operator("sub")
+    __rsub__ = _operator("sub", reflected=True)
+    __mul__ = __rmul__ = _operator("mul")
+    __truediv__ = _operator("div")
+    __rtruediv__ = _operator("div", reflected=True)
 
     def __neg__(self):
         return FieldElement(self.tower, self.tower.c_neg(self.rep))

@@ -1,12 +1,12 @@
 """Small exact linear algebra: one Gauss-Jordan row reducer over a field,
 and its fraction-free twin over the integers.
 
-:func:`rref` works over any object with the field interface ``c_zero``,
-``c_one``, ``c_sub``, ``c_mul`` and ``c_inv``: a
-:class:`~coxdescent.fields.FieldTower`, for descent's graded pieces and
-fixed spaces, whose rows its ``_echelon`` builds from term dicts, or
-:func:`prime_field` (restriction of scalars).  Kernels read off its
-canonical result.  Vectors are plain lists of the field's raw coefficients.
+:func:`rref` works over a :class:`~coxdescent.fields.FieldTower` through
+its ``c_zero``, ``c_one``, ``c_sub``, ``c_mul`` and ``c_inv``: over GF(p^d)
+for descent's graded pieces and fixed spaces, whose rows its ``_echelon``
+builds from term dicts, and over the tower's GF(p), :func:`prime_field`, for
+restriction of scalars.  Kernels read off its canonical result.  Vectors are
+plain lists of the field's raw coefficients.
 
 :func:`_integer_rref` is Bareiss's elimination (Math. Comp. 22, 1968) for
 integer matrices such as gradings: the rational RREF scaled by one common
@@ -15,15 +15,15 @@ integer, so ranks, solves and kernels over Q stay on ints.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import functools
+
+from .fields import FieldTower
 
 
+@functools.lru_cache(maxsize=16)
 def prime_field(p):
-    """GF(p) on plain residues, for :func:`rref`."""
-    return SimpleNamespace(
-        c_zero=0, c_one=1,
-        c_sub=lambda a, b: (a - b) % p, c_mul=lambda a, b: (a * b) % p,
-        c_inv=lambda a: pow(a, p - 2, p))
+    """GF(p) on plain residues, the tower ``FieldTower(p)``, cached per p."""
+    return FieldTower(p)
 
 
 def rref(field, rows):

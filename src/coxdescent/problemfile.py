@@ -12,8 +12,12 @@ Grammar (one statement per line, '#' starts a comment):
     ideal NAME = f, g, ...
     action frob=1 x0->y0 x1->y1 y0->x0 y1->x1
 
-Each statement occurs at most once, and each ideal NAME once.  Action map
-entries have no internal whitespace; scalars are written as in
+Each statement occurs at most once, and each ideal NAME once.  The field
+line accepts the keys p, d and min_poly, min_poly monic of degree d; the
+segre-p1p1 and custom ambients take no arguments; an action has at most
+one frob= and one entry per source variable.  An unknown or repeated key,
+a repeated source or an extra word is a ParseError naming its line.
+Action map entries have no internal whitespace; scalars are written as in
 polynomials, e.g. ``y0->t*x0`` or ``y0->(2*t+1)*x0``.
 """
 
@@ -37,12 +41,16 @@ class Problem:
     action: SemilinearAction = None
 
 
-def _keyvals(parts, lineno):
+def _keyvals(parts, keys, lineno):
     out = {}
     for p in parts:
-        if "=" not in p:
+        k, eq, v = p.partition("=")
+        if not eq:
             raise ParseError("expected key=value, got %r" % p, lineno)
-        k, v = p.split("=", 1)
+        if k not in keys:
+            raise ParseError("unknown key %r" % k, lineno)
+        if k in out:
+            raise ParseError("repeated key %r" % k, lineno)
         out[k] = v
     return out
 
@@ -67,7 +75,7 @@ def parse_problem(text):
         if kw != "ideal":
             seen.add(kw)
         if kw == "field":
-            kv = _keyvals(parts[1:], lineno)
+            kv = _keyvals(parts[1:], ("p", "d", "min_poly"), lineno)
             if "p" not in kv:
                 raise ParseError("field line needs p=<prime>", lineno)
             try:
@@ -91,6 +99,8 @@ def parse_problem(text):
                 if not ambient_args:
                     raise ParseError("product ambient needs dimensions", lineno)
             elif ambient_kind in ("segre-p1p1", "custom"):
+                if len(parts) > 2:
+                    raise ParseError("%s ambient takes no arguments" % ambient_kind, lineno)
                 ambient_args = None
             else:
                 raise ParseError("unknown ambient kind %r" % ambient_kind, lineno)
@@ -148,10 +158,12 @@ def parse_problem(text):
     action = None
     if action_spec is not None:
         parts, lineno = action_spec
-        frob = 0
+        frob = None
         var_map = {}
         for p_ in parts:
             if p_.startswith("frob="):
+                if frob is not None:
+                    raise ParseError("repeated key 'frob'", lineno)
                 try:
                     frob = int(p_[5:])
                 except ValueError:
@@ -160,11 +172,13 @@ def parse_problem(text):
                 src, dst = p_.split("->", 1)
                 if not src or not dst:
                     raise ParseError("bad map entry %r" % p_, lineno)
+                if src in var_map:
+                    raise ParseError("repeated map source %r" % src, lineno)
                 var_map[src] = dst
             else:
                 raise ParseError("bad action token %r" % p_, lineno)
         try:
-            action = SemilinearAction(ring, frob, var_map)
+            action = SemilinearAction(ring, frob or 0, var_map)
         except (ValueError, CoxDescentError) as exc:
             raise ParseError("invalid action: %s" % exc, lineno)
 

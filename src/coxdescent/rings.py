@@ -73,6 +73,8 @@ class MultigradedRing:
         if not isinstance(tower, FieldTower):
             raise TypeError("tower must be a FieldTower")
         variables = tuple(variables)
+        if not variables:
+            raise ValueError("a ring needs at least one variable")
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         for v in variables:
@@ -83,6 +85,8 @@ class MultigradedRing:
         self.nvars = len(variables)
         self._var_index = {v: i for i, v in enumerate(variables)}
         grading = tuple(tuple(int(x) for x in row) for row in grading)
+        if not grading:
+            raise ValueError("a ring needs at least one grading row")
         for row in grading:
             if len(row) != self.nvars:
                 raise ValueError("grading row length != number of variables")

@@ -232,6 +232,37 @@ class TestErrors:
         assert (rc, out) == (2, "")
         assert err == "parse error: line %d: %s\n" % (lineno, message)
 
+    @pytest.mark.parametrize("lines, lineno, message", [
+        (["field p=3 D=2", "ambient product 1 1", "ideal a = x0"], 1, "unknown key 'D'"),
+        (["field p=101 p=7", "ambient product 1 1", "ideal a = x0"], 1, "repeated key 'p'"),
+        (["field p=101 min_poly=t^2+1", "ambient product 1 1", "ideal a = x0"],
+         1, "t^2 exceeds extension degree 2"),
+        (["field p=101", "ambient segre-p1p1 extra", "ideal a = z00"],
+         2, "segre-p1p1 ambient takes no arguments"),
+        (CUSTOM_LINES[:1] + ["ambient custom extra"] + CUSTOM_LINES[2:] + ["ideal a = x0"],
+         2, "custom ambient takes no arguments"),
+        (["field p=101", "ambient product 1 1", "ideal a = x0",
+          "action frob=1 frob=0 x0->y0 x1->y1 y0->x0 y1->x1"], 4, "repeated key 'frob'"),
+        (["field p=101", "ambient product 1 1", "ideal a = x0",
+          "action x0->y0 x0->x0 x1->y1 y0->x0 y1->x1"], 4, "repeated map source 'x0'"),
+    ], ids=["unknown-key", "repeated-key", "min-poly-of-gf-p", "segre-extra", "custom-extra",
+            "repeated-frob", "repeated-source"])
+    def test_ignored_input_is_a_parse_error(self, capsys, tmp_path, lines, lineno, message):
+        # each of these used to be read as if the offending word were absent
+        path = tmp_path / "extra.prob"
+        path.write_text("\n".join(lines + [""]))
+        rc, out, err = run(capsys, "gb", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "parse error: line %d: %s\n" % (lineno, message)
+
+    def test_empty_vars_line(self, capsys, tmp_path):
+        path = tmp_path / "novars.prob"
+        path.write_text("\n".join(["field p=101", "ambient custom", "vars",
+                                   "grading 1", "irrelevant x0", "ideal a = x0", ""]))
+        rc, out, err = run(capsys, "gb", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "parse error: invalid ambient: a ring needs at least one variable\n"
+
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "gb", DATA + "/nope.prob")
         assert rc == 2

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxdescent import FieldTower, ParseError, TowerMismatchError, frobenius
+from coxdescent import FieldTower, ParseError, TowerMismatchError, fields, frobenius
 from coxdescent.fields import (_LOG_BOUND, _is_prime, _pdivmod, _pmod, _pmul, _ppowmod,
                                _ptrim)
 
@@ -412,3 +412,23 @@ class TestLogRepresentation:
         assert str(tw.gen()) == "t"
         assert tw.gen().coeffs == (0, 1) + (0,) * (d - 2)
 
+
+
+@pytest.mark.parametrize("p, d", [(5, 3), (3, 4)])
+def test_tuple_tower_against_the_zech_tower(monkeypatch, p, d):
+    """Tuple arithmetic against discrete logs of the same minimal polynomial:
+    the two share no code for sums, products, inverses or Frobenius."""
+    zech = tower_of(p, d)
+    monkeypatch.setattr(fields, "_LOG_BOUND", 1)
+    tup = FieldTower(p, d, zech.min_poly)
+    assert isinstance(tup.c_one, tuple) and isinstance(zech.c_one, int)
+    every = list(itertools.product(range(p), repeat=d))
+    reps = [(tup.c_from_coeffs(cs), zech.c_from_coeffs(cs)) for cs in every]
+    for (ta, za), (tb, zb) in itertools.product(reps, reps):
+        assert tup.c_add(ta, tb) == zech.c_coeffs(zech.c_add(za, zb))
+        assert tup.c_mul(ta, tb) == zech.c_coeffs(zech.c_mul(za, zb))
+    for ta, za in reps[1:]:
+        assert tup.c_inv(ta) == zech.c_coeffs(zech.c_inv(za))
+    for i in range(-1, d + 1):
+        for ta, za in reps:
+            assert tup.c_frob(ta, i) == zech.c_coeffs(zech.c_frob(za, i))

@@ -32,6 +32,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MultigradedRing(gf101, ["t", "x"], grading=[[1, 1]])
 
+    @pytest.mark.parametrize("variables, grading, missing", [
+        ([], [], "variable"), ([], [[]], "variable"), (["x", "y"], [], "grading row"),
+    ])
+    def test_no_variables_or_no_grading_rows(self, gf101, variables, grading, missing):
+        with pytest.raises(ValueError, match="^a ring needs at least one %s$" % missing):
+            MultigradedRing(gf101, variables, grading=grading)
+
     def test_positivity_required(self, gf101):
         # no row combination makes both weights positive
         with pytest.raises(ValueError):
