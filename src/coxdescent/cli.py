@@ -13,8 +13,6 @@ problem file is a parse error (exit 2), and a Groebner computation whose
 monomials reach a (weighted) degree past it stops with an error (exit 3).
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

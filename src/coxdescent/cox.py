@@ -6,23 +6,20 @@ irrelevant ideal), and the complete-intersection / strict-complete-
 intersection tests.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .groebner import (IdealHandle, _height_plus_prime, _homogeneous, _monomial_primes,
                        _saturate_primes, ambient_dimension, defining_ideal, height, saturate)
-from .rings import MultigradedRing, Polynomial, _require_homogeneous
+from .rings import MultigradedRing, _require_homogeneous
 
 _FACTOR_LETTERS = "xyzwuv"
 
 
-@dataclass(frozen=True)
-class CoxAmbient:
+class CoxAmbient(namedtuple("CoxAmbient", "ring")):
     """A Cox ring with distinguished irrelevant generators."""
 
-    ring: MultigradedRing
+    __slots__ = ()
 
     def irrelevant_ideal(self):
         return IdealHandle(self.ring, self.ring.irrelevant)
@@ -104,14 +101,12 @@ def _validate_hypersurfaces(polys):
             raise ValueError("unit does not define a hypersurface")
 
 
-@dataclass(frozen=True)
-class StrictCIVerdict:
-    """Outcome of the strict-complete-intersection test."""
+class StrictCIVerdict(namedtuple("StrictCIVerdict", "status witness height expected",
+                                 defaults=(None, None, None))):
+    """Outcome of the strict-complete-intersection test; ``status`` is
+    'strict' | 'not_strict' | 'not_ci', ``witness`` a Polynomial."""
 
-    status: str  # 'strict' | 'not_strict' | 'not_ci'
-    witness: Polynomial = None
-    height: int = None
-    expected: int = None
+    __slots__ = ()
 
     def is_strict(self):
         return self.status == "strict"

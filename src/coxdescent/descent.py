@@ -9,9 +9,7 @@ the stabilizer of its degree class, then each orbit of degree classes is
 reassembled from conjugates of the generators in a single class.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, mul
 
 from .cox import _strict_ci_verdict, _validate_hypersurfaces
@@ -206,20 +204,20 @@ def is_invariant_ideal(action, ideal):
 # ---------------------------------------------------------------------------
 # degree bookkeeping
 
-@dataclass
-class DegreeOrbitPartition:
+class DegreeOrbitPartition(namedtuple("DegreeOrbitPartition", "order r_bounds s_bounds blocks")):
     """Generators reordered so degree-class orbits are contiguous.
 
     ``order`` permutes the input indices.  Each r-block is one orbit of
     degree classes; within it the degrees cycle with period beta, forming
     gamma sub-blocks (the s-blocks) of size beta.
+
+    - ``r_bounds``: orbit block boundaries, 0 = r_0 < ... < r_m = s;
+    - ``s_bounds``: sub-block boundaries, 0 = s_0 < ... < s_n = s;
+    - ``blocks``: per r-block, dict(beta, gamma, classes, rep_powers);
+      classes[k] is a^k(classes[0]), so rep_powers is range(beta).
     """
 
-    order: list
-    r_bounds: list            # orbit block boundaries: 0 = r_0 < ... < r_m = s
-    s_bounds: list            # sub-block boundaries: 0 = s_0 < ... < s_n = s
-    blocks: list              # per r-block: dict(beta, gamma, classes, rep_powers);
-                              # classes[k] is a^k(classes[0]), so rep_powers is range(beta)
+    __slots__ = ()
 
 
 def degree_orbits(action, polys):
@@ -366,8 +364,7 @@ def fixed_space(action, vectors, subgroup_index):
 # ---------------------------------------------------------------------------
 # the descent recursion
 
-@dataclass
-class DescentResult:
+class DescentResult(namedtuple("DescentResult", "new_gens orbit_blocks degree_log input_order")):
     """Generators rewritten into Galois orbit blocks.
 
     ``new_gens`` has the same length and positionwise degrees as the
@@ -376,10 +373,7 @@ class DescentResult:
     and output degree at every position.
     """
 
-    new_gens: list
-    orbit_blocks: list
-    degree_log: list
-    input_order: list
+    __slots__ = ()
 
 
 def descend(amb, action, polys):

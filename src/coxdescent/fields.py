@@ -21,8 +21,6 @@ power-basis coefficients.  The :class:`FieldElement` wrapper presents a
 uniform immutable value type.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import re
@@ -246,12 +244,13 @@ class FieldTower:
 
     def _coerce_min_poly(self, mp):
         p, d = self.p, self.d
+        monic = "min_poly must be monic of degree %d" % d
         if isinstance(mp, str):
-            coeffs = _parse_coeffs(mp, p, d + 1)
+            coeffs = _parse_coeffs(mp, p, d + 1, too_high=monic)
         else:
             coeffs = [c % p for c in mp]
         if len(coeffs) != d + 1 or coeffs[-1] != 1:
-            raise ValueError("min_poly must be monic of degree %d" % d)
+            raise ValueError(monic)
         return coeffs
 
     def _is_irreducible(self, f):
@@ -484,8 +483,9 @@ def _parse_int(tok):
         raise ParseError("integer of %d digits is too long" % len(tok)) from None
 
 
-def _parse_coeffs(s, p, d):
-    """Parse 'a*t^k + ...' into its d power-basis coefficients."""
+def _parse_coeffs(s, p, d, too_high=None):
+    """Parse 'a*t^k + ...' into its d power-basis coefficients; a term past
+    t^(d-1) is a ParseError, with the message ``too_high`` if given."""
     toks = _parse_element_tokens(s)
     if not toks:
         raise ParseError("empty field element")
@@ -520,7 +520,7 @@ def _parse_coeffs(s, p, d):
                 exp = _parse_int(toks[pos])
                 pos += 1
         if exp >= d:
-            raise ParseError("t^%d exceeds extension degree %d" % (exp, d))
+            raise ParseError(too_high or "t^%d exceeds extension degree %d" % (exp, d))
         coeffs[exp] = (coeffs[exp] + sign * coef) % p
         sign = 1
     return coeffs

@@ -22,8 +22,6 @@ the ring's order) with both Buchberger criteria, and reduced bases are
 unique for a fixed order.
 """
 
-from __future__ import annotations
-
 import functools
 import heapq
 import operator

@@ -13,8 +13,6 @@ integer matrices such as gradings: the rational RREF scaled by one common
 integer, so ranks, solves and kernels over Q stay on ints.
 """
 
-from __future__ import annotations
-
 import functools
 
 from .fields import FieldTower

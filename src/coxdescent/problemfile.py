@@ -21,11 +21,9 @@ Action map entries have no internal whitespace; scalars are written as in
 polynomials, e.g. ``y0->t*x0`` or ``y0->(2*t+1)*x0``.
 """
 
-from __future__ import annotations
+from collections import namedtuple
 
-from dataclasses import dataclass
-
-from .cox import CoxAmbient, make_custom, make_product_projective, make_segre_p1p1
+from .cox import make_custom, make_product_projective, make_segre_p1p1
 from .descent import SemilinearAction
 from .errors import CoxDescentError, InhomogeneousError, ParseError
 from .fields import FieldTower
@@ -33,12 +31,10 @@ from .groebner import IdealHandle
 from .rings import MultigradedRing
 
 
-@dataclass
-class Problem:
-    tower: FieldTower
-    ambient: CoxAmbient
-    ideals: dict
-    action: SemilinearAction = None
+class Problem(namedtuple("Problem", "tower ambient ideals action", defaults=(None,))):
+    """A parsed problem file; ``ideals`` maps names to IdealHandles."""
+
+    __slots__ = ()
 
 
 def _keyvals(parts, keys, lineno):

@@ -13,8 +13,6 @@ No exponent a polynomial is made with, by parsing or by
 :meth:`MultigradedRing.monomial`, may pass :data:`EXPONENT_CAP`.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

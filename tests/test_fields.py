@@ -89,6 +89,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not irreducible"):
             FieldTower(2, 4, "t^4+t^2+1")  # (t^2 + t + 1)^2
 
+    @pytest.mark.parametrize("mp, error", [
+        ("t^3+1", ParseError), ("t+1", ValueError), ("2*t^2+1", ValueError),
+        ((1, 0, 0, 1), ValueError)])
+    def test_min_poly_of_wrong_degree_names_d(self, mp, error):
+        # a string used to be read against degree d + 1, and its error named d + 1
+        with pytest.raises(error) as info:
+            FieldTower(3, 2, mp)
+        assert str(info.value) == "min_poly must be monic of degree 2"
+
 
 class TestPrimality:
     def test_large_mersenne_prime_accepted_quickly(self):

@@ -71,13 +71,24 @@ def test_no_bare_asserts(path):
     assert bare_asserts(path.read_text()) == []
 
 
-def test_cli_imports_no_fractions_or_decimal():
-    # gradings are solved on integers; fractions (and the decimal module it
-    # imports) cost every CLI process about 4 ms
+def cli_imports(names):
+    """The named modules that ``import coxdescent.cli`` loads in a fresh interpreter."""
     code = ("import sys, coxdescent.cli\n"
-            "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))")
+            "print(sorted(m for m in %r if m in sys.modules))" % (names,))
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_imports_no_fractions_or_decimal():
+    # gradings are solved on integers; fractions (and the decimal module it
+    # imports) cost every CLI process about 4 ms
+    assert cli_imports(("fractions", "decimal")) == "[]\n"
+
+
+def test_cli_imports_no_dataclasses_or_inspect():
+    # the result types are namedtuples; dataclasses (and the inspect, ast and
+    # dis modules it imports) cost every CLI process about 14 ms
+    assert cli_imports(("dataclasses", "inspect")) == "[]\n"
