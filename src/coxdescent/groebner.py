@@ -11,6 +11,9 @@ int each (:class:`_Order`): one packing per monomial order, in which an int
 comparison is the order, a product is an int add and divisibility is one
 subtraction and one AND.  Only :class:`IdealHandle` packs and unpacks:
 Polynomials keep exponent tuples, which :func:`rings._grevlex_key` orders.
+Each order packs through its table from exponent tuple to packed int: a
+monomial table, not a query cache, as queries of one graded piece share
+their monomials; it is cleared at ``_TABLE_BOUND`` entries.
 
 Over GF(p) normal forms keep coefficients as plain ints, reduced mod p
 once per popped term (the heap division of Monagan and Pearce, J. Symb.
@@ -34,6 +37,9 @@ from .rings import _FIELD_BITS, Polynomial, _add_scaled, _first_off_degree
 # ---------------------------------------------------------------------------
 # monomial orders as packings: an exponent vector is one int, and comparing
 # ints compares monomials
+
+# entries an order's monomial table holds before it is cleared and refilled
+_TABLE_BOUND = 1 << 15
 
 
 class _Order:
@@ -61,6 +67,14 @@ class _Order:
     ``limit`` = (cap + 1) << top before its S-polynomial is formed keeps
     every term exact, and no per-term ``guard`` is needed (0).  The lcm
     itself is exact, as each of its exponents is within the cap.
+
+    Table.  :meth:`pack_terms` looks exponent tuples up in ``_table`` and
+    packs and stores only those not there, so :meth:`pack` stays the one
+    cap check: one past the cap raises and is never stored.  Orders are
+    built once per process, so rings with as many variables share a table;
+    packing depends on the order alone.  It holds monomials, no polynomial,
+    and is cleared at ``_TABLE_BOUND`` entries.  Unpacking has no table: it
+    would grow with every basis element the engine makes.
     """
 
     def __init__(self, weights, perm):
@@ -85,6 +99,7 @@ class _Order:
         self._restore = (None if self._arrange is None
                          else operator.itemgetter(*(perm.index(i) for i in range(n))))
         self._fields = struct.Struct("<%dH" % n)
+        self._table = {}  # exponent tuple -> packed int
 
     def key(self, e):
         """K(e) of an S-pair lcm, which may pass the cap that :meth:`pack`
@@ -109,8 +124,21 @@ class _Order:
         return a <= b and not (a - b) & self.divmask
 
     def pack_terms(self, t):
-        pack = self.pack
-        return {pack(e): c for e, c in t.items()}
+        table = self._table
+        try:
+            return {table[e]: c for e, c in t.items()}
+        except KeyError:
+            pass
+        out = {}
+        for e, c in t.items():
+            k = table.get(e)
+            if k is None:
+                k = self.pack(e)
+                if len(table) >= _TABLE_BOUND:
+                    table.clear()
+                table[e] = k
+            out[k] = c
+        return out
 
     def unpack_terms(self, t):
         unpack = self.unpack
@@ -138,6 +166,7 @@ class _Elimination(_Order):
         self.cols = (1 << self.auxshift,) + rest.cols
         self.limit = None
         self.guard = 1 << self.auxshift - 2
+        self._table = {}
 
     def pack(self, e):
         return self.rest.pack(e[1:]) + (e[0] << self.auxshift)

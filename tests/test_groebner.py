@@ -349,6 +349,34 @@ class TestMembershipOracle:
                 assert ideal.contains(f)
                 assert membership_oracle(ring, f, gens)
 
+    def test_rings_sharing_one_table_agree_with_linear_algebra(self, p1p1, p1p1_gf9, segre):
+        # three 4-variable rings over different fields, one a quotient, pack
+        # through the one _grevlex(4) table; interleaved queries must not
+        # mix their answers
+        rng = seeded(2031)
+        cases = []
+        for amb, degrees, queries in ((p1p1, [(1, 1), (2, 0)], [(2, 1), (2, 2), (3, 1)]),
+                                      (p1p1_gf9, [(1, 1), (0, 2)], [(1, 2), (2, 2)]),
+                                      (segre, [(2,)], [(2,), (3,)])):
+            ring = amb.ring
+            gens = [random_poly(ring, Multidegree(d), rng) for d in degrees]
+            ideal = IdealHandle(ring, gens)
+            assert ideal._order is G._grevlex(4)
+            cases.append((ring, ideal, gens + list(ring.defining), queries))
+        answers = []
+        for _ in range(4):
+            for ring, ideal, gens, queries in cases:
+                for deg in map(Multidegree, queries):
+                    # a random form, and a combination of the generators
+                    member = ring.zero()
+                    for g in gens:
+                        if monomials_of_degree(ring, deg - g.multidegree()):
+                            member = member + random_poly(ring, deg - g.multidegree(), rng) * g
+                    for f in (random_poly(ring, deg, rng), member):
+                        answers.append(ideal.contains(f))
+                        assert answers[-1] == membership_oracle(ring, f, gens)
+        assert len(set(answers)) == 2
+
 
 class TestSaturatedByHigherHeightDirection:
     def test_low_height_ideal_saturated_against_high_height_direction(self):
@@ -730,6 +758,74 @@ class TestExponentGuard:
         half = EXPONENT_CAP // 2 + 1
         with pytest.raises(ExponentCapError, match="a monomial"):
             mk(ring, "x0").normal_form(ring.parse("x0^%d*x1^%d" % (half, half)))
+
+
+class TestMonomialTable:
+    """pack_terms looks exponents up in the order's table: the same ints as
+    pack, term by term, with pack's cap check on every exponent not yet
+    stored and none stored past the cap."""
+
+    ORDERS = [lambda: G._grevlex(4), lambda: G._bayer((1, 1, 2, 2), 0),
+              lambda: G._elimination(3)]
+
+    @staticmethod
+    def random_terms(rng, n, count):
+        return {tuple(rng.randrange(4) for _ in range(n)): rng.randrange(1, 101)
+                for _ in range(count)}
+
+    @staticmethod
+    def per_term(order, t):
+        return {order.pack(e): c for e, c in t.items()}
+
+    @pytest.mark.parametrize("make", ORDERS, ids=["grevlex", "bayer", "elimination"])
+    def test_table_agrees_with_pack(self, make):
+        order = make()
+        rng = seeded(17)
+        for _ in range(30):
+            t = self.random_terms(rng, len(order.cols), rng.randint(1, 12))
+            assert order.pack_terms(t) == self.per_term(order, t)
+            assert order.pack_terms(t) == self.per_term(order, t)  # now all hits
+
+    def test_interleaved_orders_keep_their_own_tables(self):
+        # all three take 4-tuples: the elimination order reads (aux, e)
+        orders = [make() for make in self.ORDERS]
+        assert len({id(o._table) for o in orders}) == 3
+        rng = seeded(23)
+        dicts = [self.random_terms(rng, 4, 8) for _ in range(10)]
+        for t in dicts + dicts:
+            for order in orders:
+                assert order.pack_terms(t) == self.per_term(order, t)
+
+    def test_past_the_cap_raises_every_time_and_is_never_stored(self):
+        order = G._grevlex(2)
+        past = (EXPONENT_CAP, 1)
+        order.pack_terms({(0, 1): 1, (1, 0): 2})
+        for t in ({past: 1}, {past: 1}, {(0, 1): 1, (1, 0): 2, past: 3}, {past: 3, (0, 1): 1}):
+            with pytest.raises(ExponentCapError, match="a monomial"):
+                order.pack_terms(t)
+            assert past not in order._table
+        assert order.pack_terms({(EXPONENT_CAP, 0): 1}) == {order.pack((EXPONENT_CAP, 0)): 1}
+
+    def test_bounded_table_changes_no_answer(self, p1p1, monkeypatch):
+        ring = p1p1.ring
+        order = G._grevlex(4)
+        rng = seeded(29)
+        gens = [random_poly(ring, Multidegree(d), rng) for d in ((1, 1), (2, 0))]
+        queries = [random_poly(ring, Multidegree(d), rng)
+                   for d in ((2, 1), (2, 2), (3, 1), (3, 3)) for _ in range(3)]
+        queries += [random_poly(ring, Multidegree(d), rng) * g
+                    for d in ((1, 1), (2, 2)) for g in gens]
+        expected = [IdealHandle(ring, gens).contains(f) for f in queries]
+        assert set(expected) == {False, True}
+        bound = 5
+        monkeypatch.setattr(G, "_TABLE_BOUND", bound)
+        monkeypatch.setattr(order, "_table", {})
+        ideal = IdealHandle(ring, gens)
+        assert len(order._table) <= bound
+        for f, answer in zip(queries + queries, expected + expected):
+            assert order.pack_terms(f._t) == self.per_term(order, f._t)
+            assert ideal.contains(f) == answer
+            assert len(order._table) <= bound
 
 
 class TestMinTransversals:
