@@ -11,9 +11,12 @@ depends on the size q = p^d:
   arithmetic mod q - 1, sums read the Zech logarithm off two tables.  The
   exp, log and log1p tables are ``array('H')``s of about q entries each,
   built in the constructor in O(q) steps and cached per tower;
-- d > 1 and q above the bound: a tuple of d residues, multiplied by the
-  GF(p)[t] helpers ``_pmul`` and ``_pmod`` that also build the towers, and
-  inverted through the norm to GF(p).
+- d > 1 and q above the bound: one int, the Kronecker substitution
+  sum a_i 2^(k i) of the coefficients, k = (2 d p^2).bit_length() so that
+  no field carries (Harvey, J. Symb. Comput. 44, 2009).  Sums take p off
+  every field at p or above in one pass; a product is one int product
+  whose high digits fold back through packed powers of t; Frobenius sums
+  packed columns; inverses go through the norm to GF(p).
 
 Only ``c_coeffs``/``c_from_coeffs`` (and ``c_from_int``) see the
 representation; text, parsing and linear algebra over GF(p) go through
@@ -278,15 +281,15 @@ class FieldTower:
         """Install coefficient operations as closures.
 
         Internal representation: plain residue for d == 1, a discrete log
-        for d > 1 up to ``_LOG_BOUND`` elements, a tuple of d residues
-        above it.  Polynomials store these raw representations.
+        for d > 1 up to ``_LOG_BOUND`` elements, a Kronecker-packed int
+        above it.  Every one has zero 0 and one 1.  Polynomials store these
+        raw representations.
         """
         p, d = self.p, self.d
+        self.c_zero, self.c_one = 0, 1
         if d > 1 and p ** d <= _LOG_BOUND:
             self._setup_log_ops()
         elif d == 1:
-            self.c_zero = 0
-            self.c_one = 1
             self.c_add = lambda a, b: (a + b) % p
             self.c_sub = lambda a, b: (a - b) % p
             self.c_mul = lambda a, b: (a * b) % p
@@ -303,71 +306,77 @@ class FieldTower:
             self.c_coeffs = lambda a: (a,)
             self.c_from_coeffs = lambda cs: cs[0] % p
         else:
-            mp = list(self.min_poly)
-            self.c_zero = (0,) * d
-            self.c_one = (1,) + (0,) * (d - 1)
+            # coefficient i in bits k*i to k*(i+1) of one int: every partial
+            # sum below stays under 2*d*p^2 < 2^k, so no field carries
+            k = (2 * d * p * p).bit_length()
+            mask, low, h = (1 << k) - 1, (1 << k * d) - 1, k - 1
+            shifts = list(range(0, k * d, k))
+            ones = low // mask  # 1 in every field
+            ps, top = p * ones, ones << h  # p, and the top bit, in every field
+            bias = top - ps
 
-            def c_add(a, b):
-                return tuple((x + y) % p for x, y in zip(a, b))
+            def pack(cs):
+                return sum(c % p << s for c, s in zip(cs, shifts))
 
-            def c_sub(a, b):
-                return tuple((x - y) % p for x, y in zip(a, b))
+            def mod_p(x):  # every field mod p
+                r = 0
+                for s in shifts:
+                    r |= (x >> s & mask) % p << s
+                return r
 
-            def c_neg(a):
-                return tuple((-x) % p for x in a)
+            def c_add(a, b):  # fields below 2p: take p off those at p or above
+                a += b
+                return a - ((a + bias & top) >> h) * p
+
+            # the product's high digit d + j folds back through t^(d+j) mod min_poly
+            fold, cur = [], [0] * (d - 1) + [1]
+            for s in range(k * d, k * (2 * d - 1), k):
+                cur = _pmod([0] + cur, self.min_poly, p)
+                fold.append((s, pack(cur)))
 
             def c_mul(a, b):
-                r = _pmod(_pmul(a, b, p), mp, p)
-                return tuple(r) + (0,) * (d - len(r))
+                c = a * b  # digit i: the sum of the a_j*b_(i-j), below d*p^2
+                x = c & low
+                for s, row in fold:
+                    x += (c >> s & mask) % p * row
+                return mod_p(x)
 
             def c_inv(a):
                 # a^-1 = N(a)^-1 * b for b the product of the conjugates
                 # sigma^i(a), 0 < i < d, and the norm N(a) = a * b in GF(p)
-                if not any(a):
+                if not a:
                     raise ZeroDivisionError("division by zero in GF(%d^%d)" % (p, d))
                 b = conj = c_frob(a)
                 for _ in range(d - 2):
                     conj = c_frob(conj)
                     b = c_mul(b, conj)
-                n = pow(c_mul(a, b)[0], p - 2, p)
-                return tuple(x * n % p for x in b)
+                return mod_p(b * pow(c_mul(a, b), p - 2, p))
 
             # Frobenius matrices, built on first use: column j of frob_mats[i]
-            # is t^(j*p^i) mod min_poly
-            tp = _ppowmod([0, 1], p, mp, p)
-            cols = []
-            cur = [1]
-            for j in range(d):
-                cols.append(tuple(cur) + (0,) * (d - len(cur)))
-                cur = _pmod(_pmul(cur, tp, p), mp, p)
-            frob_mats = [None, cols]  # frob_mats[0], the identity, is never read
-
-            def _apply_mat(cols_, a):
-                out = [0] * d
-                for j, aj in enumerate(a):
-                    if aj:
-                        col = cols_[j]
-                        for i in range(d):
-                            out[i] = (out[i] + aj * col[i]) % p
-                return tuple(out)
+            # is t^(j*p^i) mod min_poly, paired with the shift of digit j
+            cols = itertools.accumulate([_power(1 << k, p, 1, c_mul)] * (d - 1), c_mul, initial=1)
+            frob_mats = [None, list(zip(shifts, cols))]  # frob_mats[0] is never read
 
             def c_frob(a, i=1):
                 i %= d
                 if i == 0:
                     return a
                 while len(frob_mats) <= i:
-                    frob_mats.append([_apply_mat(cols, c) for c in frob_mats[-1]])
-                return _apply_mat(frob_mats[i], a)
+                    frob_mats.append([(s, c_frob(c)) for s, c in frob_mats[-1]])
+                x = 0
+                for s, col in frob_mats[i]:
+                    x += (a >> s & mask) * col
+                return mod_p(x)
 
             self.c_add = c_add
-            self.c_sub = c_sub
-            self.c_neg = c_neg
+            self.c_sub = lambda a, b: c_add(a, ps - b)
+            self.c_neg = lambda a: c_add(0, ps - a)
             self.c_mul = c_mul
             self.c_inv = c_inv
             self.c_frob = c_frob
-            self.c_from_int = lambda n: (n % p,) + (0,) * (d - 1)
-            self.c_coeffs = lambda a: a
-            self.c_from_coeffs = lambda cs: tuple(c % p for c in cs)
+            self.c_from_int = lambda n: n % p
+            self.c_coeffs = lambda a: tuple(a >> s & mask for s in shifts)
+            self.c_from_coeffs = pack
 
     def _setup_log_ops(self):
         """Closures on discrete logs: 0 is zero, i + 1 stands for alpha^i."""
@@ -377,8 +386,6 @@ class FieldTower:
         pows = [p ** i for i in range(d)]
         frob = [pow(p, i, n) for i in range(d)]
         half = log[p - 1] - 1  # -1 = alpha^half: n / 2 for odd p, 0 for p = 2
-        self.c_zero = 0
-        self.c_one = 1
 
         def c_add(a, b):
             if not a:

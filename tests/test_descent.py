@@ -558,14 +558,14 @@ def test_frobenius_fixed_space_over_gf27_against_exhaustive_oracle():
 
 
 class TestCubicExtension:
-    """GF(101^3) stores its elements as coefficient tuples, q being past the
-    log-table bound: graded pieces against the public-arithmetic oracle of
+    """GF(101^3) stores its elements as Kronecker-packed ints, q being past
+    the log-table bound: graded pieces against the public-arithmetic oracle of
     conftest, a Frobenius fixed space and a descent round trip."""
 
     @pytest.fixture(scope="class")
     def gf101_3(self):
         tower = FieldTower(101, 3)
-        assert tower.c_one == (1, 0, 0)
+        assert tower.c_coeffs(tower.c_one) == (1, 0, 0)
         return tower
 
     @staticmethod

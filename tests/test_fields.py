@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 import time
 
 import pytest
@@ -301,7 +302,7 @@ def test_element_integer_past_the_digit_limit_is_a_parse_error(text):
 
 
 # GF(2^14) is the largest tower on discrete logs (q equals the bound), GF(101^3)
-# the benchmark's tower on coefficient tuples
+# the benchmark's tower on packed ints
 AGREEMENT_TOWERS = [(3, 2), (2, 4), (5, 3), (101, 2), (2, 14), (101, 3)]
 
 
@@ -389,8 +390,9 @@ class TestLogRepresentation:
         assert 2 ** 14 == _LOG_BOUND
         assert isinstance(FieldTower(2, 14).c_one, int)
         assert isinstance(FieldTower(127, 2).gen().rep, int)
-        assert isinstance(FieldTower(3, 9).gen().rep, tuple)  # 19683 elements
-        assert isinstance(FieldTower(101, 3).gen().rep, tuple)
+        # past the bound, coefficient i sits at bit k*i, k = (2*d*p^2).bit_length()
+        assert FieldTower(3, 9).gen().rep == 1 << 8  # 19683 elements
+        assert FieldTower(101, 3).gen().rep == 1 << 16
 
     @pytest.mark.parametrize("p, d", [(3, 2), (2, 4)])
     def test_reps_are_ints_and_zero_is_zero(self, p, d):
@@ -424,20 +426,82 @@ class TestLogRepresentation:
 
 
 @pytest.mark.parametrize("p, d", [(5, 3), (3, 4)])
-def test_tuple_tower_against_the_zech_tower(monkeypatch, p, d):
-    """Tuple arithmetic against discrete logs of the same minimal polynomial:
-    the two share no code for sums, products, inverses or Frobenius."""
+def test_packed_tower_against_the_zech_tower(monkeypatch, p, d):
+    """Packed-int arithmetic against discrete logs of the same minimal
+    polynomial, over every pair of elements: the two share no code for sums,
+    products, inverses or Frobenius."""
     zech = tower_of(p, d)
     monkeypatch.setattr(fields, "_LOG_BOUND", 1)
-    tup = FieldTower(p, d, zech.min_poly)
-    assert isinstance(tup.c_one, tuple) and isinstance(zech.c_one, int)
+    packed = FieldTower(p, d, zech.min_poly)
+    assert packed.gen().rep == 1 << (2 * d * p * p).bit_length() != zech.gen().rep
     every = list(itertools.product(range(p), repeat=d))
-    reps = [(tup.c_from_coeffs(cs), zech.c_from_coeffs(cs)) for cs in every]
-    for (ta, za), (tb, zb) in itertools.product(reps, reps):
-        assert tup.c_add(ta, tb) == zech.c_coeffs(zech.c_add(za, zb))
-        assert tup.c_mul(ta, tb) == zech.c_coeffs(zech.c_mul(za, zb))
-    for ta, za in reps[1:]:
-        assert tup.c_inv(ta) == zech.c_coeffs(zech.c_inv(za))
+    reps = [(packed.c_from_coeffs(cs), zech.c_from_coeffs(cs)) for cs in every]
+    pc, zc = packed.c_coeffs, zech.c_coeffs
+    for (pa, za), (pb, zb) in itertools.product(reps, reps):
+        assert pc(packed.c_add(pa, pb)) == zc(zech.c_add(za, zb))
+        assert pc(packed.c_mul(pa, pb)) == zc(zech.c_mul(za, zb))
+    for pa, za in reps[1:]:
+        assert pc(packed.c_inv(pa)) == zc(zech.c_inv(za))
     for i in range(-1, d + 1):
-        for ta, za in reps:
-            assert tup.c_frob(ta, i) == zech.c_coeffs(zech.c_frob(za, i))
+        for pa, za in reps:
+            assert pc(packed.c_frob(pa, i)) == zc(zech.c_frob(za, i))
+
+
+# towers past the log bound; 2^61 - 1 = 3 mod 4, so t^2 + 1 is irreducible,
+# and its fields are 125 bits wide
+PACKED_TOWERS = [(101, 3, None), (3, 9, None), (2, 15, None), (10007, 2, None),
+                 (2 ** 61 - 1, 2, "t^2+1")]
+
+
+@pytest.mark.parametrize("p, d, min_poly", PACKED_TOWERS)
+def test_packed_tower_against_power_basis_helpers(p, d, min_poly):
+    """Seeded operands: every closure of a packed tower against
+    ``_pmod(_pmul(...))`` and ``_ppowmod`` on coefficient lists."""
+    tw = FieldTower(p, d, min_poly)
+    assert p ** d > _LOG_BOUND
+    mp, n = list(tw.min_poly), p ** d - 1
+    rng = random.Random(2026 + p + d)
+
+    def coeffs(r):
+        cs = tw.c_coeffs(r)
+        assert len(cs) == d and all(0 <= c < p for c in cs)
+        assert (r == 0) == (not any(cs))  # one zero, and it is 0
+        return _ptrim(list(cs))
+
+    for k in range(40):
+        a, b = ([0] * d if k == 0 else [rng.randrange(p) for _ in range(d)]
+                for _ in range(2))
+        ra, rb = tw.c_from_coeffs(a), tw.c_from_coeffs(b)
+        a, b = _ptrim(a), _ptrim(b)
+        pairs = list(itertools.zip_longest(a, b, fillvalue=0))
+        assert coeffs(ra) == a
+        assert coeffs(tw.c_add(ra, rb)) == _ptrim([(x + y) % p for x, y in pairs])
+        assert coeffs(tw.c_sub(ra, rb)) == _ptrim([(x - y) % p for x, y in pairs])
+        assert coeffs(tw.c_neg(ra)) == [-x % p for x in a]
+        assert tw.c_sub(ra, ra) == tw.c_add(ra, tw.c_neg(ra)) == 0
+        assert coeffs(tw.c_mul(ra, rb)) == _pmod(_pmul(a, b, p), mp, p)
+        for i in range(-1, d + 1):
+            assert coeffs(tw.c_frob(ra, i)) == _ppowmod(a, p ** (i % d), mp, p)
+        for e in (-3, -1, 0, 1, 2, 5, rng.randrange(-n, n)):
+            if a:
+                assert coeffs(tw.c_pow(ra, e)) == _ppowmod(a, e % n, mp, p)
+            elif e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    tw.c_pow(ra, e)
+            else:
+                assert coeffs(tw.c_pow(ra, e)) == ([] if e else [1])
+        if a:
+            assert coeffs(tw.c_inv(ra)) == _ppowmod(a, n - 1, mp, p)
+        else:
+            with pytest.raises(ZeroDivisionError, match=r"^division by zero in GF\(%d\^%d\)$"
+                               % (p, d)):
+                tw.c_inv(ra)
+        # negative and >= p coefficients: the same element, the same text
+        shifted = [x + p * rng.randrange(-3, 4) for x in a + [0] * (d - len(a))]
+        assert tw.c_coeffs(tw.c_from_coeffs(shifted)) == tuple(x % p for x in shifted)
+        assert tw.c_from_coeffs(shifted) == ra
+        x, y = tw.element(shifted), tw.element(list(a))
+        assert x == y and hash(x) == hash(y) and str(x) == str(y)
+        assert tw.element(b) * x == tw.element(_pmod(_pmul(a, b, p), mp, p))
+        assert hash(tw.element(b) * x) == hash(tw.element(_pmod(_pmul(a, b, p), mp, p)))
+    assert tw.c_from_coeffs([p, -2 * p] + [0] * (d - 2)) == 0
