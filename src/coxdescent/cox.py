@@ -9,8 +9,9 @@ intersection tests.
 import itertools
 from collections import namedtuple
 
-from .groebner import (IdealHandle, _height_plus_prime, _homogeneous, _monomial_primes,
-                       _saturate_primes, ambient_dimension, defining_ideal, height, saturate)
+from .groebner import (IdealHandle, _height_at_least, _height_plus_prime, _homogeneous,
+                       _monomial_primes, _saturate_primes, ambient_dimension, defining_ideal,
+                       height, saturate)
 from .rings import MultigradedRing, _require_homogeneous
 
 _FACTOR_LETTERS = "xyzwuv"
@@ -84,11 +85,12 @@ def subscheme_ideal(amb, ideal):
 
 
 def is_complete_intersection(amb, polys):
-    """Height test: the s hypersurfaces cut out codimension s."""
+    """Height test: the s hypersurfaces cut out codimension s.  No s forms
+    have height above s, so ht(I) >= s decides it, from as much of I's
+    basis as that takes (:func:`~coxdescent.groebner._height_at_least`)."""
     polys = [amb.ring._coerce_poly(f) for f in polys]
     _validate_hypersurfaces(polys)
-    ideal = IdealHandle(amb.ring, polys)
-    return height(ideal) == len(polys)
+    return _height_at_least(IdealHandle(amb.ring, polys), len(polys))
 
 
 def _validate_hypersurfaces(polys):
@@ -144,23 +146,31 @@ def _strict_ci_verdict(amb, ideal):
     contains G, iff ht(I + G) = s.  When G is generated by monomials, V(I + G)
     is the union of the V(I + P) over the minimal primes P of G, which are
     generated by variables; so ht(I + G) is the least ht(I + P), and each
-    ht(I + P) is read off I's basis with P's terms dropped
-    (:func:`~coxdescent.groebner._height_plus_prime`), where I + G, with all
-    of G's products, has a large basis.  The same argument gives
-    I : P^inf = I for each P with ht(I + P) > s, also after saturating by
-    other primes, whose result is an intersection of primary components of
-    I.  So I is saturated only by the primes with ht(I + P) = s, and is
-    strict when there are none.
+    ht(I + P) is read off I's generators and the ring's relations with P's
+    terms dropped (:func:`~coxdescent.groebner._height_plus_prime`), where
+    I + G, with all of G's products, has a large basis.  The same argument
+    gives I : P^inf = I for each P with ht(I + P) > s, also after
+    saturating by other primes, whose result is an intersection of primary
+    components of I.  So I is saturated only by the primes with
+    ht(I + P) = s.
+
+    The heights of the I + P come first.  When every one is above s, I is
+    strict as soon as ht(I) >= s, which a partial basis of I can show
+    (:func:`~coxdescent.groebner._height_at_least`); s forms have height at
+    most s, so ht(I) = s.  Otherwise, or when I's run finishes short of s,
+    the exact height comes from I's full basis.
     """
     s = len(ideal.gens)
+    ring = amb.ring
+    monomial_cm = _cohen_macaulay(ring) and all(len(g) == 1 for g in ring.irrelevant)
+    if monomial_cm:
+        primes = [c for c in _monomial_primes(ring.irrelevant) if _height_plus_prime(ideal, c) == s]
+        if not primes and _height_at_least(ideal, s):
+            return StrictCIVerdict(status="strict", height=s, expected=s)
     h = height(ideal)
     if h != s:
         return StrictCIVerdict(status="not_ci", height=h, expected=s)
-    ring = amb.ring
-    if _cohen_macaulay(ring) and all(len(g) == 1 for g in ring.irrelevant):
-        primes = [c for c in _monomial_primes(ring.irrelevant) if _height_plus_prime(ideal, c) == s]
-        if not primes:
-            return StrictCIVerdict(status="strict", height=h, expected=s)
+    if monomial_cm:
         sat = _saturate_primes(ideal, primes)
     else:
         sat = saturate(ideal, amb.irrelevant_ideal())

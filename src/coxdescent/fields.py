@@ -269,10 +269,16 @@ class FieldTower:
 
     def _find_min_poly(self):
         # smallest irreducible in lexicographic coefficient order (a_0,...,a_{d-1});
-        # for d >= 2, t divides every candidate with a_0 = 0
+        # for d >= 2, t divides every candidate with a_0 = 0.  Candidates are
+        # decoded one at a time from n = sum a_i p^(d-1-i), so nothing of size p
+        # is built before the first one
         p, d = self.p, self.d
-        for tail in itertools.product(range(1, p), *[range(p)] * (d - 1)):
-            f = list(tail) + [1]
+        for n in range(p ** (d - 1), p ** d):
+            f = [1]
+            for _ in range(d):
+                n, a = divmod(n, p)
+                f.append(a)
+            f.reverse()
             if self._is_irreducible(f):
                 return f
         raise AssertionError("no irreducible polynomial found")  # unreachable

@@ -298,11 +298,16 @@ def _normal_form_dict(h, gb, tower, order, zero_test=False):
     return result
 
 
-def _buchberger(tower, order, polys):
+def _buchberger(tower, order, polys, stop=None):
     """Reduced Groebner basis of the ideal generated by ``polys`` (dicts
-    packed in ``order``), as (lt, tail) pairs in decreasing order of lt."""
+    packed in ``order``), as (lt, tail) pairs in decreasing order of lt.
+
+    ``stop``, if given, tests the set of the supports (frozensets of
+    variable indices) of the nonconstant leading terms found so far, each
+    time a new one appears; the run returns None once it holds."""
     gb = [_monic_pair(f, tower) for f in polys if f]
     exps = []  # the leading exponents as tuples, for the lcms
+    supports = set()
     minus_one = tower.c_neg(tower.c_one)
     zero, divmask, limit, guard = order.zero, order.divmask, order.limit, order.guard
     pending = set()
@@ -310,14 +315,22 @@ def _buchberger(tower, order, polys):
 
     def add_pairs(k):
         """Queue the S-pairs of gb[k] with every earlier element, the
-        smallest lcm first."""
-        exps.append(order.unpack(gb[k][0]))
+        smallest lcm first; whether ``stop`` now holds."""
+        e = order.unpack(gb[k][0])
+        exps.append(e)
         for j in range(k):
-            heapq.heappush(heap, (order.key(map(max, exps[j], exps[k])), j, k))
+            heapq.heappush(heap, (order.key(map(max, exps[j], e)), j, k))
             pending.add((j, k))
+        if stop is not None:
+            support = frozenset(i for i, a in enumerate(e) if a)
+            if support and support not in supports:
+                supports.add(support)
+                return stop(supports)
+        return False
 
     for k in range(len(gb)):
-        add_pairs(k)
+        if add_pairs(k):
+            return None
 
     while heap:
         l, i, j = heapq.heappop(heap)
@@ -351,7 +364,8 @@ def _buchberger(tower, order, polys):
         r = _normal_form_dict(s, gb, tower, order)
         if r:
             gb.append(_monic_pair(r, tower))
-            add_pairs(len(gb) - 1)
+            if add_pairs(len(gb) - 1):
+                return None
     return _reduce_basis(gb, tower, order)
 
 
@@ -402,11 +416,13 @@ class IdealHandle:
         """Unique reduced basis: monic, tails reduced, sorted."""
         return _polys_of_pairs(self.ring, self._pairs())
 
-    def _pairs(self):
+    def _pairs(self, stop=None):
+        """The basis as pairs, built on first call; None, and nothing kept,
+        when ``stop`` ends the run first (see :func:`_buchberger`)."""
         if self._gb_pairs is None:
             order = self._order
             polys = [order.pack_terms(g._t) for g in self.gens + self.ring.defining]
-            self._gb_pairs = _buchberger(self.ring.tower, order, polys)
+            self._gb_pairs = _buchberger(self.ring.tower, order, polys, stop)
         return self._gb_pairs
 
     def normal_form(self, f):
@@ -781,20 +797,40 @@ def height(ideal):
     return ambient_dimension(ideal.ring) - dimension(ideal)
 
 
+def _height_at_least(ideal, s):
+    """Whether ht(I) >= s, from as much of I's basis as it takes.
+
+    ht(I) is t - (n - dim R) for t a smallest hitting set of the supports
+    of in(I)'s generators.  The leading terms of a partial basis lie in
+    in(I), so their smallest hitting set is at most t: the run stops once
+    it reaches s + n - dim R (Cox, Little and O'Shea, *Ideals, Varieties,
+    and Algorithms*, ch. 9 section 3).  A run that finishes keeps its basis
+    on the handle, and the exact height answers.
+    """
+    least = s + ideal.ring.nvars - ambient_dimension(ideal.ring)
+    stopped = ideal._pairs(lambda supports: _min_hitting_set(supports) >= least) is None
+    return stopped or height(ideal) >= s
+
+
 def _height_plus_prime(ideal, c):
     """ht(I + P) for P generated by the variables indexed by ``c``.
 
-    R/(I + P) is k[x_j : j not in c] modulo the images of I's reduced basis
-    with every term in P dropped, so its dimension is n - |c| minus a
-    smallest hitting set of the images' leading terms, none of which
-    involves P.  With no image left that hitting set is empty, and no basis
-    is computed.
+    R/(I + P) is k[x_j : j not in c] modulo any generators of I (with the
+    ring's relations) with every term in P dropped, so its dimension is
+    n - |c| minus a smallest hitting set of the leading terms of their
+    basis, none of which involves P.  The generators are I's reduced basis
+    if the handle holds one, whose images need fewer S-pairs, else I's
+    generators and the relations: no basis of I is computed for this.
+    With no term left the hitting set is empty, and no basis is computed
+    at all: on a product of projective spaces every term of a form of
+    positive degree in a factor lies in that factor's prime.
     """
     ring, order = ideal.ring, ideal._order
     # field i of a grevlex int holds bias - e_i, so a term is in P when
     # one of P's fields differs from K(0)'s
     mask = sum(((1 << _FIELD_BITS) - 1) << _FIELD_BITS * i for i in c)
-    rest = [{k: v for k, v in t.items() if k & mask == order.zero & mask}
-            for t in _dicts_of_pairs(ring.tower, ideal._pairs())]
+    polys = (_dicts_of_pairs(ring.tower, ideal._gb_pairs) if ideal._gb_pairs is not None
+             else [order.pack_terms(g._t) for g in ideal.gens + ring.defining])
+    rest = [{k: v for k, v in t.items() if k & mask == order.zero & mask} for t in polys]
     pairs = _buchberger(ring.tower, order, rest) if any(rest) else []
     return ambient_dimension(ring) - _dimension_of_leads(ring.nvars, order, pairs) + len(c)

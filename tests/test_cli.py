@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from coxdescent import groebner
 from coxdescent.cli import main
 from coxdescent.problemfile import load_problem, parse_problem
 from coxdescent.errors import ParseError
@@ -107,6 +108,21 @@ class TestDimAndCI:
         rc, out, _ = run(capsys, "ci", P1P1, "--ideal", "segre2")
         assert rc == 0
         assert out == "CI height=2\n"
+
+    def test_ci_stops_at_height_s(self, capsys, tmp_path, monkeypatch):
+        # the leading terms x0*y0, x0*y1 and x1*y0^2 already show height 2,
+        # so I's basis is never finished; NOT_CI prints the exact height
+        path = tmp_path / "ci.prob"
+        path.write_text("field p=101\nambient product 1 1\n"
+                        "ideal ci = x0*y0 + x1*y1, x0*y1 - x1*y0\nideal fat = x0*y0, x0*y1\n")
+        reduced = []
+        run_basis = groebner._reduce_basis
+        monkeypatch.setattr(groebner, "_reduce_basis",
+                            lambda *args: reduced.append(args) or run_basis(*args))
+        assert run(capsys, "ci", str(path), "--ideal", "ci") == (0, "CI height=2\n", "")
+        assert reduced == []
+        assert run(capsys, "ci", str(path), "--ideal", "fat") == (
+            4, "NOT_CI height=1 expected=2\n", "")
 
     @pytest.mark.parametrize("ambient, gens", [
         ("product 1 1", "x0, 0"),

@@ -300,12 +300,12 @@ class TestHeightShortcut:
     @pytest.mark.parametrize("name, degrees, status, runs", [
         ("p2p2", [(2, 2), (2, 2)], "strict", 1),
         ("p1p1", [(0, 2), (2, 1)], "not_strict", 2)])
-    def test_heights_of_i_plus_p_read_the_basis_of_i(self, request, monkeypatch, name, degrees,
-                                                     status, runs):
-        # dropping P's terms from I's basis leaves nothing for both primes on
-        # P2xP2, so only I's own basis is computed.  On P1xP1 the (0,2) form
-        # is left mod (x0, x1), one more basis; (y0, y1) leaves nothing, and
-        # the step by y1 is in grevlex, which converts nothing
+    def test_i_plus_p_from_generators(self, request, monkeypatch, name, degrees, status, runs):
+        # dropping P's terms from I's generators leaves nothing for both
+        # primes on P2xP2, so the one run is I's own, stopped at height 2.
+        # On P1xP1 the (0,2) form is left mod (x0, x1), one more basis;
+        # (y0, y1) leaves nothing, so I's full basis follows, and the step
+        # by y1 is in grevlex, which converts nothing
         amb = request.getfixturevalue(name)
         rng = seeded(3)
         fs = [random_poly(amb.ring, Multidegree(d), rng) for d in degrees]
@@ -314,6 +314,41 @@ class TestHeightShortcut:
         monkeypatch.setattr(groebner, "_buchberger", lambda *args: calls.append(args) or run(*args))
         assert is_strict_ci(amb, fs).status == status
         assert len(calls) == runs
+
+    def test_strict_verdict_finishes_no_basis_of_i(self, p2p2, monkeypatch):
+        # the leading terms of a partial basis already show height 2, and
+        # no prime's terms leave anything of the generators: no basis is
+        # ever reduced, and the handle keeps none; a CI test stops alike
+        ring = p2p2.ring
+        rng = seeded(5)
+        fs = [random_poly(ring, Multidegree((2, 2)), rng) for _ in range(2)]
+        reduced = []
+        run = groebner._reduce_basis
+        monkeypatch.setattr(groebner, "_reduce_basis",
+                            lambda *args: reduced.append(args) or run(*args))
+        ideal = IdealHandle(ring, fs)
+        assert cox._strict_ci_verdict(p2p2, ideal) == StrictCIVerdict(
+            status="strict", height=2, expected=2)
+        assert is_complete_intersection(p2p2, fs)
+        assert (reduced, ideal._gb_pairs) == ([], None)
+        assert height(ideal) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(VERDICT_DEGREES)), st.integers(0, 2 ** 32))
+    def test_height_at_least_property(self, verdict_ambients, name, seed):
+        # as much of I's basis as shows ht(I) >= s answers as the full
+        # height does, on a fresh handle and on one whose basis is built
+        # (descent's verdicts get one)
+        ring = verdict_ambients[name].ring
+        rng = seeded(seed)
+        fs = [sparse_poly(ring, Multidegree(rng.choice(VERDICT_DEGREES[name])), rng)
+              for _ in range(rng.randint(1, 3))]
+        h = height(IdealHandle(ring, fs))
+        for s in (1, 2, 3):
+            fresh, built = IdealHandle(ring, fs), IdealHandle(ring, fs)
+            built._pairs()
+            assert (groebner._height_at_least(fresh, s) == groebner._height_at_least(built, s)
+                    == (h >= s))
 
     def test_not_strict_verdict_saturates_its_primes_in_one_pass(self, gf101, monkeypatch):
         # two (1,1,1) forms vanish modulo each factor's prime, so all three

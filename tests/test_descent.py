@@ -390,9 +390,9 @@ class TestDescend:
         seen = []
         orig = G._buchberger
 
-        def counting(tower, order, polys):
+        def counting(tower, order, polys, *stop):
             seen.append(frozenset(frozenset(order.unpack_terms(p).items()) for p in polys))
-            return orig(tower, order, polys)
+            return orig(tower, order, polys, *stop)
 
         monkeypatch.setattr(G, "_buchberger", counting)
         descend(p1p1_gf9, swap, fs)
@@ -416,9 +416,9 @@ class TestDescend:
         seen = []
         orig = G._buchberger
 
-        def recording(tower, order, polys):
+        def recording(tower, order, polys, *stop):
             seen.append(frozenset(frozenset(order.unpack_terms(p).items()) for p in polys))
-            return orig(tower, order, polys)
+            return orig(tower, order, polys, *stop)
 
         monkeypatch.setattr(G, "_buchberger", recording)
         res = descend(amb, action, fs)

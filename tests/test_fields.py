@@ -40,6 +40,28 @@ class TestConstruction:
                      if tower._is_irreducible(list(tail) + [1]))
         assert tower.min_poly == tuple(first)
 
+    @pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 4),
+                                      (5, 2), (5, 3), (7, 2), (11, 3), (13, 2)])
+    def test_default_min_poly_is_first_irreducible_by_trial_division(self, p, d):
+        # candidates in the order (a_0, ..., a_{d-1}), a_0 most significant,
+        # each tested by dividing by every monic of degree 1 .. d // 2
+        def irreducible(f):
+            return all(_pdivmod(f, list(g) + [1], p)[1]
+                       for k in range(1, d // 2 + 1)
+                       for g in itertools.product(range(p), repeat=k))
+
+        first = next(list(tail) + [1] for tail in itertools.product(range(p), repeat=d)
+                     if irreducible(list(tail) + [1]))
+        assert FieldTower(p, d).min_poly == tuple(first)
+
+    def test_default_min_poly_over_a_61_bit_prime(self):
+        # the search decodes one candidate at a time: nothing of size p is
+        # built before t^2 + 1, irreducible as 2^61 - 1 = 3 mod 4
+        tower = FieldTower(2 ** 61 - 1, 2)
+        assert tower.min_poly == (1, 0, 1)
+        t = tower.element("t")
+        assert t * t == -tower.one()
+
     def test_default_min_poly_search_skips_reducible_candidates_quickly(self):
         # for d >= 2, t divides every candidate with constant term 0
         assert FieldTower(101, 3).min_poly == (1, 0, 1, 1)

@@ -416,9 +416,9 @@ def record_buchberger_orders(monkeypatch):
     orders = []
     run = G._buchberger
 
-    def recording(tower, order, polys):
+    def recording(tower, order, polys, *stop):
         orders.append(order)
-        return run(tower, order, polys)
+        return run(tower, order, polys, *stop)
 
     monkeypatch.setattr(G, "_buchberger", recording)
     return orders
@@ -703,16 +703,28 @@ class TestPackedBases:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(SMALL_AMBIENT_DEGREES)), st.integers(0, 2 ** 32))
     def test_height_plus_prime_as_from_scratch_property(self, ambients, name, seed):
-        # ht(I + P) read off I's packed basis with P's terms dropped is the
+        # ht(I + P) read off I's generators and the ring's relations, or off
+        # I's basis once the handle holds one, with P's terms dropped is the
         # height of the ideal of I's generators and P's variables
         ring = ambients[name].ring
         rng = seeded(seed)
         ideal = IdealHandle(ring, [sparse_poly(ring, Multidegree(rng.choice(
             SMALL_AMBIENT_DEGREES[name])), rng) for _ in range(rng.randint(1, 3))])
+        built = IdealHandle(ring, ideal.gens)
+        built._pairs()
         x = ring.gens()
         for c in G._monomial_primes(ring.irrelevant):
-            assert (G._height_plus_prime(ideal, c)
+            assert (G._height_plus_prime(ideal, c) == G._height_plus_prime(built, c)
                     == height(IdealHandle(ring, list(ideal.gens) + [x[i] for i in c])))
+            assert ideal._gb_pairs is None
+
+    def test_height_plus_prime_keeps_the_relations(self, gf101):
+        # y0*y1 survives modulo (x0, x1): R/(I + P) is k[y0, y1]/(y0*y1), of
+        # dimension 1, so ht(I + P) = 3 - 1; without the relation it would be 1
+        ring = MultigradedRing(gf101, ["x0", "x1", "y0", "y1"], [(1, 1, 0, 0), (0, 0, 1, 1)],
+                               defining=["y0*y1"], irrelevant=["x0*y0", "x0*y1", "x1*y0", "x1*y1"])
+        ideal = mk(ring, "x0*y0 + x1*y1")
+        assert [G._height_plus_prime(ideal, c) for c in G._monomial_primes(ring.irrelevant)] == [2, 1]
 
 
 class TestExponentGuard:
