@@ -14,10 +14,10 @@ from operator import add, mul
 
 from .cox import _strict_ci_verdict, _validate_hypersurfaces
 from .errors import (ActionError, DescentPreconditionError, RingMismatchError)
-from .fields import _power as _square_and_multiply
+from .fields import _add_scaled, _power as _square_and_multiply
 from .groebner import IdealHandle, defining_ideal, ideal_equal
 from .linalg import _integer_rref, echelon_basis, kernel_gfp
-from .rings import Multidegree, Polynomial, _add_scaled, _exps_of_degree, _grevlex_key
+from .rings import Multidegree, Polynomial, _exps_of_degree, _grevlex_key
 
 _MAX_ORDER = 10000
 

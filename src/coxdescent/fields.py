@@ -22,13 +22,19 @@ Only ``c_coeffs``/``c_from_coeffs`` (and ``c_from_int``) see the
 representation; text, parsing and linear algebra over GF(p) go through
 power-basis coefficients.  The :class:`FieldElement` wrapper presents a
 uniform immutable value type.
+
+This lowest layer also holds the package's one polynomial parser,
+:class:`_Parser`, and its term-dict kernel (``_add_scaled``,
+``_mul_terms``).  Element and min_poly text is polynomial text in t, read
+over GF(p) with t as the only variable: no expanded term may pass t^(d-1),
+or t^d for a min_poly.
 """
 
 import functools
 import itertools
 import re
 from array import array
-from operator import mul
+from operator import add, mul
 
 from .errors import ParseError, TowerMismatchError
 
@@ -144,22 +150,6 @@ def _prime_factors(n):
 # towers GF(p^d), d > 1, with at most this many elements store discrete logs
 _LOG_BOUND = 2 ** 14
 
-_ELEM_TOKEN = re.compile(r"\s*(\d+|t|\^|\*|\+|\-)")
-
-
-def _parse_element_tokens(s):
-    pos, out = 0, []
-    while pos < len(s):
-        m = _ELEM_TOKEN.match(s, pos)
-        if not m:
-            if s[pos:].strip():
-                raise ParseError("bad field element syntax near %r" % s[pos:])
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
 @functools.lru_cache(maxsize=16)
 def _log_tables(p, d, min_poly):
     """(exp, log, log1p) of GF(p^d) to a primitive element alpha.
@@ -249,7 +239,7 @@ class FieldTower:
         p, d = self.p, self.d
         monic = "min_poly must be monic of degree %d" % d
         if isinstance(mp, str):
-            coeffs = _parse_coeffs(mp, p, d + 1, too_high=monic)
+            coeffs = _parse_coeffs(mp, p, d + 1, monic)
         else:
             coeffs = [c % p for c in mp]
         if len(coeffs) != d + 1 or coeffs[-1] != 1:
@@ -450,7 +440,7 @@ class FieldTower:
         if isinstance(value, int):
             return FieldElement(self, self.c_from_int(value))
         if isinstance(value, str):
-            return FieldElement(self, self.c_from_coeffs(_parse_coeffs(value, self.p, self.d)))
+            value = _parse_coeffs(value, self.p, self.d)
         if isinstance(value, (tuple, list)):
             cs = list(value) + [0] * (self.d - len(value))
             if len(cs) != self.d:
@@ -496,47 +486,198 @@ def _parse_int(tok):
         raise ParseError("integer of %d digits is too long" % len(tok)) from None
 
 
-def _parse_coeffs(s, p, d, too_high=None):
-    """Parse 'a*t^k + ...' into its d power-basis coefficients; a term past
-    t^(d-1) is a ParseError, with the message ``too_high`` if given."""
-    toks = _parse_element_tokens(s)
-    if not toks:
-        raise ParseError("empty field element")
-    coeffs = [0] * d
-    pos = 0
-    sign = 1
-    first = True
-    while pos < len(toks):
-        if toks[pos] in "+-":
-            sign = -1 if toks[pos] == "-" else 1
+@functools.lru_cache(maxsize=16)
+def prime_field(p):
+    """GF(p) on plain residues, the tower ``FieldTower(p)``, cached per p."""
+    return FieldTower(p)
+
+
+def _parse_coeffs(text, p, n, too_high=None):
+    """The n power-basis coefficients of ``text``, a polynomial in t over
+    GF(p).  An expanded term past t^(n-1) is a ParseError, with the message
+    ``too_high`` if given."""
+    def message(k):
+        return too_high or "t^%d exceeds extension degree %d" % (k, n)
+
+    cs = [0] * n
+    for (k,), c in _Parser(prime_field(p), {"t": 0}, n - 1, message).parse(text).items():
+        cs[k] = c
+    return cs
+
+
+# ---------------------------------------------------------------------------
+# term dicts {exponent: raw coefficient}
+
+def _add_scaled(h, g, tower, c=None, q=None, new=None):
+    """h += c * x^q * g, in place on term dicts {exponent: raw coefficient}.
+
+    ``c=None`` stands for 1 and ``q=None`` for x^0, so a plain sum pays no
+    multiplication.  A shift ``q`` is added to each exponent, so it is for
+    the engine's packed exponents (ints) only; tuple callers pass terms
+    already shifted.  Terms that cancel are deleted, keeping h free of
+    zeros.  Each exponent that was not yet a key of h is appended to the
+    list ``new``, when one is given.
+    """
+    add, mul, zero = tower.c_add, tower.c_mul, tower.c_zero
+    for e, v in g.items():
+        if q is not None:
+            e = e + q
+        if c is not None:
+            v = mul(c, v)
+        cur = h.get(e)
+        if cur is None:
+            h[e] = v
+            if new is not None:
+                new.append(e)
+        else:
+            s = add(cur, v)
+            if s == zero:
+                del h[e]
+            else:
+                h[e] = s
+
+
+def _mul_terms(a, b, tower):
+    """The product of two term dicts, as a new term dict."""
+    out = {}
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    for e1, c1 in small.items():
+        _add_scaled(out, {tuple(map(add, e, e1)): c for e, c in big.items()}, tower, c1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# parsing: polynomials, field elements and min_polys share this grammar
+#
+#   expr   := [+|-] term {(+|-) term}
+#   term   := factor {* factor}
+#   factor := ( expr ) | integer | (t | variable) [^ integer]
+#
+# A term's integers, t-powers and variable powers become one coefficient and
+# one exponent list, and each expr folds its terms into one term dict, so
+# the cost is linear in the text.  Only parenthesised factors multiply dicts.
+
+_TOKEN = r"[-+*^()]|\d+|[A-Za-z_][A-Za-z0-9_]*"
+_POLY_TOKEN = re.compile(_TOKEN)
+# one match per token, whitespace first; the last alternative catches the
+# first character no token starts with, together with the rest of the text
+_POLY_TOKENS = re.compile(r"\s*(%s|\S.*)" % _TOKEN, re.S)
+
+# the deepest nesting of parentheses read: each level takes two Python
+# frames (expr and term), so 200 levels stay far inside the default
+# recursion limit of 1000 wherever the caller starts
+_MAX_NESTING = 200
+
+
+def _tokenize(text):
+    """The tokens of ``text``, then a None sentinel."""
+    toks = _POLY_TOKENS.findall(text)
+    if toks and not _POLY_TOKEN.match(toks[-1]):
+        # the quote starts right after the last good token, whitespace included
+        pos = len(text[:-len(toks[-1])].rstrip())
+        raise ParseError("bad polynomial syntax near %r" % text[pos:pos + 20])
+    toks.append(None)
+    return toks
+
+
+class _Parser:
+    """Polynomial text to a term dict {exponent tuple: raw coefficient} over
+    ``tower``.  ``index`` maps each variable name to its exponent coordinate,
+    and ``t``, unless it is a variable, is the tower's generator.  A variable
+    exponent past ``cap`` in an expanded term raises
+    ``ParseError(too_high(exponent))``."""
+
+    def __init__(self, tower, index, cap, too_high):
+        self.tower, self.index, self.cap, self.too_high = tower, index, cap, too_high
+        self.signs = {"+": tower.c_one, "-": tower.c_neg(tower.c_one)}
+
+    def parse(self, text):
+        self.toks = toks = _tokenize(text)
+        if toks[0] is None:
+            raise ParseError("empty polynomial")
+        self.pos = self.depth = 0
+        h = self.expr()
+        tok = toks[self.pos]
+        if tok is not None:
+            raise ParseError("unexpected token %r" % tok)
+        return h
+
+    def expr(self):
+        """A signed sum, as one term dict."""
+        toks, signs, tower = self.toks, self.signs, self.tower
+        h = {}
+        sign = toks[self.pos]
+        if sign in signs:
+            self.pos += 1
+        else:
+            sign = "+"
+        while True:
+            _add_scaled(h, self.term(signs[sign]), tower)
+            sign = toks[self.pos]
+            if sign not in signs:
+                return h
+            self.pos += 1
+
+    def term(self, c):
+        """c times a product of factors, as a term dict."""
+        toks, pos, tower, index = self.toks, self.pos, self.tower, self.index
+        mul = tower.c_mul
+        exps = [0] * len(index)
+        prod = None
+        while True:
+            tok = toks[pos]
             pos += 1
-        elif not first:
-            raise ParseError("expected '+' or '-' in field element")
-        first = False
-        # term: INT ['*' t ['^' INT]] | t ['^' INT]
-        coef = 1
-        exp = 0
-        if pos < len(toks) and toks[pos].isdigit():
-            coef = _parse_int(toks[pos])
+            i = index.get(tok)
+            if i is None and tok != "t":
+                if tok is None:
+                    raise ParseError("unexpected end of polynomial")
+                if tok == "(":
+                    if self.depth == _MAX_NESTING:
+                        raise ParseError("parentheses nested deeper than %d" % _MAX_NESTING)
+                    self.pos, self.depth = pos, self.depth + 1
+                    g = self.expr()
+                    pos, self.depth = self.pos, self.depth - 1
+                    if toks[pos] != ")":
+                        raise ParseError("missing ')'")
+                    pos += 1
+                    prod = g if prod is None else self._capped(_mul_terms(prod, g, tower))
+                elif tok.isdigit():
+                    c = mul(c, tower.c_from_int(_parse_int(tok)))
+                else:
+                    raise ParseError("unknown variable %r" % tok)
+            else:
+                if i is None and tower.d == 1:
+                    raise ParseError("%r has no extension generator t" % tower)
+                k = 1
+                if toks[pos] == "^":
+                    k = toks[pos + 1]
+                    if k is None or not k.isdigit():
+                        raise ParseError("expected exponent after '^'")
+                    k = _parse_int(k)
+                    pos += 2
+                if i is None:
+                    c = mul(c, tower.c_pow(tower.gen().rep, k))
+                else:
+                    k += exps[i]
+                    if k > self.cap:
+                        raise ParseError(self.too_high(k))
+                    exps[i] = k
+            if toks[pos] != "*":
+                break
             pos += 1
-            if pos < len(toks) and toks[pos] == "*":
-                pos += 1
-                if pos >= len(toks) or toks[pos] != "t":
-                    raise ParseError("expected 't' after '*'")
-        if pos < len(toks) and toks[pos] == "t":
-            exp = 1
-            pos += 1
-            if pos < len(toks) and toks[pos] == "^":
-                pos += 1
-                if pos >= len(toks) or not toks[pos].isdigit():
-                    raise ParseError("expected exponent after '^'")
-                exp = _parse_int(toks[pos])
-                pos += 1
-        if exp >= d:
-            raise ParseError(too_high or "t^%d exceeds extension degree %d" % (exp, d))
-        coeffs[exp] = (coeffs[exp] + sign * coef) % p
-        sign = 1
-    return coeffs
+        self.pos = pos
+        if c == tower.c_zero:
+            return {}
+        if prod is None:
+            return {tuple(exps): c}
+        return self._capped({tuple(map(add, e, exps)): mul(c, v) for e, v in prod.items()})
+
+    def _capped(self, t):
+        """The term dict ``t`` of a product, if no exponent passes the cap."""
+        top = max(itertools.chain.from_iterable(t), default=0)
+        if top > self.cap:
+            raise ParseError(self.too_high(top))
+        return t
 
 
 def _operator(name, reflected=False):

@@ -32,7 +32,8 @@ import struct
 
 from .errors import (ExponentCapError, RingMismatchError,
                      SaturationDirectionError, UnitIdealError)
-from .rings import _FIELD_BITS, Polynomial, _add_scaled, _first_off_degree
+from .fields import _add_scaled
+from .rings import _FIELD_BITS, Polynomial, _first_off_degree
 
 # ---------------------------------------------------------------------------
 # monomial orders as packings: an exponent vector is one int, and comparing

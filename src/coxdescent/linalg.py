@@ -4,24 +4,17 @@ and its fraction-free twin over the integers.
 :func:`rref` works over a :class:`~coxdescent.fields.FieldTower` through
 its ``c_zero``, ``c_one``, ``c_sub``, ``c_mul`` and ``c_inv``: over GF(p^d)
 for descent's graded pieces and fixed spaces, whose rows its ``_echelon``
-builds from term dicts, and over the tower's GF(p), :func:`prime_field`, for
-restriction of scalars.  Kernels read off its canonical result.  Vectors are
-plain lists of the field's raw coefficients.
+builds from term dicts, and over the tower's GF(p),
+:func:`~coxdescent.fields.prime_field`, for restriction of scalars.
+Kernels read off its canonical result.  Vectors are plain lists of the
+field's raw coefficients.
 
 :func:`_integer_rref` is Bareiss's elimination (Math. Comp. 22, 1968) for
 integer matrices such as gradings: the rational RREF scaled by one common
 integer, so ranks, solves and kernels over Q stay on ints.
 """
 
-import functools
-
-from .fields import FieldTower
-
-
-@functools.lru_cache(maxsize=16)
-def prime_field(p):
-    """GF(p) on plain residues, the tower ``FieldTower(p)``, cached per p."""
-    return FieldTower(p)
+from .fields import prime_field
 
 
 def rref(field, rows):

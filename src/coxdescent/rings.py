@@ -9,7 +9,9 @@ Polynomials are immutable; their terms map exponent tuples to the tower's
 internal coefficient representation.  Coefficients surface as
 :class:`~coxdescent.fields.FieldElement` through the public accessors.
 
-No exponent a polynomial is made with, by parsing or by
+Text is read by the grammar field elements share (``fields._Parser``);
+here t is the tower's generator, and each power t^k reduces mod the
+min_poly.  No exponent a polynomial is made with, by parsing or by
 :meth:`MultigradedRing.monomial`, may pass :data:`EXPONENT_CAP`.
 """
 
@@ -18,8 +20,9 @@ import math
 import operator
 import re
 
-from .errors import (InhomogeneousError, ParseError, RingMismatchError)
-from .fields import FieldElement, FieldTower, _parse_int, _power, format_rep
+from .errors import InhomogeneousError, RingMismatchError
+from .fields import (FieldElement, FieldTower, _add_scaled, _mul_terms, _Parser, _power,
+                     format_rep)
 from .linalg import _integer_rref
 
 
@@ -158,7 +161,8 @@ class MultigradedRing:
         return Polynomial(self, {e: c.rep})
 
     def parse(self, text):
-        return _parse_polynomial(self, text)
+        return Polynomial(self, _Parser(self.tower, self._var_index, EXPONENT_CAP,
+                                        _past_the_cap).parse(text))
 
     def multidegree_of_exp(self, e):
         return Multidegree(sum(map(operator.mul, row, e)) for row in self.grading)
@@ -205,44 +209,6 @@ def _positive_weights(grading):
 
 # ---------------------------------------------------------------------------
 # polynomials
-
-def _add_scaled(h, g, tower, c=None, q=None, new=None):
-    """h += c * x^q * g, in place on term dicts {exponent: raw coefficient}.
-
-    ``c=None`` stands for 1 and ``q=None`` for x^0, so a plain sum pays no
-    multiplication.  A shift ``q`` is added to each exponent, so it is for
-    the engine's packed exponents (ints) only; tuple callers pass terms
-    already shifted.  Terms that cancel are deleted, keeping h free of
-    zeros.  Each exponent that was not yet a key of h is appended to the
-    list ``new``, when one is given.
-    """
-    add, mul, zero = tower.c_add, tower.c_mul, tower.c_zero
-    for e, v in g.items():
-        if q is not None:
-            e = e + q
-        if c is not None:
-            v = mul(c, v)
-        cur = h.get(e)
-        if cur is None:
-            h[e] = v
-            if new is not None:
-                new.append(e)
-        else:
-            s = add(cur, v)
-            if s == zero:
-                del h[e]
-            else:
-                h[e] = s
-
-
-def _mul_terms(a, b, tower):
-    """The product of two term dicts, as a new term dict."""
-    out = {}
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    for e1, c1 in small.items():
-        _add_scaled(out, {tuple(map(operator.add, e, e1)): c for e, c in big.items()}, tower, c1)
-    return out
-
 
 def _grevlex_key(e):
     """Sort key of grevlex on exponent tuples, the largest monomial first:
@@ -448,141 +414,6 @@ def poly_str(f):
                 cs = "(%s)" % cs
             parts.append("%s*%s" % (cs, mono))
     return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# parsing
-#
-#   expr   := [+|-] term {(+|-) term}
-#   term   := factor {* factor}
-#   factor := ( expr ) | integer | (t | variable) [^ integer]
-#
-# A term's integers, t-powers and variable powers become one coefficient and
-# one exponent list, and each expr folds its terms into one term dict, so
-# the cost is linear in the text.  Only parenthesised factors multiply dicts.
-
-_TOKEN = r"[-+*^()]|\d+|[A-Za-z_][A-Za-z0-9_]*"
-_POLY_TOKEN = re.compile(_TOKEN)
-# one match per token, whitespace first; the last alternative catches the
-# first character no token starts with, together with the rest of the text
-_POLY_TOKENS = re.compile(r"\s*(%s|\S.*)" % _TOKEN, re.S)
-
-
-def _tokenize(text):
-    """The tokens of ``text``, then a None sentinel."""
-    toks = _POLY_TOKENS.findall(text)
-    if toks and not _POLY_TOKEN.match(toks[-1]):
-        # the quote starts right after the last good token, whitespace included
-        pos = len(text[:-len(toks[-1])].rstrip())
-        raise ParseError("bad polynomial syntax near %r" % text[pos:pos + 20])
-    toks.append(None)
-    return toks
-
-
-class _Parser:
-    def __init__(self, ring, tokens):
-        self.ring = ring
-        self.toks = tokens
-        self.pos = 0
-        tower = ring.tower
-        self.signs = {"+": tower.c_one, "-": tower.c_neg(tower.c_one)}
-
-    def parse(self):
-        h = self.expr()
-        tok = self.toks[self.pos]
-        if tok is not None:
-            raise ParseError("unexpected token %r" % tok)
-        return Polynomial(self.ring, h)
-
-    def expr(self):
-        """A signed sum, as one term dict."""
-        toks, signs, tower = self.toks, self.signs, self.ring.tower
-        h = {}
-        sign = toks[self.pos]
-        if sign in signs:
-            self.pos += 1
-        else:
-            sign = "+"
-        while True:
-            _add_scaled(h, self.term(signs[sign]), tower)
-            sign = toks[self.pos]
-            if sign not in signs:
-                return h
-            self.pos += 1
-
-    def term(self, c):
-        """c times a product of factors, as a term dict."""
-        ring, toks, pos = self.ring, self.toks, self.pos
-        tower, index = ring.tower, ring._var_index
-        mul = tower.c_mul
-        exps = [0] * ring.nvars
-        prod = None
-        while True:
-            tok = toks[pos]
-            pos += 1
-            i = index.get(tok)
-            if i is None and tok != "t":
-                if tok is None:
-                    raise ParseError("unexpected end of polynomial")
-                if tok == "(":
-                    self.pos = pos
-                    g = self.expr()
-                    pos = self.pos
-                    if toks[pos] != ")":
-                        raise ParseError("missing ')'")
-                    pos += 1
-                    prod = g if prod is None else _capped(_mul_terms(prod, g, tower))
-                elif tok.isdigit():
-                    c = mul(c, tower.c_from_int(_parse_int(tok)))
-                else:
-                    raise ParseError("unknown variable %r" % tok)
-            else:
-                if i is None and tower.d == 1:
-                    raise ParseError("%r has no extension generator t" % tower)
-                k = 1
-                if toks[pos] == "^":
-                    k = toks[pos + 1]
-                    if k is None or not k.isdigit():
-                        raise ParseError("expected exponent after '^'")
-                    k = _parse_int(k)
-                    pos += 2
-                if i is None:
-                    c = mul(c, tower.c_pow(tower.gen().rep, k))
-                else:
-                    k += exps[i]
-                    if k > EXPONENT_CAP:
-                        raise ParseError(_past_the_cap(k))
-                    exps[i] = k
-            if toks[pos] != "*":
-                break
-            pos += 1
-        self.pos = pos
-        if c == tower.c_zero:
-            return {}
-        if prod is None:
-            return {tuple(exps): c}
-        # prod's terms were capped as parsed, so only a coordinate that exps
-        # moves can pass the cap, and only in a term that is not a constant
-        if any(map(any, prod)):
-            top = max((e[i] + k for i, k in enumerate(exps) if k for e in prod), default=0)
-            if top > EXPONENT_CAP:
-                raise ParseError(_past_the_cap(top))
-        return {tuple(map(operator.add, e, exps)): mul(c, v) for e, v in prod.items()}
-
-
-def _capped(t):
-    """The term dict ``t`` of a parsed product, if no exponent passes the cap."""
-    top = max(itertools.chain.from_iterable(t), default=0)
-    if top > EXPONENT_CAP:
-        raise ParseError(_past_the_cap(top))
-    return t
-
-
-def _parse_polynomial(ring, text):
-    toks = _tokenize(text)
-    if toks[0] is None:
-        raise ParseError("empty polynomial")
-    return _Parser(ring, toks).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from coxdescent import groebner
 from coxdescent.cli import main
 from coxdescent.problemfile import load_problem, parse_problem
 from coxdescent.errors import ParseError
+from coxdescent.fields import _MAX_NESTING
 
 from coxdescent.rings import EXPONENT_CAP
 
@@ -91,11 +92,19 @@ class TestStrictCI:
         assert "zero polynomial" in err
 
     def test_not_ci(self, capsys):
+        # no NOT_CI here: ci rejects an inhomogeneous ideal (exit 3), and the
+        # fat point is a CI that is not strict; test_not_ci_exit_4 prints NOT_CI
         rc, out, _ = run(capsys, "ci", P1P1, "--ideal", "rowred")
         assert (rc, out) == (3, "")  # x0+y0 is not homogeneous on P1xP1
         rc, out, _ = run(capsys, "strict-ci", P1P1, "--ideal", "fat")
         assert rc == 1
         assert out.startswith("NOT_STRICT witness=")
+
+    def test_not_ci_exit_4(self, capsys, tmp_path):
+        # x0*y0 and x0*y1 share the factor x0: height 1, not 2
+        path = tmp_path / "notci.prob"
+        path.write_text("field p=101\nambient product 1 1\nideal a = x0*y0, x0*y1\n")
+        assert run(capsys, "strict-ci", str(path)) == (4, "NOT_CI height=1 expected=2\n", "")
 
 
 class TestDimAndCI:
@@ -270,6 +279,71 @@ class TestErrors:
         rc, out, err = run(capsys, "gb", str(path))
         assert (rc, out) == (2, "")
         assert err == "parse error: line %d: %s\n" % (lineno, message)
+
+    @pytest.mark.parametrize("lines, rc, err", [
+        (["field p", "ambient product 1 1", "ideal a = x0"],
+         2, "parse error: line 1: expected key=value, got 'p'"),
+        (["field d=2", "ambient product 1 1", "ideal a = x0"],
+         2, "parse error: line 1: field line needs p=<prime>"),
+        (["field p=3 d=two", "ambient product 1 1", "ideal a = x0"],
+         2, "parse error: line 1: p and d must be integers"),
+        (["field p=3 d=2 min_poly=t^2+", "ambient product 1 1", "ideal a = x0"],
+         2, "parse error: line 1: unexpected end of polynomial"),
+        (["field p=101", "ambient", "ideal a = x0"],
+         2, "parse error: line 2: ambient line needs a kind"),
+        (["field p=101", "ambient product 1 x", "ideal a = x0"],
+         2, "parse error: line 2: product dimensions must be integers"),
+        (["field p=101", "ambient product", "ideal a = x0"],
+         2, "parse error: line 2: product ambient needs dimensions"),
+        (["field p=101", "ambient torus", "ideal a = x0"],
+         2, "parse error: line 2: unknown ambient kind 'torus'"),
+        (["field p=101", "ambient product 1 1", "vars x0 x1", "ideal a = x0"],
+         2, "parse error: line 3: 'vars' line outside a custom ambient"),
+        (["field p=101", "ambient product 1 1", "ideal a x0"],
+         2, "parse error: line 3: ideal line needs NAME = generators"),
+        (["field p=101", "ambient product 1 1", "ideal = x0"],
+         2, "parse error: line 3: ideal needs a name"),
+        (["field p=101", "ambient product 1 1", "idea a = x0"],
+         2, "parse error: line 3: unknown statement 'idea'"),
+        (["field p=101", "ideal a = x0"], 2, "parse error: missing ambient line"),
+        (["field p=101", "ambient product 1 1", "ideal a = x0", "action frob=x x0->y0"],
+         2, "parse error: line 4: frob= must be an integer"),
+        (["field p=101", "ambient product 1 1", "ideal a = x0", "action ->y0"],
+         2, "parse error: line 4: bad map entry '->y0'"),
+        (["field p=101", "ambient product 1 1", "ideal a = x0", "action x0"],
+         2, "parse error: line 4: bad action token 'x0'"),
+        (["field p=101", "ambient product 1 1", "ideal a = x0", "action x0->q0"],
+         2, "parse error: line 4: invalid action: unknown variable 'q0'"),
+        (["field p=101", "ambient custom", "grading 1 1", "irrelevant x0", "ideal a = x0"],
+         2, "parse error: custom ambient needs a vars line"),
+        (["field p=101", "ambient custom", "vars x0 x1", "irrelevant x0", "ideal a = x0"],
+         2, "parse error: custom ambient needs a grading line"),
+        (["field p=101", "ambient custom", "vars x0 x1", "grading 1 1", "ideal a = x0"],
+         2, "parse error: custom ambient needs an irrelevant line"),
+        (["field p=101", "ambient custom", "vars x0 x1", "grading 1 one", "irrelevant x0",
+          "ideal a = x0"], 2, "parse error: line 4: grading entries must be integers"),
+        (["field p=101", "ambient product 1 1", "ideal a = x0"],
+         3, "error: descend needs an action line in the problem file"),
+    ], ids=["key-value", "field-needs-p", "p-d-integers", "min-poly-dangling-sign",
+            "ambient-kind", "product-integers", "product-dimensions", "unknown-ambient",
+            "vars-outside-custom", "ideal-needs-equals", "ideal-needs-name",
+            "unknown-statement", "missing-ambient", "frob-integer", "bad-map-entry",
+            "bad-action-token", "invalid-action", "custom-vars", "custom-grading",
+            "custom-irrelevant", "grading-integers", "descend-without-action"])
+    def test_rejected_problem(self, capsys, tmp_path, lines, rc, err):
+        # descend reads the action line too; every file but the last fails to parse
+        path = tmp_path / "bad.prob"
+        path.write_text("\n".join(lines + [""]))
+        assert run(capsys, "descend", str(path)) == (rc, "", err + "\n")
+
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
+        # 3000 levels used to overflow Python's stack: a traceback and exit 1
+        path = tmp_path / "deep.prob"
+        path.write_text("field p=101\nambient product 1 1\nideal a = %sx0%s\n"
+                        % ("(" * 3000, ")" * 3000))
+        assert run(capsys, "gb", str(path)) == (
+            2, "", "parse error: line 3: in ideal a: parentheses nested deeper than %d\n"
+            % _MAX_NESTING)
 
     def test_empty_vars_line(self, capsys, tmp_path):
         path = tmp_path / "novars.prob"

@@ -6,11 +6,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxdescent import FieldTower, ParseError, TowerMismatchError, fields, frobenius
-from coxdescent.fields import (_LOG_BOUND, _is_prime, _pdivmod, _pmod, _pmul, _ppowmod,
-                               _ptrim)
+from coxdescent import (FieldTower, ParseError, TowerMismatchError, fields, frobenius,
+                        make_product_projective)
+from coxdescent.fields import (_LOG_BOUND, _MAX_NESTING, _is_prime, _pdivmod, _pmod, _pmul,
+                               _ppowmod, _ptrim)
 
-from conftest import DIGIT_LIMIT
+from conftest import DIGIT_LIMIT, seeded
 
 POW_TOWERS = {"GF(101)": FieldTower(101), "GF(3^2)": FieldTower(3, 2),
               "GF(7^3)": FieldTower(7, 3)}
@@ -321,6 +322,88 @@ def test_element_integer_past_the_digit_limit_is_a_parse_error(text):
     big = "1" * (DIGIT_LIMIT + 1)
     with pytest.raises(ParseError, match="^integer of %d digits is too long$" % len(big)):
         FieldTower(3, 2).element(text % big)
+
+
+# element text against the ring parser: the towers and rings of the check
+GRAMMAR_TOWERS = {name: FieldTower(*pd) for name, pd in [
+    ("GF(101)", (101,)), ("GF(3^2)", (3, 2)), ("GF(5^3)", (5, 3)), ("GF(2^4)", (2, 4)),
+    ("GF(101^3)", (101, 3))]}
+GRAMMAR_RINGS = {name: make_product_projective([1, 1], tower).ring
+                 for name, tower in GRAMMAR_TOWERS.items()}
+
+
+def _element_text(rng, budget, depth=0):
+    """A random signed sum of products of integers, powers of t and
+    parenthesised sums, no expanded term of degree past ``budget``."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors, left = [], budget
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random()
+            if r < 0.2 and depth < 2:
+                inner = rng.randint(0, left)
+                factors.append("(%s)" % _element_text(rng, inner, depth + 1))
+                left -= inner
+            elif r < 0.5 or not left:
+                factors.append(str(rng.choice([0, 1, 2, 3, 6, 100, 101, 250])))
+            else:
+                k = rng.randint(0, left)
+                factors.append("t" if k == 1 and rng.random() < 0.5 else "t^%d" % k)
+                left -= k
+        terms.append("*".join(factors))
+    text = rng.choice(["", "", "-", "+", " -"]) + terms[0]
+    for term in terms[1:]:
+        text += rng.choice(["+", "-", " + ", " - "]) + term
+    return text
+
+
+class TestOneGrammar:
+    """Element and min_poly text read by the polynomial parser."""
+
+    @pytest.mark.parametrize("text", ["1+-t", "--1", "3-", "3 t", "3t", "t+"])
+    def test_misread_element_is_a_parse_error(self, text):
+        # the element reader had its own grammar, which read "1+-t" as
+        # 1 + 1 - t, "--1" as 3, "3-" as 2 and "3 t" as 3*t in GF(5^3)
+        with pytest.raises(ParseError):
+            FieldTower(5, 3).element(text)
+
+    @pytest.mark.parametrize("mp", ["t^2+", "t^2+-1"])
+    def test_misread_min_poly_is_a_parse_error(self, mp):
+        # "t^2+" used to become t^2 + 1
+        with pytest.raises(ParseError):
+            FieldTower(3, 2, mp)
+
+    def test_products_and_parentheses(self):
+        tower = FieldTower(5, 3)
+        t = tower.gen()
+        assert tower.element("(t+1)*(t+2)") == (t + 1) * (t + 2)
+        assert tower.element("2*(t-3)*2") == 4 * t - 12
+        assert tower.element("-(t^2)") == -t * t
+        assert FieldTower(3, 2, "(t+1)*(t-1)+2").min_poly == (1, 0, 1)
+
+    @pytest.mark.parametrize("text", ["t*t", "(t+1)*(t+1)", "t*(t+1)", "1+(t-1)*t"])
+    def test_expanded_term_past_the_degree(self, text):
+        with pytest.raises(ParseError, match=r"^t\^2 exceeds extension degree 2$"):
+            FieldTower(3, 2).element(text)
+
+    def test_nesting_bound(self):
+        tower, ring = GRAMMAR_TOWERS["GF(5^3)"], GRAMMAR_RINGS["GF(5^3)"]
+        deep = "(" * _MAX_NESTING + "%s" + ")" * _MAX_NESTING
+        assert tower.element(deep % "t") == tower.gen()
+        assert ring.parse(deep % "x0") == ring.var("x0")
+        too_deep = "(%s)" % deep
+        message = "^parentheses nested deeper than %d$" % _MAX_NESTING
+        with pytest.raises(ParseError, match=message):
+            tower.element(too_deep % "t")
+        with pytest.raises(ParseError, match=message):
+            ring.parse(too_deep % "x0")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(GRAMMAR_TOWERS)), st.integers(0, 2 ** 32))
+    def test_element_is_the_constant_of_the_ring_parse(self, name, seed):
+        tower, ring = GRAMMAR_TOWERS[name], GRAMMAR_RINGS[name]
+        text = _element_text(seeded(seed), tower.d - 1)
+        assert tower.element(text) == ring.parse(text).coefficient((0,) * ring.nvars), text
 
 
 # GF(2^14) is the largest tower on discrete logs (q equals the bound), GF(101^3)

@@ -753,18 +753,20 @@ class TestExponentGuard:
             intersect(mk(ring, "x0^500"), mk(ring, "x1^%d" % (cap - 499)))
 
     def test_elimination_reduction_term_past_the_cap(self, gf101):
-        # u*x0^600 reduced by u + x1^k creates x0^600*x1^k
+        # u*x0^600 reduced by u + x1^k creates x0^600*x1^k, in the prime-field
+        # loop and in the GF(p^d) one (discrete logs, packed ints); raw 1 is one
         cap = EXPONENT_CAP
         order = G._elimination(2)
-        for k, past in ((cap - 600, False), (cap - 599, True)):
-            h = order.pack_terms({(1, 600, 0): 1})
-            gb = [(order.pack((1, 0, 0)), order.pack_terms({(0, 0, k): 1}))]
-            if past:
-                with pytest.raises(ExponentCapError, match="reduction term"):
-                    G._normal_form_dict(h, gb, gf101, order)
-            else:
-                assert (order.unpack_terms(G._normal_form_dict(h, gb, gf101, order))
-                        == {(0, 600, k): 100})
+        for tower in (gf101, FieldTower(101, 2), FieldTower(101, 3)):
+            for k, past in ((cap - 600, False), (cap - 599, True)):
+                h = order.pack_terms({(1, 600, 0): 1})
+                gb = [(order.pack((1, 0, 0)), order.pack_terms({(0, 0, k): 1}))]
+                if past:
+                    with pytest.raises(ExponentCapError, match="reduction term"):
+                        G._normal_form_dict(h, gb, tower, order)
+                else:
+                    assert (order.unpack_terms(G._normal_form_dict(h, gb, tower, order))
+                            == {(0, 600, k): tower.c_neg(tower.c_one)})
 
     def test_normal_form_of_a_polynomial_past_the_cap(self, ring):
         half = EXPONENT_CAP // 2 + 1
