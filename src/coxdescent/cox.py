@@ -86,8 +86,9 @@ def subscheme_ideal(amb, ideal):
 
 def is_complete_intersection(amb, polys):
     """Height test: the s hypersurfaces cut out codimension s.  No s forms
-    have height above s, so ht(I) >= s decides it, from as much of I's
-    basis as that takes (:func:`~coxdescent.groebner._height_at_least`)."""
+    have height above s, so ht(I) >= s decides it, from a basis in s + n -
+    dim R variables on a linear section or as much of I's basis as that
+    takes (:func:`~coxdescent.groebner._height_at_least`)."""
     polys = [amb.ring._coerce_poly(f) for f in polys]
     _validate_hypersurfaces(polys)
     return _height_at_least(IdealHandle(amb.ring, polys), len(polys))
@@ -155,10 +156,10 @@ def _strict_ci_verdict(amb, ideal):
     ht(I + P) = s.
 
     The heights of the I + P come first.  When every one is above s, I is
-    strict as soon as ht(I) >= s, which a partial basis of I can show
-    (:func:`~coxdescent.groebner._height_at_least`); s forms have height at
-    most s, so ht(I) = s.  Otherwise, or when I's run finishes short of s,
-    the exact height comes from I's full basis.
+    strict as soon as ht(I) >= s, which a linear section or a partial basis
+    of I can show (:func:`~coxdescent.groebner._height_at_least`); s forms
+    have height at most s, so ht(I) = s.  Otherwise, or when I's run
+    finishes short of s, the exact height comes from I's full basis.
     """
     s = len(ideal.gens)
     ring = amb.ring

@@ -643,8 +643,10 @@ class _Parser:
                     prod = g if prod is None else self._capped(_mul_terms(prod, g, tower))
                 elif tok.isdigit():
                     c = mul(c, tower.c_from_int(_parse_int(tok)))
-                else:
+                elif tok.isidentifier():
                     raise ParseError("unknown variable %r" % tok)
+                else:  # an operator or ')' where a factor starts
+                    raise ParseError("unexpected token %r" % tok)
             else:
                 if i is None and tower.d == 1:
                     raise ParseError("%r has no extension generator t" % tower)

@@ -2,7 +2,8 @@
 
 Normal forms, reduced Groebner bases, ideal equality, saturation (by
 Bayer steps for monomial directions, by auxiliary-variable elimination
-otherwise), Krull dimension of the initial ideal, and height.  Quotient
+otherwise), Krull dimension of the initial ideal, and height, whose
+lower bounds may come from a basis on a linear section.  Quotient
 Cox rings are handled by adjoining the defining ideal to every ideal
 before basis computations.
 
@@ -27,6 +28,7 @@ unique for a fixed order.
 
 import functools
 import heapq
+import math
 import operator
 import struct
 
@@ -417,13 +419,16 @@ class IdealHandle:
         """Unique reduced basis: monic, tails reduced, sorted."""
         return _polys_of_pairs(self.ring, self._pairs())
 
-    def _pairs(self, stop=None):
-        """The basis as pairs, built on first call; None, and nothing kept,
-        when ``stop`` ends the run first (see :func:`_buchberger`)."""
+    def _pairs(self, stop=None, polys=None):
+        """The basis as pairs, built on first call from ``polys``, the
+        generators and the ring's relations packed, if given; None, and
+        nothing kept, when ``stop`` ends the run first (see
+        :func:`_buchberger`)."""
         if self._gb_pairs is None:
-            order = self._order
-            polys = [order.pack_terms(g._t) for g in self.gens + self.ring.defining]
-            self._gb_pairs = _buchberger(self.ring.tower, order, polys, stop)
+            if polys is None:
+                order = self._order
+                polys = [order.pack_terms(g._t) for g in self.gens + self.ring.defining]
+            self._gb_pairs = _buchberger(self.ring.tower, self._order, polys, stop)
         return self._gb_pairs
 
     def normal_form(self, f):
@@ -599,8 +604,8 @@ def _saturate_primes(ideal, primes):
     for c in primes:
         # a step in the basis's own order converts nothing
         f = next((i for i in c if _bayer(weights, i) is basis[1]), c[-1])
-        first, k = _saturate_variable(ring, basis, f)
-        if first is basis or _certified(tower, basis, first, k, [i for i in c if i != f]):
+        first, k, divided = _saturate_variable(ring, basis, f)
+        if first is basis or _certified(tower, basis, divided, k, [i for i in c if i != f]):
             basis = first
         else:
             basis = _meet_until(ring, basis, (first if i == f else _saturate_variable(ring, basis, i)[0]
@@ -694,16 +699,19 @@ def _min_transversals(supports):
 
 
 def _saturate_variable(ring, basis, i):
-    """(I : x_i^infinity, k) of a homogeneous I by Bayer's method, for I and
-    the result as bases (pairs, order), where x_i^k is the largest power
-    divided out; I's own ``basis`` (and 0) when x_i is no zero divisor
-    modulo I.
+    """(I : x_i^infinity, k, divided) of a homogeneous I by Bayer's method,
+    for I and the result J as bases (pairs, order), where x_i^k is the
+    largest power divided out and ``divided`` holds, as (pairs, order), the
+    elements of J's basis whose leading terms come from a division; I's own
+    ``basis`` (and 0, None) when x_i is no zero divisor modulo I.
 
     In grevlex with x_i last, weighted by the ring's positive weights,
     x_i^k divides a homogeneous f exactly when it divides the leading term.
     So dividing each element of a basis in that order (converted to it
     unless it is in it already) by the power of x_i in its leading term
-    gives a basis of the saturation in the same order.
+    gives a basis of the saturation in the same order.  The other leading
+    terms of J's basis lie in in(I), so I and ``divided`` generate an ideal
+    inside J with J's initial ideal: J itself.
     """
     tower = ring.tower
     pairs, order = basis
@@ -712,30 +720,37 @@ def _saturate_variable(ring, basis, i):
         pairs = _buchberger(tower, border, _repack(tower, basis, border))
     powers = [border.unpack(lt)[i] for lt, _ in pairs]
     if not any(powers):
-        return basis, 0
-    divided = []
+        return basis, 0, None
+    quotients, undivided = [], set()
     for a, (lt, tail) in zip(powers, pairs):
         if a:  # x_i^a divides every term
             q = a * border.cols[i]
             lt, tail = lt - q, {e - q: c for e, c in tail.items()}
-        divided.append((lt, tail))
-    return (_reduce_basis(divided, tower, border), border), max(powers)
+        else:
+            undivided.add(lt)
+        quotients.append((lt, tail))
+    reduced = _reduce_basis(quotients, tower, border)
+    return ((reduced, border), max(powers),
+            ([p for p in reduced if p[0] not in undivided], border))
 
 
-def _certified(tower, basis, part, k, others):
-    """Whether J = I : x_f^infinity, with basis ``part``, is I : P^infinity
-    for P = (x_f, x_i : i in ``others``): True once x_i^k * g lies in I for
-    every basis element g of J and every i.
+def _certified(tower, basis, divided, k, others):
+    """Whether J = I : x_f^infinity is I : P^infinity for
+    P = (x_f, x_i : i in ``others``): True once x_i^k * g lies in I for
+    every element g of ``divided`` and every i.
 
-    Then J lies in each I : x_i^infinity, so in their intersection
-    I : P^infinity, which lies in J.  Some x_i^j * g with j <= k lies in I
-    iff x_i^k * g does, iff one zero-test normal form of x_i^k * NF(g)
-    modulo I's ``basis``, in its own order, is empty.  False says nothing:
-    x_i^k * g is not in I, or the shift would take a term past the cap,
-    which a graded order does not check term by term (its ``guard`` is 0).
+    ``divided``, as (pairs, order), holds the elements of J's basis whose
+    leading terms come from the Bayer step's division, so J = I + (divided)
+    (:func:`_saturate_variable`).  Then J lies in each I : x_i^infinity, so
+    in their intersection I : P^infinity, which lies in J.  Some x_i^j * g
+    with j <= k lies in I iff x_i^k * g does, iff one zero-test normal form
+    of x_i^k * NF(g) modulo I's ``basis``, in its own order, is empty.
+    False says nothing: x_i^k * g is not in I, or the shift would take a
+    term past the cap, which a graded order does not check term by term
+    (its ``guard`` is 0).
     """
     gb, order = basis
-    for g in _repack(tower, part, order):
+    for g in _repack(tower, divided, order):
         r = _normal_form_dict(g, gb, tower, order)
         if not r:
             continue  # g is in I
@@ -799,18 +814,94 @@ def height(ideal):
 
 
 def _height_at_least(ideal, s):
-    """Whether ht(I) >= s, from as much of I's basis as it takes.
+    """Whether ht(I) >= s, from a basis in m = s + n - dim R variables if
+    one shows it, else from as much of I's basis as it takes.
 
     ht(I) is t - (n - dim R) for t a smallest hitting set of the supports
     of in(I)'s generators.  The leading terms of a partial basis lie in
     in(I), so their smallest hitting set is at most t: the run stops once
-    it reaches s + n - dim R (Cox, Little and O'Shea, *Ideals, Varieties,
-    and Algorithms*, ch. 9 section 3).  A run that finishes keeps its basis
-    on the handle, and the exact height answers.
+    it reaches m (Cox, Little and O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 9 section 3).  A run that finishes keeps its basis on
+    the handle, and the exact height answers.
+
+    A handle without a basis, whose generators' own leading terms do not
+    show the height, first tries the linear section of :func:`_section_finite`,
+    which needs no basis of I.
     """
-    least = s + ideal.ring.nvars - ambient_dimension(ideal.ring)
-    stopped = ideal._pairs(lambda supports: _min_hitting_set(supports) >= least) is None
+    ring = ideal.ring
+    least = s + ring.nvars - ambient_dimension(ring)
+
+    def stop(supports):
+        return _min_hitting_set(supports) >= least
+
+    packed = None
+    if ideal._gb_pairs is None and least <= ring.nvars:
+        # the run on I would test its generators' leading terms first
+        order = ideal._order
+        gens = ideal.gens + ring.defining
+        packed = [order.pack_terms(g._t) for g in gens]
+        leads = {order.unpack(max(t)) for t in packed if t}
+        if (stop({frozenset(i for i, a in enumerate(e) if a) for e in leads if any(e)})
+                or _section_finite(ring, gens, least)):
+            return True
+    stopped = ideal._pairs(stop, packed) is None
     return stopped or height(ideal) >= s
+
+
+def _section_finite(ring, polys, m):
+    """Whether the forms ``polys`` (I's generators and the ring's relations)
+    have finitely many common zeros on the subspace L of dimension m given
+    by x_i = (i+1) * t_(i mod m); False also says nothing.
+
+    Finitely many says ht(I) >= s for m = s + n - dim R.  The forms are
+    homogeneous for the ring's positive weights, so every component of V(I)
+    is a cone through 0 and meets L, in finitely many points; by the affine
+    dimension theorem (Hartshorne, *Algebraic Geometry*, I.7.1) it has
+    dimension at most n - m = dim R - s.  Restricted to L the forms lie in
+    k[t_0..t_(m-1)], where their zeros are finite once the leading terms of
+    a partial basis need m variables to hit them all, as in
+    :func:`_height_at_least`; if the scalars map some t_j to nothing, no
+    leading term holds t_j, and the run never stops.  Distinct scalars keep
+    forms such as x0*y1 - x1*y0 from vanishing on L.
+
+    Every term must be of degree at most the cap, as packing in grevlex
+    checks.  A monomial x^e maps to a scalar times one t-monomial, which
+    :func:`_section_table` keeps.
+    """
+    tower = ring.tower
+    order = _grevlex(m)
+    table = _section_table(m, tower.p)
+    add, mul, from_int, zero = tower.c_add, tower.c_mul, tower.c_from_int, tower.c_zero
+    dicts = []
+    for f in polys:
+        t = {}
+        for e, c in f._t.items():
+            image = table.get(e)
+            if image is None:
+                image = (order.zero + sum(e_i * order.cols[i % m] for i, e_i in enumerate(e)),
+                         math.prod(pow(i + 1, e_i, tower.p) for i, e_i in enumerate(e)))
+                if len(table) >= _TABLE_BOUND:
+                    table.clear()
+                table[e] = image
+            k, a = image
+            c = mul(c, from_int(a))
+            t[k] = add(t[k], c) if k in t else c
+        dicts.append({k: c for k, c in t.items() if c != zero})
+    try:
+        return _buchberger(tower, order, dicts,
+                           lambda supports: _min_hitting_set(supports) >= m) is None
+    except ExponentCapError:
+        return False
+
+
+@functools.lru_cache(maxsize=None)
+def _section_table(m, p):
+    """The monomial table of the sections in m variables in characteristic
+    p: exponent tuple e -> (the packed grevlex int of the image of x^e in
+    t_0..t_(m-1), the product of the (i+1)^e_i mod p).  Forms of one degree
+    share their monomials; like an order's table, it is cleared at
+    ``_TABLE_BOUND`` entries."""
+    return {}
 
 
 def _height_plus_prime(ideal, c):

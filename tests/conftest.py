@@ -425,8 +425,10 @@ class _RefParser:
             base = ring.constant(ring.tower.gen())
         elif tok in ring.variables:
             base = ring.var(tok)
-        else:
+        elif tok.isidentifier():
             raise ParseError("unknown variable %r" % tok)
+        else:
+            raise ParseError("unexpected token %r" % tok)
         if self.peek() == "^":
             self.next()
             e = self.next()

@@ -119,8 +119,9 @@ class TestDimAndCI:
         assert out == "CI height=2\n"
 
     def test_ci_stops_at_height_s(self, capsys, tmp_path, monkeypatch):
-        # the leading terms x0*y0, x0*y1 and x1*y0^2 already show height 2,
-        # so I's basis is never finished; NOT_CI prints the exact height
+        # on the section x_i -> (i+1)*t_(i mod 2) the forms become
+        # 3*t0^2 + 8*t1^2 and -2*t0*t1, with finitely many common zeros, so
+        # height 2 needs no basis of I; NOT_CI prints the exact height
         path = tmp_path / "ci.prob"
         path.write_text("field p=101\nambient product 1 1\n"
                         "ideal ci = x0*y0 + x1*y1, x0*y1 - x1*y0\nideal fat = x0*y0, x0*y1\n")
@@ -344,6 +345,18 @@ class TestErrors:
         assert run(capsys, "gb", str(path)) == (
             2, "", "parse error: line 3: in ideal a: parentheses nested deeper than %d\n"
             % _MAX_NESTING)
+
+    @pytest.mark.parametrize("lines, err", [
+        (["field p=101", "ambient product 1 1", "ideal a = x0+-x1"],
+         "parse error: line 3: in ideal a: unexpected token '-'"),
+        (["field p=3 d=2 min_poly=t^2+-1", "ambient product 1 1", "ideal a = x0"],
+         "parse error: line 1: unexpected token '-'"),
+    ], ids=["ideal", "min-poly"])
+    def test_operator_token_is_a_parse_error(self, capsys, tmp_path, lines, err):
+        # an operator where a factor starts is named as a token, not a variable
+        path = tmp_path / "op.prob"
+        path.write_text("\n".join(lines + [""]))
+        assert run(capsys, "gb", str(path)) == (2, "", err + "\n")
 
     def test_empty_vars_line(self, capsys, tmp_path):
         path = tmp_path / "novars.prob"

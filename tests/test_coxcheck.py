@@ -3,13 +3,14 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coxdescent import (IdealHandle, InhomogeneousError, Multidegree, MultigradedRing,
-                        StrictCIVerdict, dimension, height, ideal_equal,
-                        is_complete_intersection, is_strict_ci, make_custom,
+from coxdescent import (ExponentCapError, FieldTower, IdealHandle, InhomogeneousError,
+                        Multidegree, MultigradedRing, StrictCIVerdict, dimension, height,
+                        ideal_equal, is_complete_intersection, is_strict_ci, make_custom,
                         make_product_projective, make_segre_p1p1, subscheme_ideal)
 from coxdescent import cox, groebner
 from coxdescent.cox import _cohen_macaulay
-from coxdescent.groebner import _height_plus_prime, _monomial_primes, defining_ideal
+from coxdescent.groebner import (_height_plus_prime, _monomial_primes, _section_finite,
+                                 ambient_dimension, defining_ideal)
 
 from conftest import (SMALL_AMBIENT_DEGREES, eliminating_saturate, random_poly, seeded,
                       small_ambients, sparse_poly)
@@ -302,7 +303,8 @@ class TestHeightShortcut:
         ("p1p1", [(0, 2), (2, 1)], "not_strict", 2)])
     def test_i_plus_p_from_generators(self, request, monkeypatch, name, degrees, status, runs):
         # dropping P's terms from I's generators leaves nothing for both
-        # primes on P2xP2, so the one run is I's own, stopped at height 2.
+        # primes on P2xP2, so the one run is the linear section's, stopped
+        # at height 2 (TestLinearSection).
         # On P1xP1 the (0,2) form is left mod (x0, x1), one more basis;
         # (y0, y1) leaves nothing, so I's full basis follows, and the step
         # by y1 is in grevlex, which converts nothing
@@ -316,9 +318,9 @@ class TestHeightShortcut:
         assert len(calls) == runs
 
     def test_strict_verdict_finishes_no_basis_of_i(self, p2p2, monkeypatch):
-        # the leading terms of a partial basis already show height 2, and
-        # no prime's terms leave anything of the generators: no basis is
-        # ever reduced, and the handle keeps none; a CI test stops alike
+        # the linear section already shows height 2, and no prime's terms
+        # leave anything of the generators: no basis is ever reduced, and
+        # the handle keeps none; a CI test stops alike
         ring = p2p2.ring
         rng = seeded(5)
         fs = [random_poly(ring, Multidegree((2, 2)), rng) for _ in range(2)]
@@ -372,3 +374,119 @@ class TestHeightShortcut:
         v = is_strict_ci(p1p1, [p1p1.ring.parse(s) for s in texts])
         assert time.perf_counter() - start < 0.1
         assert v.status == status
+
+
+# the ambients of the section property: the verdict ambients over GF(101),
+# and the small ambients over GF(2) and GF(3^2), where some scalars of the
+# section vanish
+SECTION_CASES = ([("GF(101)", name) for name in sorted(VERDICT_DEGREES)]
+                 + [(field, name) for field in ("GF(2)", "GF(3^2)")
+                    for name in sorted(SMALL_AMBIENT_DEGREES)])
+
+
+@pytest.fixture(scope="module")
+def section_ambients(verdict_ambients):
+    ambs = {("GF(101)", name): amb for name, amb in verdict_ambients.items()}
+    for tower in (FieldTower(2), FieldTower(3, 2)):
+        ambs.update(((str(tower), name), amb) for name, amb in small_ambients(tower).items())
+    return ambs
+
+
+def section_draw(ring, rng, degrees):
+    """One to three sparse forms of the given degrees, and the dimension m
+    of the section that would show ht(I) >= s for each s in 1, 2, 3."""
+    fs = [sparse_poly(ring, Multidegree(rng.choice(degrees)), rng)
+          for _ in range(rng.randint(1, 3))]
+    return fs, {s: s + ring.nvars - ambient_dimension(ring) for s in (1, 2, 3)}
+
+
+class TestLinearSection:
+    """ht(I) >= s from the forms' zeros on an s + n - dim R dimensional
+    subspace (groebner._section_finite)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(SECTION_CASES), st.integers(0, 2 ** 32))
+    def test_section_is_sound_property(self, section_ambients, case, seed):
+        # the verdict is the full height's, and a section that answers is
+        # right; on F1 the weights differ, the Segre quotient and the twisted
+        # cubic add relations
+        ring = section_ambients[case].ring
+        fs, ms = section_draw(ring, seeded(seed), VERDICT_DEGREES[case[1]])
+        h = height(IdealHandle(ring, fs))
+        for s, m in ms.items():
+            assert groebner._height_at_least(IdealHandle(ring, fs), s) == (h >= s)
+            if m <= ring.nvars and _section_finite(ring, fs + list(ring.defining), m):
+                assert h >= s
+
+    def test_section_answers_on_every_ambient(self, verdict_ambients):
+        # the property's draws reach the section's True: on each ambient
+        # over GF(101) some of 30 draws have a height the section shows
+        for name, amb in verdict_ambients.items():
+            ring, rng = amb.ring, seeded(11)
+            answered = 0
+            for _ in range(30):
+                fs, ms = section_draw(ring, rng, VERDICT_DEGREES[name])
+                answered += any(m <= ring.nvars and _section_finite(
+                    ring, fs + list(ring.defining), m) for m in ms.values())
+            assert answered, name
+
+    def test_forms_vanishing_on_the_section_fall_back(self, p1p1, monkeypatch):
+        # x_i -> (i+1)*t_(i mod 2) takes 3*x0*y1 - 2*x1*y0 to 12 - 12 = 0, so
+        # the section keeps only the second form and finds a line of zeros;
+        # I's own run then shows height 2
+        ring = p1p1.ring
+        fs = [ring.parse("3*x0*y1 - 2*x1*y0"), ring.parse("x0*y0 + x1*y1")]
+        answers = []
+        monkeypatch.setattr(groebner, "_section_finite",
+                            lambda *args: answers.append(_section_finite(*args)) or answers[-1])
+        assert is_complete_intersection(p1p1, fs)
+        assert answers == [False]
+        verdict = is_strict_ci(p1p1, fs)
+        assert verdict == full_saturation_verdict(p1p1, fs)
+        assert verdict.height == 2
+
+    def test_generators_leading_terms_skip_the_section(self, p1p1, monkeypatch):
+        # the leading terms x0*y0 and x1*y1 of the generators need two
+        # variables to hit, so no section is tried
+        def refuse(*args):
+            raise AssertionError("section tried")
+
+        monkeypatch.setattr(groebner, "_section_finite", refuse)
+        assert is_complete_intersection(p1p1, [p1p1.ring.parse("x0*y0 + x1*y1"),
+                                               p1p1.ring.parse("x1*y1")])
+
+    def test_section_past_the_cap_says_nothing(self, p1p1):
+        # the images 3*t0^8201 and 4^8200*t0*t1^8200 have an S-pair lcm of
+        # degree 16401, past the cap: the section answers False, and I's own
+        # run meets the same lcm and raises as it did without the section
+        ring = p1p1.ring
+        fs = [ring.parse("x0^8200*y0"), ring.parse("x0*y1^8200")]
+        assert not _section_finite(ring, fs, 2)
+        with pytest.raises(ExponentCapError):
+            is_complete_intersection(p1p1, fs)
+
+    def test_strict_verdict_runs_no_basis_in_the_ring_variables(self, p2p2, monkeypatch):
+        # a strict P2xP2 verdict on two (2,2) forms: no prime's terms leave
+        # anything, and the one Buchberger run is the section's, in
+        # 2 + 6 - 6 = 2 variables
+        rng = seeded(5)
+        fs = [random_poly(p2p2.ring, Multidegree((2, 2)), rng) for _ in range(2)]
+        orders = []
+        run = groebner._buchberger
+        monkeypatch.setattr(groebner, "_buchberger",
+                            lambda tower, order, *args: orders.append(order)
+                            or run(tower, order, *args))
+        assert is_strict_ci(p2p2, fs).status == "strict"
+        assert orders == [groebner._grevlex(2)]
+
+    @pytest.mark.parametrize("dims, degree", [([2, 2], (3, 3)), ([3, 3], (2, 2))])
+    def test_dense_strict_budget(self, gf101, dims, degree):
+        # the ROADMAP scale probes: 1.4-2.8 s and 0.09 s for P2xP2 2 x (3,3)
+        # and P3xP3 2 x (2,2) from I's own stopped run on a 2-vCPU VM, about
+        # 2 ms each from the section
+        amb = make_product_projective(dims, gf101)
+        rng = seeded(0)
+        fs = [random_poly(amb.ring, Multidegree(degree), rng) for _ in range(2)]
+        start = time.perf_counter()
+        assert is_strict_ci(amb, fs).status == "strict"
+        assert time.perf_counter() - start < 0.2

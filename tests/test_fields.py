@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -372,6 +373,16 @@ class TestOneGrammar:
         # "t^2+" used to become t^2 + 1
         with pytest.raises(ParseError):
             FieldTower(3, 2, mp)
+
+    @pytest.mark.parametrize("text, token", [("1+-t", "-"), ("--1", "-"), ("2*+t", "+"),
+                                             ("t^2*^3", "^"), ("1+)", ")"), ("**t", "*")])
+    def test_operator_where_a_factor_starts(self, text, token):
+        # an operator is no variable: the message names the token
+        message = "^unexpected token %s$" % re.escape(repr(token))
+        with pytest.raises(ParseError, match=message):
+            FieldTower(5, 3).element(text)
+        with pytest.raises(ParseError, match=message):
+            GRAMMAR_RINGS["GF(5^3)"].parse(text.replace("t", "x0"))
 
     def test_products_and_parentheses(self):
         tower = FieldTower(5, 3)
