@@ -9,9 +9,10 @@ intersection tests.
 import itertools
 from collections import namedtuple
 
-from .groebner import (IdealHandle, _height_at_least, _height_plus_prime, _homogeneous,
-                       _monomial_primes, _saturate_primes, ambient_dimension, defining_ideal,
-                       height, saturate)
+from .groebner import (IdealHandle, _basis_for_primes, _grevlex, _height_at_least,
+                       _height_of_basis, _height_plus_prime, _homogeneous, _monomial_primes,
+                       _polynomial_outside, _saturate_primes, ambient_dimension,
+                       defining_ideal, saturate)
 from .rings import MultigradedRing, _require_homogeneous
 
 _FACTOR_LETTERS = "xyzwuv"
@@ -121,11 +122,13 @@ def is_strict_ci(amb, polys):
     Returns ``not_ci`` when the height test fails.  When the ambient ring is
     Cohen-Macaulay (:func:`_cohen_macaulay`) and G is generated by
     monomials, a CI of s forms is strict iff ht(I + G) > s, so that height
-    settles every strict verdict without a saturation.  All other verdicts
-    scan the reduced basis of the saturation (see
-    :func:`~coxdescent.groebner.saturate`) for an element that does not
-    reduce to zero modulo I: the first such is the witness, and since
-    I is contained in its saturation, there is none exactly when I is strict.
+    settles every strict verdict without a saturation; as ht(I) is at most
+    ht(I + G), it also gives the height of a not_ci verdict once ht(I)
+    reaches it.  All other verdicts scan the reduced basis of the
+    saturation (see :func:`~coxdescent.groebner.saturate`) for an element
+    that does not reduce to zero modulo I: the first such is the witness,
+    and since I is contained in its saturation, there is none exactly when
+    I is strict.
     """
     polys = [amb.ring._coerce_poly(f) for f in polys]
     _validate_hypersurfaces(polys)
@@ -138,8 +141,9 @@ def _cohen_macaulay(ring):
     return len(ring.defining) == ring.nvars - ambient_dimension(ring)
 
 
-def _strict_ci_verdict(amb, ideal):
-    """The verdict of :func:`is_strict_ci` on the handle of validated input.
+def _strict_ci_verdict(amb, ideal, status_only=False):
+    """The verdict of :func:`is_strict_ci` on the handle of validated input;
+    with ``status_only``, a not-strict verdict may come without a witness.
 
     In a Cohen-Macaulay ring s forms of height s generate an unmixed ideal
     (Bruns-Herzog, Thm 2.1.6): every associated prime of I is minimal of
@@ -155,27 +159,44 @@ def _strict_ci_verdict(amb, ideal):
     components of I.  So I is saturated only by the primes with
     ht(I + P) = s.
 
-    The heights of the I + P come first.  When every one is above s, I is
-    strict as soon as ht(I) >= s, which a linear section or a partial basis
-    of I can show (:func:`~coxdescent.groebner._height_at_least`); s forms
-    have height at most s, so ht(I) = s.  Otherwise, or when I's run
-    finishes short of s, the exact height comes from I's full basis.
+    The heights of the I + P come first, and ht(I) is at most the least
+    of them, ``upper``.  When ``upper`` < s, I is no complete intersection,
+    and its height is ``upper`` as soon as ht(I) >= upper, which a linear
+    section or a partial basis of I can show
+    (:func:`~coxdescent.groebner._height_at_least`).  When every ht(I + P)
+    is above s, I is strict as soon as ht(I) >= s; s forms have height at
+    most s, so ht(I) = s.  When some ht(I + P) = s, I's one basis is built
+    in the Bayer order of the first such prime's first step
+    (:func:`~coxdescent.groebner._basis_for_primes`), and ht(I) is read off
+    it, as dim R/I = dim R/in(I) in any order.  With ht(I) = s the verdict
+    is not strict, which ``status_only`` returns at once; for the witness
+    the prime saturations start from that basis, and the scan for the first
+    element of the saturation's reduced grevlex basis outside I tests it
+    against that basis in its own order.  In all other cases the exact
+    height comes from I's full grevlex basis.
     """
     s = len(ideal.gens)
     ring = amb.ring
-    monomial_cm = _cohen_macaulay(ring) and all(len(g) == 1 for g in ring.irrelevant)
-    if monomial_cm:
-        primes = [c for c in _monomial_primes(ring.irrelevant) if _height_plus_prime(ideal, c) == s]
+    primes = []
+    if _cohen_macaulay(ring) and all(len(g) == 1 for g in ring.irrelevant):
+        heights = {c: _height_plus_prime(ideal, c) for c in _monomial_primes(ring.irrelevant)}
+        upper = min(heights.values())
+        if upper < s and _height_at_least(ideal, upper):
+            return StrictCIVerdict(status="not_ci", height=upper, expected=s)
+        primes = [c for c, h in heights.items() if h == s]
         if not primes and _height_at_least(ideal, s):
             return StrictCIVerdict(status="strict", height=s, expected=s)
-    h = height(ideal)
+    basis = _basis_for_primes(ideal, primes[0]) if primes else (ideal._pairs(), ideal._order)
+    h = _height_of_basis(ring, basis)
     if h != s:
         return StrictCIVerdict(status="not_ci", height=h, expected=s)
-    if monomial_cm:
-        sat = _saturate_primes(ideal, primes)
+    if primes:
+        if status_only:
+            return StrictCIVerdict(status="not_strict", height=h, expected=s)
+        sat = _saturate_primes(ring, basis, primes)
     else:
-        sat = saturate(ideal, amb.irrelevant_ideal())
-    witness = ideal._outside(sat)
+        sat = saturate(ideal, amb.irrelevant_ideal())._pairs()
+    witness = _polynomial_outside(ring, basis, (sat, _grevlex(ring.nvars)))
     if witness is None:
         return StrictCIVerdict(status="strict", height=h, expected=s)
     return StrictCIVerdict(status="not_strict", witness=witness, height=h, expected=s)

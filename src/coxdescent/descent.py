@@ -382,7 +382,10 @@ def descend(amb, action, polys):
     Preconditions: the generated ideal is action-invariant, the input is a
     strict complete intersection, and the degree multiset decomposes into
     full orbits with constant multiplicity.  Raises
-    :class:`DescentPreconditionError` otherwise.
+    :class:`DescentPreconditionError` otherwise.  Only the strict-CI
+    verdict's status is read, so a not-strict input is rejected without a
+    witness, and in a Cohen-Macaulay ambient with a monomial irrelevant
+    ideal without a saturation.
     """
     ring = amb.ring
     polys = [ring._coerce_poly(f) for f in polys]
@@ -391,7 +394,7 @@ def descend(amb, action, polys):
         raise DescentPreconditionError("NOT_INVARIANT",
                                        "the ideal is not invariant under the action")
     _validate_hypersurfaces(polys)
-    verdict = _strict_ci_verdict(amb, ideal)
+    verdict = _strict_ci_verdict(amb, ideal, status_only=True)
     if verdict.status != "strict":
         raise DescentPreconditionError("NOT_STRICT",
                                        "input is %s" % verdict.status)

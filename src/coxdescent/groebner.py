@@ -446,16 +446,10 @@ class IdealHandle:
         return not self._reduce(f, zero_test=True)
 
     def contains_ideal(self, other):
-        return self._outside(other) is None
-
-    def _outside(self, other):
-        """The first element of ``other``'s reduced basis that this ideal
-        does not contain, or None."""
         if other.ring is not self.ring:
             raise RingMismatchError("ideals from different rings")
-        t = _first_outside(self.ring.tower, (self._pairs(), self._order),
-                           (other._pairs(), other._order))
-        return None if t is None else Polynomial(self.ring, self._order.unpack_terms(t))
+        return _first_outside(self.ring.tower, (self._pairs(), self._order),
+                              (other._pairs(), other._order)) is None
 
     def equals(self, other):
         if other.ring is not self.ring:
@@ -574,7 +568,8 @@ def saturate(ideal, direction):
     if not gens:
         raise SaturationDirectionError("cannot saturate with respect to the zero ideal")
     if all(len(g) == 1 for g in gens) and _homogeneous(ideal):
-        return _saturate_primes(ideal, _monomial_primes(gens))
+        return _handle_with_gb(ring, _saturate_primes(ring, (ideal._pairs(), ideal._order),
+                                                      _monomial_primes(gens)))
     basis = ideal._pairs(), ideal._order
     singles = (saturate_single(ideal, g)._pairs() for g in dict.fromkeys(gens))
     # a single saturation equal to I is passed as I's own basis
@@ -582,37 +577,58 @@ def saturate(ideal, direction):
     return _handle_with_gb(ring, _meet_until(ring, basis, parts)[0])
 
 
-def _saturate_primes(ideal, primes):
-    """I : P_1^inf : ... : P_m^inf of a homogeneous I, each prime
-    P = (x_i : i in c) given by its variable indices c.
+def _saturate_primes(ring, basis, primes):
+    """The reduced grevlex basis of I : P_1^inf : ... : P_m^inf for a
+    homogeneous I given by its reduced ``basis`` = (pairs, order), each
+    prime P = (x_i : i in c) given by its variable indices c.
 
     Each I : P^inf starts with one Bayer step (:func:`_saturate_variable`)
-    by a variable x_f of P: one whose x-last order the basis is in if there
-    is one, else P's last variable, whose conversion and later grevlex
-    rebuild measure cheaper than the first variable's.  Any x_f is exact:
-    J = I : x_f^inf contains I : P^inf, and equals it when a power of every
-    other x in P takes J into I (:func:`_certified`); else I : P^inf is the
-    intersection of the I : x^inf, x in P, each by one Bayer step.  Bases
-    stay in the order a step left them in, as (pairs, order), and are
+    by the variable x_f of P that :func:`_bayer_variable` picks.  Any x_f is
+    exact: J = I : x_f^inf contains I : P^inf, and equals it when a power of
+    every other x in P takes J into I (:func:`_certified`); else I : P^inf
+    is the intersection of the I : x^inf, x in P, each by one Bayer step.
+    Bases stay in the order a step left them in, as (pairs, order), and are
     rebuilt in grevlex once, at the end.
     """
-    ring = ideal.ring
     tower = ring.tower
-    grevlex = ideal._order
     weights = ring._weights[1]
-    basis = (ideal._pairs(), grevlex)
     for c in primes:
-        # a step in the basis's own order converts nothing
-        f = next((i for i in c if _bayer(weights, i) is basis[1]), c[-1])
+        f = _bayer_variable(weights, c, basis[1])
         first, k, divided = _saturate_variable(ring, basis, f)
         if first is basis or _certified(tower, basis, divided, k, [i for i in c if i != f]):
             basis = first
         else:
             basis = _meet_until(ring, basis, (first if i == f else _saturate_variable(ring, basis, i)[0]
                                               for i in c))
-    if basis[1] is not grevlex:
-        basis = _buchberger(tower, grevlex, _repack(tower, basis, grevlex)), grevlex
-    return _handle_with_gb(ring, basis[0])
+    grevlex = _grevlex(ring.nvars)
+    if basis[1] is grevlex:
+        return basis[0]
+    return _buchberger(tower, grevlex, _repack(tower, basis, grevlex))
+
+
+def _bayer_variable(weights, c, order):
+    """The variable of P = (x_i : i in c) that saturation by P steps by
+    first, for a basis in ``order``: one whose x-last order is ``order``, so
+    that the step converts nothing, if there is one, else P's last variable,
+    whose conversion and later grevlex rebuild measure cheaper than the
+    first variable's."""
+    return next((i for i in c if _bayer(weights, i) is order), c[-1])
+
+
+def _basis_for_primes(ideal, c):
+    """I's reduced basis as (pairs, order), to be saturated by primes of
+    which P = (x_i : i in c) comes first: the handle's grevlex basis if it
+    holds one, else a basis built from I's generators and the ring's
+    relations straight in the Bayer order of P's first step
+    (:func:`_bayer_variable`), which that step then converts nothing for."""
+    ring = ideal.ring
+    if ideal._gb_pairs is None:
+        weights = ring._weights[1]
+        order = _bayer(weights, _bayer_variable(weights, c, ideal._order))
+        if order is not ideal._order:
+            polys = [order.pack_terms(g._t) for g in ideal.gens + ring.defining]
+            return _buchberger(ring.tower, order, polys), order
+    return ideal._pairs(), ideal._order
 
 
 def _homogeneous(ideal):
@@ -624,6 +640,14 @@ def _homogeneous(ideal):
     else:
         terms = [f._t for f in ideal._gens if f]
     return all(_first_off_degree(ideal.ring, t)[2] is None for t in terms)
+
+
+def _polynomial_outside(ring, basis, other):
+    """The first element of ``other``'s basis that the ideal of ``basis``
+    does not contain, as a Polynomial, or None; both bases as (pairs,
+    order), in any orders."""
+    t = _first_outside(ring.tower, basis, other)
+    return None if t is None else Polynomial(ring, basis[1].unpack_terms(t))
 
 
 def _first_outside(tower, basis, other):
@@ -810,7 +834,14 @@ def ambient_dimension(ring):
 
 def height(ideal):
     """Codimension: dim of the ambient (quotient) ring minus dim R/I."""
-    return ambient_dimension(ideal.ring) - dimension(ideal)
+    return _height_of_basis(ideal.ring, (ideal._pairs(), ideal._order))
+
+
+def _height_of_basis(ring, basis):
+    """ht(I) from I's reduced ``basis`` = (pairs, order), in any monomial
+    order: dim R/I = dim R/in(I) for each."""
+    pairs, order = basis
+    return ambient_dimension(ring) - _dimension_of_leads(ring.nvars, order, pairs)
 
 
 def _height_at_least(ideal, s):
@@ -925,4 +956,4 @@ def _height_plus_prime(ideal, c):
              else [order.pack_terms(g._t) for g in ideal.gens + ring.defining])
     rest = [{k: v for k, v in t.items() if k & mask == order.zero & mask} for t in polys]
     pairs = _buchberger(ring.tower, order, rest) if any(rest) else []
-    return ambient_dimension(ring) - _dimension_of_leads(ring.nvars, order, pairs) + len(c)
+    return _height_of_basis(ring, (pairs, order)) + len(c)

@@ -354,9 +354,10 @@ class TestHeightShortcut:
 
     def test_not_strict_verdict_saturates_its_primes_in_one_pass(self, gf101, monkeypatch):
         # two (1,1,1) forms vanish modulo each factor's prime, so all three
-        # primes are saturated in one pass: I's basis, then one conversion
-        # per prime and no rebuild in between; the last is to z1-last, which
-        # is grevlex, so no rebuild follows either
+        # primes are saturated in one pass: I's basis, built straight in the
+        # x1-last order of the first prime's step, then one conversion for
+        # each other prime and no rebuild in between; the last is to
+        # z1-last, which is grevlex, so no rebuild follows either
         amb = make_product_projective([1, 1, 1], gf101)
         rng = seeded(7)
         fs = [random_poly(amb.ring, Multidegree((1, 1, 1)), rng) for _ in range(2)]
@@ -364,7 +365,48 @@ class TestHeightShortcut:
         run = groebner._buchberger
         monkeypatch.setattr(groebner, "_buchberger", lambda *args: calls.append(args) or run(*args))
         assert is_strict_ci(amb, fs).status == "not_strict"
-        assert len(calls) == 4
+        assert len(calls) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(MONOMIAL_G), st.integers(0, 2 ** 32))
+    def test_squeezed_height_property(self, verdict_ambients, name, seed):
+        # ht(I) <= ht(I + P) for each prime P of G, so with upper, the least
+        # of them, below s the verdict is not_ci; the height it reports,
+        # upper once a lower bound reaches it, is the exact one
+        amb = verdict_ambients[name]
+        ring = amb.ring
+        rng = seeded(seed)
+        fs = [sparse_poly(ring, Multidegree(rng.choice(VERDICT_DEGREES[name])), rng)
+              for _ in range(rng.randint(2, 4))]
+        try:
+            verdict = is_strict_ci(amb, fs)
+        except ValueError:
+            assert any(defining_ideal(ring).contains(f) for f in fs)
+            return
+        ideal = IdealHandle(ring, fs)
+        upper = min(_height_plus_prime(ideal, c) for c in _monomial_primes(ring.irrelevant))
+        if upper < len(fs):
+            assert verdict.status == "not_ci"
+        if verdict.status == "not_ci":
+            assert verdict.height == height(ideal)
+
+    def test_not_ci_squeeze_budget(self, gf101, monkeypatch):
+        # the ROADMAP scale probe P1^5, 3 x (1,...,1): past 120 s from I's
+        # full basis on a 2-vCPU VM.  Every multilinear form vanishes on
+        # x0 = x1 = 0, so ht(I + P) = 2 < 3 for P = (x0, x1); the linear
+        # section shows ht(I) >= 2, and its run is the only one
+        amb = make_product_projective([1] * 5, gf101)
+        rng = seeded(0)
+        fs = [random_poly(amb.ring, Multidegree((1,) * 5), rng) for _ in range(3)]
+        orders = []
+        run = groebner._buchberger
+        monkeypatch.setattr(groebner, "_buchberger",
+                            lambda tower, order, *args: orders.append(order)
+                            or run(tower, order, *args))
+        start = time.perf_counter()
+        assert is_strict_ci(amb, fs) == StrictCIVerdict(status="not_ci", height=2, expected=3)
+        assert time.perf_counter() - start < 0.2
+        assert orders == [groebner._grevlex(2)]
 
     @pytest.mark.parametrize("texts, status", [(["x0^200*y0", "x1^200*y1"], "not_strict"),
                                                (["x0^200*y0"], "strict")])
@@ -376,20 +418,68 @@ class TestHeightShortcut:
         assert v.status == status
 
 
-# the ambients of the section property: the verdict ambients over GF(101),
-# and the small ambients over GF(2) and GF(3^2), where some scalars of the
-# section vanish
-SECTION_CASES = ([("GF(101)", name) for name in sorted(VERDICT_DEGREES)]
-                 + [(field, name) for field in ("GF(2)", "GF(3^2)")
-                    for name in sorted(SMALL_AMBIENT_DEGREES)])
+def field_cases(*fields):
+    """(field, ambient name) cases: the verdict ambients over GF(101), and
+    the small ambients over each of ``fields``."""
+    return ([("GF(101)", name) for name in sorted(VERDICT_DEGREES)]
+            + [(field, name) for field in fields for name in sorted(SMALL_AMBIENT_DEGREES)])
 
 
 @pytest.fixture(scope="module")
-def section_ambients(verdict_ambients):
+def field_ambients(verdict_ambients):
+    """The ambient of every case :func:`field_cases` can name."""
     ambs = {("GF(101)", name): amb for name, amb in verdict_ambients.items()}
-    for tower in (FieldTower(2), FieldTower(3, 2)):
+    for tower in (FieldTower(2), FieldTower(3, 2), FieldTower(2, 4)):
         ambs.update(((str(tower), name), amb) for name, amb in small_ambients(tower).items())
     return ambs
+
+
+STATUS_CASES = field_cases("GF(3^2)", "GF(2^4)")
+
+
+class TestStatusOnlyVerdict:
+    """Descent reads only the verdict's status, which a monomial G in a
+    Cohen-Macaulay ring settles with no saturation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(STATUS_CASES), st.integers(0, 2 ** 32), st.booleans())
+    def test_status_equals_full_saturation_status_property(self, field_ambients, case, seed,
+                                                           built):
+        # on a fresh handle, and on one whose grevlex basis is built, as
+        # descent's handles are
+        amb = field_ambients[case]
+        ring = amb.ring
+        rng = seeded(seed)
+        fs = [sparse_poly(ring, Multidegree(rng.choice(VERDICT_DEGREES[case[1]])), rng)
+              for _ in range(rng.randint(1, 3))]
+        try:
+            cox._validate_hypersurfaces(fs)
+        except ValueError:
+            assert any(defining_ideal(ring).contains(f) for f in fs)
+            return
+        ideal = IdealHandle(ring, fs)
+        if built:
+            ideal._pairs()
+        assert (cox._strict_ci_verdict(amb, ideal, status_only=True).status
+                == full_saturation_verdict(amb, fs).status)
+
+    def test_not_strict_status_saturates_nothing(self, gf101, monkeypatch):
+        # two (1,1,1) forms vanish modulo each factor's prime of P1^3, and
+        # I's basis shows height 2: not strict, with no Bayer step
+        def refuse(*args):
+            raise AssertionError("Bayer step taken")
+
+        monkeypatch.setattr(groebner, "_saturate_variable", refuse)
+        amb = make_product_projective([1, 1, 1], gf101)
+        rng = seeded(7)
+        fs = [random_poly(amb.ring, Multidegree((1, 1, 1)), rng) for _ in range(2)]
+        assert cox._strict_ci_verdict(amb, IdealHandle(amb.ring, fs), status_only=True) == (
+            StrictCIVerdict(status="not_strict", height=2, expected=2))
+
+
+# the section property's fields beside GF(101): some scalars of the
+# section vanish over GF(2) and GF(3^2)
+SECTION_CASES = field_cases("GF(2)", "GF(3^2)")
 
 
 def section_draw(ring, rng, degrees):
@@ -406,11 +496,11 @@ class TestLinearSection:
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(SECTION_CASES), st.integers(0, 2 ** 32))
-    def test_section_is_sound_property(self, section_ambients, case, seed):
+    def test_section_is_sound_property(self, field_ambients, case, seed):
         # the verdict is the full height's, and a section that answers is
         # right; on F1 the weights differ, the Segre quotient and the twisted
         # cubic add relations
-        ring = section_ambients[case].ring
+        ring = field_ambients[case].ring
         fs, ms = section_draw(ring, seeded(seed), VERDICT_DEGREES[case[1]])
         h = height(IdealHandle(ring, fs))
         for s, m in ms.items():

@@ -367,6 +367,18 @@ class TestDescend:
             descend(p1p1_gf9, swap, fs)
         assert exc.value.reason == "NOT_STRICT"
 
+    def test_not_strict_rejection_takes_no_bayer_step(self, p1p1_gf9, swap, monkeypatch):
+        # descent reads only the verdict's status: ht(I + (x0, x1)) = 2 =
+        # ht(I) says not strict, and no saturation is computed for a witness
+        def refuse(*args):
+            raise AssertionError("Bayer step taken")
+
+        monkeypatch.setattr(G, "_saturate_variable", refuse)
+        ring = p1p1_gf9.ring
+        with pytest.raises(DescentPreconditionError) as exc:
+            descend(p1p1_gf9, swap, [ring.parse("x0*y0"), ring.parse("x1*y1")])
+        assert exc.value.reason == "NOT_STRICT"
+
     def test_frob_only_action(self, p1p1_gf9, frob_only):
         ring = p1p1_gf9.ring
         fs = [ring.parse("t*x0"), ring.parse("2*t*y0 + t*y1")]
