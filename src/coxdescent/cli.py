@@ -16,10 +16,10 @@ monomials reach a (weighted) degree past it stops with an error (exit 3).
 import argparse
 import sys
 
-from .cox import _validate_hypersurfaces, is_strict_ci, subscheme_ideal
+from .cox import _squeezed_height, _validate_hypersurfaces, is_strict_ci, subscheme_ideal
 from .descent import descend
 from .errors import CoxDescentError, DescentPreconditionError, ParseError
-from .groebner import _height_at_least, dimension, height, saturate
+from .groebner import dimension, saturate
 from .problemfile import load_problem
 
 EXIT_OK = 0
@@ -97,11 +97,11 @@ def _cmd_strict_ci(problem, ideal, args):
 
 def _cmd_ci(problem, ideal, args):
     _validate_hypersurfaces(ideal.gens)
-    expected = len(ideal.gens)
-    if _height_at_least(ideal, expected):  # s forms have height at most s
-        print("CI height=%d" % expected)
+    h, expected = _squeezed_height(ideal), len(ideal.gens)
+    if h == expected:
+        print("CI height=%d" % h)
         return EXIT_OK
-    print("NOT_CI height=%d expected=%d" % (height(ideal), expected))
+    print("NOT_CI height=%d expected=%d" % (h, expected))
     return EXIT_NOT_CI
 
 

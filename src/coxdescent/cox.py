@@ -12,7 +12,7 @@ from collections import namedtuple
 from .groebner import (IdealHandle, _basis_for_primes, _grevlex, _height_at_least,
                        _height_of_basis, _height_plus_prime, _homogeneous, _monomial_primes,
                        _polynomial_outside, _saturate_primes, ambient_dimension,
-                       defining_ideal, saturate)
+                       defining_ideal, height, saturate)
 from .rings import MultigradedRing, _require_homogeneous
 
 _FACTOR_LETTERS = "xyzwuv"
@@ -86,13 +86,30 @@ def subscheme_ideal(amb, ideal):
 
 
 def is_complete_intersection(amb, polys):
-    """Height test: the s hypersurfaces cut out codimension s.  No s forms
-    have height above s, so ht(I) >= s decides it, from a basis in s + n -
-    dim R variables on a linear section or as much of I's basis as that
-    takes (:func:`~coxdescent.groebner._height_at_least`)."""
+    """Height test: the s hypersurfaces cut out codimension s, as
+    :func:`_squeezed_height` finds it."""
     polys = [amb.ring._coerce_poly(f) for f in polys]
     _validate_hypersurfaces(polys)
-    return _height_at_least(IdealHandle(amb.ring, polys), len(polys))
+    return _squeezed_height(IdealHandle(amb.ring, polys)) == len(polys)
+
+
+def _prime_heights(ideal):
+    """{c: ht(I + P)} over the minimal primes P = (x_i : i in c) of a G
+    generated by monomials (:func:`~coxdescent.groebner._height_plus_prime`);
+    {} for any other G, an empty one included."""
+    irrelevant = ideal.ring.irrelevant
+    if not irrelevant or any(len(g) != 1 for g in irrelevant):
+        return {}
+    return {c: _height_plus_prime(ideal, c) for c in _monomial_primes(irrelevant)}
+
+
+def _squeezed_height(ideal):
+    """ht(I) for s validated forms.  No s forms have height above s, so
+    ``upper``, the least of s and the :func:`_prime_heights`, bounds it, and
+    is it once a linear section or a partial basis of I shows ht(I) >= upper
+    (:func:`~coxdescent.groebner._height_at_least`); else I's basis gives it."""
+    upper = min([len(ideal.gens), *_prime_heights(ideal).values()])
+    return upper if _height_at_least(ideal, upper) else height(ideal)
 
 
 def _validate_hypersurfaces(polys):
@@ -128,7 +145,8 @@ def is_strict_ci(amb, polys):
     saturation (see :func:`~coxdescent.groebner.saturate`) for an element
     that does not reduce to zero modulo I: the first such is the witness,
     and since I is contained in its saturation, there is none exactly when
-    I is strict.
+    I is strict.  A G with no generators has nothing to saturate by, and
+    raises :class:`~coxdescent.errors.SaturationDirectionError`.
     """
     polys = [amb.ring._coerce_poly(f) for f in polys]
     _validate_hypersurfaces(polys)
@@ -150,23 +168,19 @@ def _strict_ci_verdict(amb, ideal, status_only=False):
     height s.  So I : G^inf differs from I iff a minimal prime of I
     contains G, iff ht(I + G) = s.  When G is generated by monomials, V(I + G)
     is the union of the V(I + P) over the minimal primes P of G, which are
-    generated by variables; so ht(I + G) is the least ht(I + P), and each
-    ht(I + P) is read off I's generators and the ring's relations with P's
-    terms dropped (:func:`~coxdescent.groebner._height_plus_prime`), where
-    I + G, with all of G's products, has a large basis.  The same argument
-    gives I : P^inf = I for each P with ht(I + P) > s, also after
-    saturating by other primes, whose result is an intersection of primary
-    components of I.  So I is saturated only by the primes with
-    ht(I + P) = s.
+    generated by variables; so ht(I + G) is the least ht(I + P)
+    (:func:`_prime_heights`), where I + G, with all of G's products, has a
+    large basis.  The same argument gives I : P^inf = I for each P with
+    ht(I + P) > s, also after saturating by other primes, whose result is
+    an intersection of primary components of I.  So I is saturated only by
+    the primes with ht(I + P) = s.
 
-    The heights of the I + P come first, and ht(I) is at most the least
-    of them, ``upper``.  When ``upper`` < s, I is no complete intersection,
-    and its height is ``upper`` as soon as ht(I) >= upper, which a linear
-    section or a partial basis of I can show
-    (:func:`~coxdescent.groebner._height_at_least`).  When every ht(I + P)
-    is above s, I is strict as soon as ht(I) >= s; s forms have height at
-    most s, so ht(I) = s.  When some ht(I + P) = s, I's one basis is built
-    in the Bayer order of the first such prime's first step
+    The heights of the I + P come first.  When their least, ``upper``, is
+    below s, I is no complete intersection, and its height is ``upper`` as
+    soon as ht(I) >= upper shows, as in :func:`_squeezed_height`.  When
+    every ht(I + P) is above s, I is strict as soon as ht(I) >= s; s forms
+    have height at most s, so ht(I) = s.  When some ht(I + P) = s, I's one
+    basis is built in the Bayer order of the first such prime's first step
     (:func:`~coxdescent.groebner._basis_for_primes`), and ht(I) is read off
     it, as dim R/I = dim R/in(I) in any order.  With ht(I) = s the verdict
     is not strict, which ``status_only`` returns at once; for the witness
@@ -178,8 +192,8 @@ def _strict_ci_verdict(amb, ideal, status_only=False):
     s = len(ideal.gens)
     ring = amb.ring
     primes = []
-    if _cohen_macaulay(ring) and all(len(g) == 1 for g in ring.irrelevant):
-        heights = {c: _height_plus_prime(ideal, c) for c in _monomial_primes(ring.irrelevant)}
+    heights = _prime_heights(ideal) if _cohen_macaulay(ring) else {}
+    if heights:
         upper = min(heights.values())
         if upper < s and _height_at_least(ideal, upper):
             return StrictCIVerdict(status="not_ci", height=upper, expected=s)

@@ -238,10 +238,9 @@ def degree_orbits(action, polys):
         classes = action.degree_orbit(base)
         beta = len(classes)
         members = {c: [i for i in unassigned if degs[i] == c] for c in classes}
-        gammas = {c: len(v) for c, v in members.items()}
-        gamma = gammas[base]
-        if any(g != gamma for g in gammas.values()):
-            missing = [c for c, g in gammas.items() if g != gamma]
+        gamma = len(members[base])
+        missing = [c for c, v in members.items() if len(v) != gamma]
+        if missing:
             raise DescentPreconditionError(
                 "DEGREE_MISMATCH",
                 "degree multiplicity is not constant on the orbit of %s (off at %s)"
@@ -386,6 +385,16 @@ def descend(amb, action, polys):
     verdict's status is read, so a not-strict input is rejected without a
     witness, and in a Cohen-Macaulay ambient with a monomial irrelevant
     ideal without a saturation.
+
+    Phase 2 rebuilds each orbit block from conjugates of one class's
+    generators, which must be minimal: no nonzero combination of them lies
+    in the span of the other generators' multiples, so that in each class's
+    degree :func:`graded_piece_basis` has as many elements as
+    :func:`lower_piece_basis` plus the class's generators.  The verdict's
+    ht(I) = s gives it, and no piece is checked: such a combination puts a
+    generator in the ideal of the other s - 1, whose every top-dimensional
+    component of the cone has dimension at least dim R - (s - 1) (Krull's
+    height theorem), so ht(I) <= s - 1.
     """
     ring = amb.ring
     polys = [ring._coerce_poly(f) for f in polys]
@@ -428,31 +437,14 @@ def descend(amb, action, polys):
                 "input is inconsistent with the preconditions")
         work = candidate
 
-    # phase 2: reassemble each orbit block from conjugates of one class
+    # phase 2: reassemble each orbit block from conjugates of one class,
+    # whose generators sit at every beta-th place from the block's start
     for bi, block in enumerate(part.blocks):
         beta = block["beta"]
-        gamma = block["gamma"]
         if beta == 1:
             continue
         start, end = part.r_bounds[bi], part.r_bounds[bi + 1]
-        classes = block["classes"]
-        rep_powers = block["rep_powers"]
-        base_class = classes[0]
-        base_gens = [g for g in work[start:end] if g.multidegree() == base_class]
-        # sanity: the gamma generators of each class complete the lower
-        # piece to a basis of the full graded piece, which the lower piece
-        # and the class's own generators span
-        for cls in classes:
-            lower = lower_piece_basis(current, cls)
-            own = [f for f in current.gens if f and f.multidegree() == cls]
-            if len(_piece_basis(ring, cls, lower + own)) != len(lower) + gamma:
-                raise AssertionError(
-                    "graded piece of degree %s is not generated as the "
-                    "preconditions require" % (cls,))
-        newblock = []
-        for j in range(gamma):
-            for k in rep_powers:
-                newblock.append(action.apply(base_gens[j], k))
+        newblock = [action.apply(g, k) for g in work[start:end:beta] for k in block["rep_powers"]]
         if newblock == work[start:end]:
             continue
         work = work[:start] + newblock + work[end:]

@@ -496,22 +496,12 @@ def _parse_coeffs(text, p, n, too_high=None):
     """The n power-basis coefficients of ``text``, a polynomial in t over
     GF(p).  An expanded term past t^(n-1) is a ParseError, with the message
     ``too_high`` if given."""
-    if too_high is None:
-        parser = _element_parser(p, n)
-    else:
-        parser = _Parser(prime_field(p), {"t": 0}, n - 1, lambda k: too_high)
+    parser = _Parser(prime_field(p), {"t": 0}, n - 1,
+                     lambda k: too_high or "t^%d exceeds extension degree %d" % (k, n))
     cs = [0] * n
     for (k,), c in parser.parse(text).items():
         cs[k] = c
     return cs
-
-
-@functools.lru_cache(maxsize=16)
-def _element_parser(p, n):
-    """The parser of element text of GF(p^n), built once per (p, n): each
-    parse starts from its own tokens, so one parser serves every call."""
-    return _Parser(prime_field(p), {"t": 0}, n - 1,
-                   lambda k: "t^%d exceeds extension degree %d" % (k, n))
 
 
 # ---------------------------------------------------------------------------

@@ -425,11 +425,13 @@ class IdealHandle:
         nothing kept, when ``stop`` ends the run first (see
         :func:`_buchberger`)."""
         if self._gb_pairs is None:
-            if polys is None:
-                order = self._order
-                polys = [order.pack_terms(g._t) for g in self.gens + self.ring.defining]
+            polys = self._packed(self._order) if polys is None else polys
             self._gb_pairs = _buchberger(self.ring.tower, self._order, polys, stop)
         return self._gb_pairs
+
+    def _packed(self, order):
+        """The generators and the ring's relations, packed in ``order``."""
+        return [order.pack_terms(g._t) for g in self.gens + self.ring.defining]
 
     def normal_form(self, f):
         """Remainder of f on division by the reduced basis; zero iff f is in I."""
@@ -626,8 +628,7 @@ def _basis_for_primes(ideal, c):
         weights = ring._weights[1]
         order = _bayer(weights, _bayer_variable(weights, c, ideal._order))
         if order is not ideal._order:
-            polys = [order.pack_terms(g._t) for g in ideal.gens + ring.defining]
-            return _buchberger(ring.tower, order, polys), order
+            return _buchberger(ring.tower, order, ideal._packed(order)), order
     return ideal._pairs(), ideal._order
 
 
@@ -869,11 +870,10 @@ def _height_at_least(ideal, s):
     if ideal._gb_pairs is None and least <= ring.nvars:
         # the run on I would test its generators' leading terms first
         order = ideal._order
-        gens = ideal.gens + ring.defining
-        packed = [order.pack_terms(g._t) for g in gens]
+        packed = ideal._packed(order)
         leads = {order.unpack(max(t)) for t in packed if t}
         if (stop({frozenset(i for i, a in enumerate(e) if a) for e in leads if any(e)})
-                or _section_finite(ring, gens, least)):
+                or _section_finite(ring, ideal.gens + ring.defining, least)):
             return True
     stopped = ideal._pairs(stop, packed) is None
     return stopped or height(ideal) >= s
@@ -953,7 +953,7 @@ def _height_plus_prime(ideal, c):
     # one of P's fields differs from K(0)'s
     mask = sum(((1 << _FIELD_BITS) - 1) << _FIELD_BITS * i for i in c)
     polys = (_dicts_of_pairs(ring.tower, ideal._gb_pairs) if ideal._gb_pairs is not None
-             else [order.pack_terms(g._t) for g in ideal.gens + ring.defining])
+             else ideal._packed(order))
     rest = [{k: v for k, v in t.items() if k & mask == order.zero & mask} for t in polys]
     pairs = _buchberger(ring.tower, order, rest) if any(rest) else []
     return _height_of_basis(ring, (pairs, order)) + len(c)

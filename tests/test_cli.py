@@ -1,9 +1,11 @@
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from coxdescent import groebner
+from coxdescent import FieldTower, groebner, make_product_projective, monomials_of_degree
 from coxdescent.cli import main
 from coxdescent.problemfile import load_problem, parse_problem
 from coxdescent.errors import ParseError
@@ -133,6 +135,22 @@ class TestDimAndCI:
         assert reduced == []
         assert run(capsys, "ci", str(path), "--ideal", "fat") == (
             4, "NOT_CI height=1 expected=2\n", "")
+
+    def test_ci_squeezes_the_not_ci_height(self, capsys, tmp_path):
+        # the ROADMAP scale probe P1^5, 3 x (1,...,1) on dense forms: every
+        # multilinear form vanishes on x0 = x1 = 0, so ht(I) <= 2, which the
+        # linear section shows; I's own basis took past 10 s on a 2-vCPU VM
+        rng = random.Random(2026)
+        amb = make_product_projective([1] * 5, FieldTower(101))
+        forms = [sum((m * rng.randint(1, 100)
+                      for m in monomials_of_degree(amb.ring, (1,) * 5)), amb.ring.zero())
+                 for _ in range(3)]
+        path = tmp_path / "p1p5.prob"
+        path.write_text("field p=101\nambient product 1 1 1 1 1\nideal a = %s\n"
+                        % ", ".join(map(str, forms)))
+        start = time.perf_counter()
+        assert run(capsys, "ci", str(path)) == (4, "NOT_CI height=2 expected=3\n", "")
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("ambient, gens", [
         ("product 1 1", "x0, 0"),

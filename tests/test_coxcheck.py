@@ -3,8 +3,9 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coxdescent import (ExponentCapError, FieldTower, IdealHandle, InhomogeneousError,
-                        Multidegree, MultigradedRing, StrictCIVerdict, dimension, height,
+from coxdescent import (CoxAmbient, ExponentCapError, FieldTower, IdealHandle,
+                        InhomogeneousError, Multidegree, MultigradedRing,
+                        SaturationDirectionError, StrictCIVerdict, dimension, height,
                         ideal_equal, is_complete_intersection, is_strict_ci, make_custom,
                         make_product_projective, make_segre_p1p1, subscheme_ideal)
 from coxdescent import cox, groebner
@@ -115,6 +116,25 @@ class TestCompleteIntersection:
     def test_inhomogeneous_rejected(self, p1p1):
         with pytest.raises(InhomogeneousError):
             is_complete_intersection(p1p1, [p1p1.ring.parse("x0 + x0*y0")])
+
+
+class TestEmptyIrrelevant:
+    """A ring with no irrelevant generators: the strict test has nothing to
+    saturate by and says so with a typed error, as subscheme_ideal does;
+    the CI test needs no G."""
+
+    @pytest.fixture(scope="class")
+    def bare(self, gf101):
+        return CoxAmbient(ring=MultigradedRing(gf101, ["x0", "x1", "y0", "y1"],
+                                               grading=[(1, 1, 0, 0), (0, 0, 1, 1)]))
+
+    @pytest.mark.parametrize("texts", [["x0*y0"], ["x0*y0", "x1*y1"]])
+    def test_strict_ci_raises_saturation_direction_error(self, bare, texts):
+        with pytest.raises(SaturationDirectionError):
+            is_strict_ci(bare, texts)
+        with pytest.raises(SaturationDirectionError):
+            subscheme_ideal(bare, mk(bare.ring, *texts))
+        assert is_complete_intersection(bare, texts)
 
 
 class TestQuotientZeroForm:
@@ -407,6 +427,41 @@ class TestHeightShortcut:
         assert is_strict_ci(amb, fs) == StrictCIVerdict(status="not_ci", height=2, expected=3)
         assert time.perf_counter() - start < 0.2
         assert orders == [groebner._grevlex(2)]
+
+    def test_not_ci_complete_intersection_budget(self, gf101, monkeypatch):
+        # the same probe through is_complete_intersection: past 10 s from
+        # ht(I) >= 3, which cannot stop, on a 2-vCPU VM; the squeeze
+        # answers from the section's one run
+        amb = make_product_projective([1] * 5, gf101)
+        rng = seeded(0)
+        fs = [random_poly(amb.ring, Multidegree((1,) * 5), rng) for _ in range(3)]
+        orders = []
+        run = groebner._buchberger
+        monkeypatch.setattr(groebner, "_buchberger",
+                            lambda tower, order, *args: orders.append(order)
+                            or run(tower, order, *args))
+        start = time.perf_counter()
+        assert not is_complete_intersection(amb, fs)
+        assert time.perf_counter() - start < 0.2
+        assert orders == [groebner._grevlex(2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(VERDICT_DEGREES)), st.integers(0, 2 ** 32))
+    def test_squeezed_ci_height_property(self, verdict_ambients, name, seed):
+        # the CI test's height is the exact one on every verdict ambient,
+        # the one that is not Cohen-Macaulay and the non-monomial G included
+        amb = verdict_ambients[name]
+        ring = amb.ring
+        rng = seeded(seed)
+        fs = [sparse_poly(ring, Multidegree(rng.choice(VERDICT_DEGREES[name])), rng)
+              for _ in range(rng.randint(1, 4))]
+        try:
+            cox._validate_hypersurfaces(fs)
+        except ValueError:
+            return
+        h = height(IdealHandle(ring, fs))
+        assert cox._squeezed_height(IdealHandle(ring, fs)) == h
+        assert is_complete_intersection(amb, fs) == (h == len(fs))
 
     @pytest.mark.parametrize("texts, status", [(["x0^200*y0", "x1^200*y1"], "not_strict"),
                                                (["x0^200*y0"], "strict")])

@@ -11,13 +11,13 @@ import coxdescent.groebner as G
 from coxdescent import (ActionError, DescentPreconditionError, FieldTower,
                         IdealHandle, Multidegree, MultigradedRing, RingMismatchError,
                         SemilinearAction, apply_action, degree_orbits, descend,
-                        fixed_space, graded_piece_basis, ideal_equal,
+                        fixed_space, graded_piece_basis, height, ideal_equal,
                         is_invariant_ideal, lower_piece_basis, make_custom,
                         make_product_projective, make_segre_p1p1, monomials_of_degree)
 from coxdescent.groebner import defining_ideal
-from conftest import (echelon, coords_of, grevlex_key, piece_monomial_multiples,
-                      preserves_grading_kernel, random_poly, rational_apply_degree, seeded,
-                      span_equal)
+from conftest import (SMALL_AMBIENT_DEGREES, echelon, coords_of, grevlex_key,
+                      piece_monomial_multiples, preserves_grading_kernel, random_poly,
+                      rational_apply_degree, seeded, small_ambients, span_equal)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +271,49 @@ class TestGradedPieces:
         for piece in (graded_piece_basis, lower_piece_basis):
             with pytest.raises(ValueError, match="^degree has wrong rank$"):
                 piece(ideal, (1, 1, 7))
+
+
+def minimal_in_every_class(ideal):
+    """Whether in each degree of the generators the graded piece has as many
+    elements as the lower piece plus the generators of that degree, so that
+    the generators of each class are independent modulo the lower piece."""
+    degrees = [f.multidegree() for f in ideal.gens]
+    return all(len(graded_piece_basis(ideal, d))
+               == len(lower_piece_basis(ideal, d)) + degrees.count(d) for d in set(degrees))
+
+
+MINIMAL_CASES = [(field, name) for field in ("GF(101)", "GF(3^2)")
+                 for name in sorted(SMALL_AMBIENT_DEGREES)]
+
+
+@pytest.fixture(scope="module")
+def minimal_ambients(gf101, gf9):
+    return {(str(tower), name): amb for tower in (gf101, gf9)
+            for name, amb in small_ambients(tower).items()}
+
+
+class TestMinimalGeneration:
+    """Phase 2 of descend takes minimal generation in every degree class
+    from the strict verdict: s forms of height s generate minimally."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(MINIMAL_CASES), st.integers(0, 2 ** 32))
+    def test_height_s_forms_are_minimal_in_every_class_property(self, minimal_ambients, case,
+                                                                 seed):
+        ring = minimal_ambients[case].ring
+        rng = seeded(seed)
+        degrees = SMALL_AMBIENT_DEGREES[case[1]]
+        fs = [random_poly(ring, Multidegree(rng.choice(degrees)), rng)
+              for _ in range(rng.randint(1, 3))]
+        if height(IdealHandle(ring, fs)) != len(fs):
+            return
+        assert minimal_in_every_class(IdealHandle(ring, fs))
+        # mutation: one redundant generator, a multiple of one of them,
+        # makes its degree's count one too many
+        m = rng.choice([ring.one()]
+                       + monomials_of_degree(ring, Multidegree(rng.choice(degrees))))
+        redundant = m * rng.choice(fs) * rng.randrange(1, ring.tower.p)
+        assert not minimal_in_every_class(IdealHandle(ring, fs + [redundant]))
 
 
 class TestFixedSpace:
