@@ -9,6 +9,7 @@ intersection tests.
 import itertools
 from collections import namedtuple
 
+from .errors import SaturationDirectionError
 from .groebner import (IdealHandle, _basis_for_primes, _grevlex, _height_at_least,
                        _height_of_basis, _height_plus_prime, _homogeneous, _monomial_primes,
                        _polynomial_outside, _saturate_primes, ambient_dimension,
@@ -96,11 +97,14 @@ def is_complete_intersection(amb, polys):
 def _prime_heights(ideal):
     """{c: ht(I + P)} over the minimal primes P = (x_i : i in c) of a G
     generated by monomials (:func:`~coxdescent.groebner._height_plus_prime`);
-    {} for any other G, an empty one included."""
-    irrelevant = ideal.ring.irrelevant
-    if not irrelevant or any(len(g) != 1 for g in irrelevant):
-        return {}
-    return {c: _height_plus_prime(ideal, c) for c in _monomial_primes(irrelevant)}
+    {} for any other G, an empty one included.  The primes are found once
+    per ring and kept on it."""
+    ring = ideal.ring
+    if ring._irrelevant_primes is None:
+        irrelevant = ring.irrelevant
+        monomial = irrelevant and all(len(g) == 1 for g in irrelevant)
+        ring._irrelevant_primes = _monomial_primes(irrelevant) if monomial else ()
+    return {c: _height_plus_prime(ideal, c) for c in ring._irrelevant_primes}
 
 
 def _squeezed_height(ideal):
@@ -146,7 +150,8 @@ def is_strict_ci(amb, polys):
     that does not reduce to zero modulo I: the first such is the witness,
     and since I is contained in its saturation, there is none exactly when
     I is strict.  A G with no generators has nothing to saturate by, and
-    raises :class:`~coxdescent.errors.SaturationDirectionError`.
+    raises :class:`~coxdescent.errors.SaturationDirectionError` whatever
+    the forms.
     """
     polys = [amb.ring._coerce_poly(f) for f in polys]
     _validate_hypersurfaces(polys)
@@ -191,6 +196,8 @@ def _strict_ci_verdict(amb, ideal, status_only=False):
     """
     s = len(ideal.gens)
     ring = amb.ring
+    if not ring.irrelevant:  # before any height, which would decide some verdicts
+        raise SaturationDirectionError("cannot saturate with respect to the zero ideal")
     primes = []
     heights = _prime_heights(ideal) if _cohen_macaulay(ring) else {}
     if heights:

@@ -35,14 +35,11 @@ import struct
 from .errors import (ExponentCapError, RingMismatchError,
                      SaturationDirectionError, UnitIdealError)
 from .fields import _add_scaled
-from .rings import _FIELD_BITS, Polynomial, _first_off_degree
+from .rings import _FIELD_BITS, _TABLE_BOUND, Polynomial, _first_off_degree
 
 # ---------------------------------------------------------------------------
 # monomial orders as packings: an exponent vector is one int, and comparing
 # ints compares monomials
-
-# entries an order's monomial table holds before it is cleared and refilled
-_TABLE_BOUND = 1 << 15
 
 
 class _Order:
@@ -309,6 +306,7 @@ def _buchberger(tower, order, polys, stop=None):
     variable indices) of the nonconstant leading terms found so far, each
     time a new one appears; the run returns None once it holds."""
     gb = [_monic_pair(f, tower) for f in polys if f]
+    first = len(gb)  # the elements from here on are the run's own
     exps = []  # the leading exponents as tuples, for the lcms
     supports = set()
     minus_one = tower.c_neg(tower.c_one)
@@ -369,21 +367,36 @@ def _buchberger(tower, order, polys, stop=None):
             gb.append(_monic_pair(r, tower))
             if add_pairs(len(gb) - 1):
                 return None
-    return _reduce_basis(gb, tower, order)
+    # an element the run made is a normal form modulo every earlier one
+    return _reduce_basis(gb, tower, order, [0] * first + list(range(first, len(gb))))
 
 
-def _reduce_basis(gb, tower, order):
+def _reduce_basis(gb, tower, order, since):
     """The reduced basis of the ideal of which the (lt, tail) pairs ``gb``
-    are a Groebner basis in ``order``, in decreasing order of lt."""
+    are a Groebner basis in ``order``, in decreasing order of lt.
+
+    ``since`` holds one index per element: no leading term of
+    gb[:since[k]] divides a term of gb[k]'s tail.  A tail that no other
+    kept leading term divides either is already reduced, and is kept as it
+    is; the others take their normal form modulo the kept elements, which
+    is unique, as they are a Groebner basis."""
     # minimal basis, smallest lt first: drop each lt divisible by a kept lt
     kept = []
-    for lt, tail in sorted(gb, key=operator.itemgetter(0)):
-        if not any(order.divides(ltk, lt) for ltk, _ in kept):
-            kept.append((lt, tail))
+    for k in sorted(range(len(gb)), key=lambda k: gb[k][0]):
+        if not any(order.divides(gb[j][0], gb[k][0]) for j in kept):
+            kept.append(k)
     kept.reverse()
-    # reduce tails: no kept lt divides another, so each x^lt stays as it is;
-    # every term of a tail is below its own lt, which therefore never divides
-    return [(lt, _normal_form_dict(tail, kept, tower, order)) for lt, tail in kept]
+    pairs = [gb[k] for k in kept]
+    divmask = order.divmask
+    out = []
+    # each x^lt stays as it is, as no kept lt divides another; every term of
+    # a tail is below its own lt, which therefore never divides
+    for k, (lt, tail) in zip(kept, pairs):
+        leads = [gb[j][0] for j in kept if j >= since[k] and j != k]
+        if any(a <= e and not (a - e) & divmask for a in leads for e in tail):  # a | e
+            tail = _normal_form_dict(tail, pairs, tower, order)
+        out.append((lt, tail))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +667,16 @@ def _polynomial_outside(ring, basis, other):
 def _first_outside(tower, basis, other):
     """The first element of ``other``'s basis, packed in ``basis``'s order,
     that the ideal of ``basis`` does not contain, or None; both bases as
-    (pairs, order)."""
+    (pairs, order).  Each element is repacked only when its turn comes."""
     gb, order = basis
-    return next((t for t in _repack(tower, other, order)
-                 if _normal_form_dict(t, gb, tower, order, zero_test=True)), None)
+    pairs, src = other
+    for lt, tail in pairs:
+        t = {lt: tower.c_one, **tail}
+        if src is not order:
+            t = order.pack_terms(src.unpack_terms(t))
+        if _normal_form_dict(t, gb, tower, order, zero_test=True):
+            return t
+    return None
 
 
 def _meet(ring, a, b):
@@ -694,13 +713,7 @@ def _meet_until(ring, basis, parts):
 def _monomial_primes(gens):
     """The minimal primes of the ideal of the single-term ``gens``, each as
     the sorted indices of the variables that generate it, in sorted order."""
-    return _primes_of_supports(frozenset(frozenset(i for i, a in enumerate(e) if a)
-                                         for g in gens for e in g._t))
-
-
-@functools.lru_cache(maxsize=128)
-def _primes_of_supports(supports):
-    # a ring's irrelevant ideal asks for its primes at every verdict
+    supports = {frozenset(i for i, a in enumerate(e) if a) for g in gens for e in g._t}
     return tuple(sorted(tuple(sorted(c)) for c in _min_transversals(supports)))
 
 
@@ -746,15 +759,17 @@ def _saturate_variable(ring, basis, i):
     powers = [border.unpack(lt)[i] for lt, _ in pairs]
     if not any(powers):
         return basis, 0, None
-    quotients, undivided = [], set()
+    # the undivided elements first: ``pairs`` is reduced, and an undivided lt
+    # dividing a term t/x_i^a of a quotient would divide t, so no lt of
+    # theirs divides a tail term
+    quotients = [p for a, p in zip(powers, pairs) if not a]
+    undivided = {lt for lt, _ in quotients}
+    since = [len(quotients)] * len(pairs)
     for a, (lt, tail) in zip(powers, pairs):
         if a:  # x_i^a divides every term
             q = a * border.cols[i]
-            lt, tail = lt - q, {e - q: c for e, c in tail.items()}
-        else:
-            undivided.add(lt)
-        quotients.append((lt, tail))
-    reduced = _reduce_basis(quotients, tower, border)
+            quotients.append((lt - q, {e - q: c for e, c in tail.items()}))
+    reduced = _reduce_basis(quotients, tower, border, since)
     return ((reduced, border), max(powers),
             ([p for p in reduced if p[0] not in undivided], border))
 
@@ -895,6 +910,12 @@ def _section_finite(ring, polys, m):
     leading term holds t_j, and the run never stops.  Distinct scalars keep
     forms such as x0*y1 - x1*y0 from vanishing on L.
 
+    Two forms on a plane (m = 2) of a ring with equal weights restrict to
+    two binary forms, whose common zeros are finite iff they are coprime
+    (:func:`_coprime_binary`): no basis is needed.  This covers every
+    product of projective spaces with s = 2 and the Segre quotient with
+    s = 1.
+
     Every term must be of degree at most the cap, as packing in grevlex
     checks.  A monomial x^e maps to a scalar times one t-monomial, which
     :func:`_section_table` keeps.
@@ -918,11 +939,48 @@ def _section_finite(ring, polys, m):
             c = mul(c, from_int(a))
             t[k] = add(t[k], c) if k in t else c
         dicts.append({k: c for k, c in t.items() if c != zero})
+    if m == 2 and len(dicts) == 2 and len(set(ring._weights[1])) == 1:
+        return _coprime_binary(tower, order, *dicts)
     try:
         return _buchberger(tower, order, dicts,
                            lambda supports: _min_hitting_set(supports) >= m) is None
     except ExponentCapError:
         return False
+
+
+def _coprime_binary(tower, order, f, g):
+    """Whether the binary forms ``f`` and ``g``, term dicts packed in
+    ``order`` = grevlex in t0, t1, are coprime: both nonzero, t1 dividing
+    at most one, and their images under t1 = 1 of constant gcd, by Euclid's
+    algorithm.  A common zero (a : b) != 0 of two forms is a root a/b of
+    the images when b != 0, and makes t1 divide both when b = 0.
+
+    Coprime homogeneous forms have only the common zero 0, so the stopped
+    section run of :func:`_section_finite` answers the same, except where
+    its S-pair lcms would pass the exponent cap, which no gcd meets."""
+    if not f or not g:
+        return False
+    zero, sub, mul, inv = tower.c_zero, tower.c_sub, tower.c_mul, tower.c_inv
+    images = []
+    for t in (f, g):
+        exps = [(order.unpack(k), c) for k, c in t.items()]
+        coeffs = [zero] * (1 + max(e[0] for e, _ in exps))
+        for e, c in exps:
+            coeffs[e[0]] = c  # t is homogeneous: one term per power of t0
+        images.append((coeffs, all(e[1] for e, _ in exps)))
+    (a, t1_a), (b, t1_b) = images
+    if t1_a and t1_b:
+        return False
+    while b:  # a, b = b, a mod b; a coefficient list has a nonzero last entry
+        scale = inv(b[-1])
+        while len(a) >= len(b):
+            q, shift = mul(a.pop(), scale), len(a) - len(b) + 1
+            for i, v in enumerate(b[:-1]):
+                a[shift + i] = sub(a[shift + i], mul(q, v))
+            while a and a[-1] == zero:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 @functools.lru_cache(maxsize=None)

@@ -39,6 +39,10 @@ EXPONENT_CAP = (1 << _FIELD_BITS - 2) - 1
 # the width of a grading row's field in a ring's packed degree columns
 _DEGREE_BITS = 32
 
+# entries a monomial table holds before it is cleared and refilled: a
+# ring's degree keys, each Groebner order's packings, each section's images
+_TABLE_BOUND = 1 << 15
+
 
 # ---------------------------------------------------------------------------
 # multidegrees
@@ -110,6 +114,8 @@ class MultigradedRing:
         self.defining = ()
         self.irrelevant = ()
         self._defining_handle = None  # set lazily by groebner.defining_ideal
+        self._irrelevant_primes = None  # set lazily by cox._prime_heights
+        self._degree_keys = {}  # exponent tuple -> sum(e_i * _degree_cols[i])
         if defining:
             self.defining = tuple(self._coerce_poly(f) for f in defining)
         if irrelevant:
@@ -363,15 +369,28 @@ class Polynomial:
 def _first_off_degree(ring, exps):
     """(degree of the first exponent of the nonempty ``exps``, that exponent,
     the first exponent of another degree or None), comparing packed degrees
-    (see :class:`MultigradedRing`) unless the first is past their limit."""
+    (see :class:`MultigradedRing`) unless the first is past their limit.
+    The ring's table keeps each exponent's packed degree, and is cleared at
+    ``_TABLE_BOUND`` entries."""
     it = iter(exps)
     e0 = next(it)
     deg = ring.multidegree_of_exp(e0)
     if sum(map(operator.mul, ring._weights[0], deg)) > ring._degree_limit:
         return deg, e0, next((e for e in it if ring.multidegree_of_exp(e) != deg), None)
-    cols = ring._degree_cols
-    k0 = sum(map(operator.mul, e0, cols))
-    return deg, e0, next((e for e in it if sum(map(operator.mul, e, cols)) != k0), None)
+    cols, keys = ring._degree_cols, ring._degree_keys
+    k0 = None
+    for e in itertools.chain((e0,), it):
+        k = keys.get(e)
+        if k is None:
+            k = sum(map(operator.mul, e, cols))
+            if len(keys) >= _TABLE_BOUND:
+                keys.clear()
+            keys[e] = k
+        if k0 is None:
+            k0 = k
+        elif k != k0:
+            return deg, e0, e
+    return deg, e0, None
 
 
 def _require_homogeneous(polys):

@@ -128,13 +128,16 @@ class TestEmptyIrrelevant:
         return CoxAmbient(ring=MultigradedRing(gf101, ["x0", "x1", "y0", "y1"],
                                                grading=[(1, 1, 0, 0), (0, 0, 1, 1)]))
 
-    @pytest.mark.parametrize("texts", [["x0*y0"], ["x0*y0", "x1*y1"]])
+    @pytest.mark.parametrize("texts", [["x0*y0"], ["x0*y0", "x1*y1"], ["x0*y0", "x0*y1"]])
     def test_strict_ci_raises_saturation_direction_error(self, bare, texts):
+        # the not-CI input (height 1) is rejected as well: G is checked
+        # before any height
         with pytest.raises(SaturationDirectionError):
             is_strict_ci(bare, texts)
         with pytest.raises(SaturationDirectionError):
             subscheme_ideal(bare, mk(bare.ring, *texts))
-        assert is_complete_intersection(bare, texts)
+        assert is_complete_intersection(bare, texts) == (
+            height(mk(bare.ring, *texts)) == len(texts))
 
 
 class TestQuotientZeroForm:
@@ -319,12 +322,12 @@ class TestHeightShortcut:
         assert is_strict_ci(p2p2, fs).status == "strict"
 
     @pytest.mark.parametrize("name, degrees, status, runs", [
-        ("p2p2", [(2, 2), (2, 2)], "strict", 1),
+        ("p2p2", [(2, 2), (2, 2)], "strict", 0),
         ("p1p1", [(0, 2), (2, 1)], "not_strict", 2)])
     def test_i_plus_p_from_generators(self, request, monkeypatch, name, degrees, status, runs):
         # dropping P's terms from I's generators leaves nothing for both
-        # primes on P2xP2, so the one run is the linear section's, stopped
-        # at height 2 (TestLinearSection).
+        # primes on P2xP2, and the linear section's two binary forms show
+        # height 2 by their gcd, with no run at all (TestLinearSection).
         # On P1xP1 the (0,2) form is left mod (x0, x1), one more basis;
         # (y0, y1) leaves nothing, so I's full basis follows, and the step
         # by y1 is in grevlex, which converts nothing
@@ -545,6 +548,12 @@ def section_draw(ring, rng, degrees):
     return fs, {s: s + ring.nvars - ambient_dimension(ring) for s in (1, 2, 3)}
 
 
+# fields of the binary-form property: the benchmark's GF(101) and small
+# fields, where forms share factors often
+BINARY_TOWERS = {str(t): t for t in (FieldTower(101), FieldTower(2), FieldTower(3, 2),
+                                     FieldTower(5))}
+
+
 class TestLinearSection:
     """ht(I) >= s from the forms' zeros on an s + n - dim R dimensional
     subspace (groebner._section_finite)."""
@@ -610,10 +619,56 @@ class TestLinearSection:
         with pytest.raises(ExponentCapError):
             is_complete_intersection(p1p1, fs)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(BINARY_TOWERS)), st.integers(0, 2 ** 32),
+           st.sampled_from(["random", "shared", "t1", "zero"]))
+    @example("GF(101)", 0, "t1")  # images t1*a and t1*b with a(t0, 1), b(t0, 1) coprime
+    def test_gcd_equals_the_section_run_property(self, field, seed, shape):
+        # two binary forms of degree 1..4: the gcd path of _section_finite
+        # answers as the stopped Buchberger run on them, also when one is
+        # zero, when both share a factor, and when t1 is the shared factor
+        tower = BINARY_TOWERS[field]
+        ring = MultigradedRing(tower, ["t0", "t1"], grading=[(1, 1)])
+        rng = seeded(seed)
+        fs = [random_poly(ring, Multidegree((rng.randint(1, 4),)), rng) for _ in range(2)]
+        if shape == "shared":
+            common = random_poly(ring, Multidegree((rng.randint(1, 2),)), rng)
+            fs = [f * common for f in fs]
+        elif shape == "t1":
+            fs = [f * ring.parse("t1") for f in fs]
+        elif shape == "zero":
+            fs[rng.randrange(2)] = ring.zero()
+        order = groebner._grevlex(2)
+        dicts = [order.pack_terms(f._t) for f in fs]
+        run = groebner._buchberger(tower, order, dicts,
+                                   lambda supports: groebner._min_hitting_set(supports) >= 2)
+        assert groebner._coprime_binary(tower, order, *dicts) == (run is None)
+
+    @pytest.mark.parametrize("name, texts, finite", [
+        # x_i -> (i+1)*t_(i mod 2): 3*t0^2 + 8*t1^2 and 8*t1^2 are coprime
+        ("p1p1", ["x0*y0 + x1*y1", "x1*y1"], True),
+        # 8*t1^2 and 4*t0*t1 share t1, though 8 and 4*t0 have gcd 1: the
+        # ideal y1*(x0, x1) has height 1
+        ("p1p1", ["x1*y1", "x0*y1"], False),
+        # 3*t0^2 and -2*t0*t1 share t0
+        ("p1p1", ["x0*y0", "x0*y1 - x1*y0"], False),
+        # on the Segre quotient (s = 1) the quadric goes to -2*t0*t1
+        ("segre", ["z00 + z11"], True),
+        ("segre", ["z01"], False),
+        ("segre", ["z00"], False)])
+    def test_two_forms_on_a_plane_take_the_gcd(self, request, monkeypatch, name, texts, finite):
+        def refuse(*args):
+            raise AssertionError("Buchberger run")
+
+        monkeypatch.setattr(groebner, "_buchberger", refuse)
+        ring = request.getfixturevalue(name).ring
+        assert _section_finite(ring, [ring.parse(t) for t in texts] + list(ring.defining),
+                               2) is finite
+
     def test_strict_verdict_runs_no_basis_in_the_ring_variables(self, p2p2, monkeypatch):
         # a strict P2xP2 verdict on two (2,2) forms: no prime's terms leave
-        # anything, and the one Buchberger run is the section's, in
-        # 2 + 6 - 6 = 2 variables
+        # anything, and the section, in 2 + 6 - 6 = 2 variables, restricts
+        # them to two coprime binary forms, which takes a gcd, no basis
         rng = seeded(5)
         fs = [random_poly(p2p2.ring, Multidegree((2, 2)), rng) for _ in range(2)]
         orders = []
@@ -622,7 +677,7 @@ class TestLinearSection:
                             lambda tower, order, *args: orders.append(order)
                             or run(tower, order, *args))
         assert is_strict_ci(p2p2, fs).status == "strict"
-        assert orders == [groebner._grevlex(2)]
+        assert orders == []
 
     @pytest.mark.parametrize("dims, degree", [([2, 2], (3, 3)), ([3, 3], (2, 2))])
     def test_dense_strict_budget(self, gf101, dims, degree):

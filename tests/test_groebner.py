@@ -622,6 +622,62 @@ class TestBayerSaturation:
             "x0^2*x1^2", "x0^2*y0", "x1^2*y1", "y0*y1"]
 
 
+class TestTailHint:
+    """_reduce_basis takes the normal form only of the tails that a leading
+    term it is told of can divide: after a Buchberger run, those of the
+    elements made later; after a Bayer division, those of the divided."""
+
+    @staticmethod
+    def full_reduction(gb, tower, order):
+        # the minimal basis, every tail in normal form modulo it
+        kept = []
+        for lt, tail in sorted(gb, key=lambda pair: pair[0]):
+            if not any(order.divides(k, lt) for k, _ in kept):
+                kept.append((lt, tail))
+        kept.reverse()
+        return [(lt, G._normal_form_dict(tail, kept, tower, order)) for lt, tail in kept]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_AMBIENT_DEGREES)), st.integers(0, 2 ** 32))
+    def test_hint_keeps_the_full_reduction_property(self, ambients, name, seed):
+        amb = ambients[name]
+        ring = amb.ring
+        rng = seeded(seed)
+        degrees = SMALL_AMBIENT_DEGREES[name]
+        ideal = IdealHandle(ring, [sparse_poly(ring, Multidegree(rng.choice(degrees)), rng)
+                                   for _ in range(rng.randint(1, 3))])
+        agreed = []
+        run = G._reduce_basis
+
+        def checked(gb, tower, order, since):
+            got = run(gb, tower, order, since)
+            agreed.append(got == self.full_reduction(gb, tower, order))
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(G, "_reduce_basis", checked)
+            ideal._pairs()
+            saturate(ideal, amb.irrelevant_ideal())
+        assert agreed and all(agreed)
+
+    def test_bayer_division_reduces_no_tail_it_cannot_change(self, ambients, monkeypatch):
+        # I : y1^inf for I = (x1*y0^2 + x0*y0*y1, x1^2*y1): grevlex is y1's
+        # Bayer order, so nothing is converted.  Three leads lose a power
+        # of y1, and none of them divides x0*y0*y1, the one undivided tail,
+        # nor a tail of the divided, so no normal form is taken
+        ring = ambients["p1p1"].ring
+        ideal = mk(ring, "x1*y0^2 + x0*y0*y1", "x1^2*y1")
+        basis = (ideal._pairs(), ideal._order)
+        reduced = []
+        run = G._normal_form_dict
+        monkeypatch.setattr(G, "_normal_form_dict",
+                            lambda *args, **kwargs: reduced.append(args) or run(*args, **kwargs))
+        (pairs, order), k, _ = G._saturate_variable(ring, basis, 3)
+        assert (order, k, reduced) == (G._grevlex(4), 3, [])
+        assert [str(g) for g in G._polys_of_pairs(ring, pairs)] == [
+            "x0^2*y0", "x0*x1*y0", "x1*y0^2 + x0*y0*y1", "x1^2"]
+
+
 def count_unpacked_bases(monkeypatch):
     """The sizes of the bases unpacked into Polynomials from now on."""
     sizes = []

@@ -12,6 +12,7 @@ from coxdescent import (FieldTower, InhomogeneousError, Multidegree,
                         degree_leq, make_product_projective,
                         monomials_of_degree, multidegree)
 
+from coxdescent import rings
 from coxdescent.rings import EXPONENT_CAP, Polynomial, _monomial_str, _positive_weights
 
 from conftest import (DIGIT_LIMIT, grevlex_key, random_poly, rational_kernel,
@@ -269,6 +270,25 @@ class TestMultidegree:
             "inhomogeneous polynomial: monomials %s and %s have degrees %s and %s"
             % (_monomial_str(ring, e0), _monomial_str(ring, e), deg,
                tuple_multidegree(Polynomial(ring, {e: 1}))[0]))
+
+    def test_bounded_degree_table_changes_no_answer(self, ring, monkeypatch):
+        # the ring keeps each exponent's packed degree; cleared at the bound,
+        # the table answers as the degree tuples do, on repeated calls
+        polys = [ring.parse(text) for text in (
+            "x0*y0 + x1*y1", "x0^2*y1 + x1^2*y0", "x0*y0 + x1", "x0^2 + x0*x1*y1",
+            "x1^3*y1^2 + x0^3*y0^2")]
+        bound = 3
+        monkeypatch.setattr(rings, "_TABLE_BOUND", bound)
+        monkeypatch.setattr(ring, "_degree_keys", {})
+        for f in polys + polys:
+            deg, off = tuple_multidegree(f)
+            if off is None:
+                assert f.multidegree() == deg
+            else:
+                with pytest.raises(InhomogeneousError) as exc:
+                    f.multidegree()
+                assert exc.value.monomials == off
+            assert len(ring._degree_keys) <= bound
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 2), st.integers(0, 2),
