@@ -10,16 +10,36 @@ reassembled from conjugates of the generators in a single class.
 """
 
 from collections import namedtuple
+from math import gcd, lcm
 from operator import add, mul
 
 from .cox import _strict_ci_verdict, _validate_hypersurfaces
 from .errors import (ActionError, DescentPreconditionError, RingMismatchError)
-from .fields import _add_scaled, _power as _square_and_multiply
+from .fields import _add_scaled, _power as _square_and_multiply, _prime_factors
 from .groebner import IdealHandle, defining_ideal, ideal_equal
 from .linalg import _integer_rref, echelon_basis, kernel_gfp
 from .rings import Multidegree, Polynomial, _exps_of_degree, _grevlex_key
 
 _MAX_ORDER = 10000
+
+
+def _bounded_order(tower, s, bound):
+    """The multiplicative order of s != 0 if it is at most ``bound``, else
+    q - 1, a multiple of it past the bound.  An order up to the bound has
+    no prime factor past it, so q - 1 is trial-divided no further."""
+    n = q1 = tower.p ** tower.d - 1
+    primes = _prime_factors(n, bound)
+    k = 1  # the part of q - 1 that those primes make up
+    for r in primes:
+        while n % r == 0:
+            n //= r
+            k *= r
+    if tower.c_pow(s, k) != tower.c_one:
+        return q1
+    for r in primes:
+        while k % r == 0 and tower.c_pow(s, k // r) == tower.c_one:
+            k //= r
+    return k
 
 
 class SemilinearAction:
@@ -106,14 +126,34 @@ class SemilinearAction:
         return (0, tuple(range(n)), (self.ring.tower.c_one,) * n)
 
     def _find_order(self):
-        """The least k > 0 with a^k the identity, walking a, a^2, ..."""
-        identity = self._identity()
-        a = state = (self.frob_power, self.perm, self.scalars)
-        for k in range(1, _MAX_ORDER + 1):
-            if state == identity:
-                return k
-            state = self._compose(state, a)
-        raise ActionError("action order exceeds %d" % _MAX_ORDER)
+        """The least k > 0 with a^k the identity, without walking the powers.
+
+        a^k moves no variable and twists no coefficient iff m divides k, m
+        the lcm of the permutation's cycle lengths and the Frobenius
+        order d / gcd(d, e).  a^m is then the diagonal linear map
+        x_i -> s_i x_i, so the order is m times the lcm of the
+        multiplicative orders of the s_i.
+        """
+        tower = self.ring.tower
+        m = tower.d // gcd(tower.d, self.frob_power)
+        seen = set()
+        for start in range(len(self.perm)):
+            i, length = start, 0
+            while i not in seen:
+                seen.add(i)
+                i = self.perm[i]
+                length += 1
+            if length:
+                m = lcm(m, length)
+        bound = _MAX_ORDER // m
+        a = (self.frob_power, self.perm, self.scalars)
+        _, _, scalars = _square_and_multiply(a, m, self._identity(), self._compose)
+        order = 1
+        for s in set(scalars) - {tower.c_one}:
+            order = lcm(order, _bounded_order(tower, s, bound))
+        if order > bound:
+            raise ActionError("action order exceeds %d" % _MAX_ORDER)
+        return m * order
 
     def _compose(self, second, first):
         """second o first, states as (frob, perm, scalars)."""
@@ -318,9 +358,13 @@ def fixed_space(action, vectors, subgroup_index):
     prime field (restriction of scalars), which works in every
     characteristic: on the GF(p)-basis t^a * w_i of the span, w_i its
     echelon basis (:func:`_echelon`), an image's coordinates are its
-    coefficients at the leads of the w_i.  The result spans the fixed space
-    over the subgroup's fixed field; every returned element is literally
-    fixed.
+    coefficients at the leads of the w_i.  The action is semilinear,
+    a^k(c * w) = frob^e(c) * a^k(w) for e its Frobenius power, so each w_i
+    is mapped once and the image of t^a * w_i is frob^e(t^a) times it.
+    The span is closed iff each a^k(w_i) equals the combination of the w_i
+    with its coefficients at their leads, which is checked term by term.
+    The result spans the fixed space over the subgroup's fixed field;
+    every returned element is literally fixed.
     """
     ring = action.ring
     tower = ring.tower
@@ -329,21 +373,27 @@ def fixed_space(action, vectors, subgroup_index):
         return []
     k = subgroup_index
     d, p = tower.d, tower.p
-    mul, zero = tower.c_mul, tower.c_zero
-    nb = len(basis)
-    # t^a is the a-th unit coordinate row
-    units = [tower.c_from_coeffs([int(a == b) for b in range(d)]) for a in range(d)]
-    images = [action.apply(Polynomial(ring, {e: mul(u, c) for e, c in b.items()}), k)._t
-              for b in basis for u in units]
-    # an image term off the span's monomials is a new column, so it raises
-    # the rank too
-    if len(_echelon(tower, basis + images)) != nb:
-        raise ActionError("space is not closed under the subgroup action")
-    # matrix of sigma^k - id
+    mul, neg, coeffs, zero = tower.c_mul, tower.c_neg, tower.c_coeffs, tower.c_zero
+    frob_power = action._power(k)[0]
+    # frob^e(t^a), t^a the a-th unit coordinate row
+    units = [tower.c_frob(tower.c_from_coeffs([int(a == b) for b in range(d)]), frob_power)
+             for a in range(d)]
     leads = [next(iter(b)) for b in basis]
-    cols = [[c for e in leads for c in tower.c_coeffs(image.get(e, zero))] for image in images]
+    cols = []
+    for b in basis:
+        image = action.apply(Polynomial(ring, b), k)._t
+        at_leads = [image.get(e, zero) for e in leads]
+        # each w_i is monic at its lead and zero at the other leads
+        residual = dict(image)
+        for c, w in zip(at_leads, basis):
+            if c != zero:
+                _add_scaled(residual, w, tower, neg(c))
+        if residual:
+            raise ActionError("space is not closed under the subgroup action")
+        cols.extend([c for x in at_leads for c in coeffs(mul(u, x))] for u in units)
+    # matrix of sigma^k - id
     mat = [list(row) for row in zip(*cols)]
-    for i in range(nb * d):
+    for i in range(len(basis) * d):
         mat[i][i] = (mat[i][i] - 1) % p
     out = []
     for vec in kernel_gfp(p, mat):
@@ -379,8 +429,9 @@ def descend(amb, action, polys):
     """Rewrite invariant strict-CI generators into Galois orbits.
 
     Preconditions: the generated ideal is action-invariant, the input is a
-    strict complete intersection, and the degree multiset decomposes into
-    full orbits with constant multiplicity.  Raises
+    strict complete intersection, the degree multiset decomposes into
+    full orbits with constant multiplicity, and phase 1 finds a generator
+    fixed by each class's stabilizer.  Raises
     :class:`DescentPreconditionError` otherwise.  Only the strict-CI
     verdict's status is read, so a not-strict input is rejected without a
     witness, and in a Cohen-Macaulay ambient with a monomial irrelevant
@@ -421,9 +472,12 @@ def descend(amb, action, polys):
     for t, beta in enumerate(betas):
         f = work[t]
         stab_order = action.order // beta
-        if stab_order == 1 or action.apply(f, beta) == f:
+        if stab_order == 1:
             continue
-        orbit_span = [action.apply(f, beta * j) for j in range(stab_order)]
+        g = action.apply(f, beta)
+        if g == f:
+            continue
+        orbit_span = [f, g] + [action.apply(f, beta * j) for j in range(2, stab_order)]
         # s forms of height s generate minimally and w lies in the ideal, so
         # w escapes the other generators iff swapping it in keeps the ideal
         for w in fixed_space(action, orbit_span, beta):
@@ -432,9 +486,12 @@ def descend(amb, action, polys):
             if ideal_equal(current, ideal):
                 break
         else:
-            raise AssertionError(
-                "no stabilizer-fixed element escapes the other generators; "
-                "input is inconsistent with the preconditions")
+            # the stabilizer's linear part can fix too little: x0 -> t*x0
+            # fixes no nonzero multiple of x0
+            raise DescentPreconditionError(
+                "NO_FIXED_GENERATOR",
+                "no element of the orbit span of %s that the stabilizer of its "
+                "class fixes can replace it" % f)
         work = candidate
 
     # phase 2: reassemble each orbit block from conjugates of one class,
@@ -470,4 +527,11 @@ def descend(amb, action, polys):
 
 
 def _monic_key(f):
-    return frozenset(f.monic()._t.items())
+    """The terms of f made monic, as a set: equal iff f is a nonzero scalar
+    multiple of the other."""
+    t = f._t
+    if not t:
+        return frozenset()
+    mul = f.ring.tower.c_mul
+    inv = f.ring.tower.c_inv(t[min(t, key=_grevlex_key)])
+    return frozenset((e, mul(inv, c)) for e, c in t.items())

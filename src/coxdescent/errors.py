@@ -53,7 +53,10 @@ class ParseError(CoxDescentError):
 class DescentPreconditionError(CoxDescentError):
     """A precondition of the descent algorithm failed.
 
-    ``reason`` is one of ``NOT_INVARIANT``, ``NOT_STRICT``, ``DEGREE_MISMATCH``.
+    ``reason`` is one of ``NOT_INVARIANT``, ``NOT_STRICT``, ``DEGREE_MISMATCH``,
+    or ``NO_FIXED_GENERATOR``: the stabilizer of a degree class fixes no
+    element of a generator's orbit span that can replace it, as when it
+    acts linearly with no fixed vector (x0 -> t*x0, t of order 3).
     """
 
     def __init__(self, reason, message=""):

@@ -133,16 +133,17 @@ def _is_prime(n):
     return True
 
 
-def _prime_factors(n):
-    """The distinct prime factors of n >= 1, by trial division."""
+def _prime_factors(n, bound=None):
+    """The distinct prime factors of n >= 1, by trial division; given a
+    ``bound``, only those up to it, in at most ``bound`` divisions."""
     out, r = [], 2
-    while r * r <= n:
+    while r * r <= n and (bound is None or r <= bound):
         if n % r == 0:
             out.append(r)
             while n % r == 0:
                 n //= r
         r += 1
-    if n > 1:
+    if n > 1 and (bound is None or n <= bound):
         out.append(n)
     return out
 

@@ -3,9 +3,11 @@ and its fraction-free twin over the integers.
 
 :func:`rref` works over a :class:`~coxdescent.fields.FieldTower` through
 its ``c_zero``, ``c_one``, ``c_sub``, ``c_mul`` and ``c_inv``: over GF(p^d)
-for descent's graded pieces and fixed spaces, whose rows its ``_echelon``
+for descent's fixed spaces and graded pieces, whose rows its ``_echelon``
 builds from term dicts, and over the tower's GF(p),
-:func:`~coxdescent.fields.prime_field`, for restriction of scalars.
+:func:`~coxdescent.fields.prime_field`, for restriction of scalars.  On
+``descend``'s path each fixed space takes two: the echelon basis of its
+span and the kernel of a^k - id; graded pieces are for direct callers.
 Kernels read off its canonical result.  Vectors are plain lists of the
 field's raw coefficients.
 

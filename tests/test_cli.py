@@ -183,6 +183,21 @@ class TestDescend:
         assert out == "NOT_INVARIANT\n"
 
 
+    def test_no_fixed_generator_exit_5(self, tmp_path):
+        # t has order 3 in GF(101^2): x0 -> t*x0 fixes no multiple of x0.
+        # In its own process, so that an escaping exception would show as
+        # a traceback and exit 1
+        path = tmp_path / "linear.prob"
+        path.write_text("field p=101 d=2\nambient product 1 1\n"
+                        "ideal pair = x0, t*y0\naction frob=0 x0->t*x0\n")
+        proc = subprocess.run([sys.executable, "-m", "coxdescent.cli", "descend", str(path)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 5
+        assert proc.stdout == "NO_FIXED_GENERATOR\n"
+        assert proc.stderr.startswith("NO_FIXED_GENERATOR: ")
+        assert "Traceback" not in proc.stderr
+
+
 class TestErrors:
     def test_parse_error_exit_code(self, capsys):
         rc, out, err = run(capsys, "gb", BAD)

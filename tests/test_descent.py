@@ -1,20 +1,24 @@
+import math
 import subprocess
 import sys
 import time
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import coxdescent.descent as D
 import coxdescent.groebner as G
-from coxdescent import (ActionError, DescentPreconditionError, FieldTower,
+from coxdescent import (ActionError, DescentPreconditionError, FieldElement, FieldTower,
                         IdealHandle, Multidegree, MultigradedRing, RingMismatchError,
                         SemilinearAction, apply_action, degree_orbits, descend,
                         fixed_space, graded_piece_basis, height, ideal_equal,
                         is_invariant_ideal, lower_piece_basis, make_custom,
                         make_product_projective, make_segre_p1p1, monomials_of_degree)
+from coxdescent.fields import _add_scaled
 from coxdescent.groebner import defining_ideal
+from coxdescent.linalg import kernel_gfp
+from coxdescent.rings import Polynomial
 from conftest import (SMALL_AMBIENT_DEGREES, echelon, coords_of, grevlex_key,
                       piece_monomial_multiples, preserves_grading_kernel, random_poly,
                       rational_apply_degree, seeded, small_ambients, span_equal)
@@ -359,6 +363,159 @@ class TestFixedSpace:
             fixed_space(swap, [ring.parse("x0")], 1)
 
 
+def reference_fixed_space(action, vectors, subgroup_index):
+    """fixed_space the direct way, without semilinearity: a^k applied to
+    t^a * w_i for every unit t^a, and closure tested by the rank of the
+    span with all those images."""
+    ring = action.ring
+    tower = ring.tower
+    basis = D._echelon(tower, [t for t in (ring._coerce_poly(v)._t for v in vectors) if t])
+    if not basis:
+        return []
+    k = subgroup_index
+    d, p = tower.d, tower.p
+    mul, zero = tower.c_mul, tower.c_zero
+    nb = len(basis)
+    units = [tower.c_from_coeffs([int(a == b) for b in range(d)]) for a in range(d)]
+    images = [action.apply(Polynomial(ring, {e: mul(u, c) for e, c in b.items()}), k)._t
+              for b in basis for u in units]
+    if len(D._echelon(tower, basis + images)) != nb:
+        raise ActionError("space is not closed under the subgroup action")
+    leads = [next(iter(b)) for b in basis]
+    cols = [[c for e in leads for c in tower.c_coeffs(image.get(e, zero))] for image in images]
+    mat = [list(row) for row in zip(*cols)]
+    for i in range(nb * d):
+        mat[i][i] = (mat[i][i] - 1) % p
+    out = []
+    for vec in kernel_gfp(p, mat):
+        t = {}
+        for i, b in enumerate(basis):
+            c = tower.c_from_coeffs(vec[i * d:(i + 1) * d])
+            if c != zero:
+                _add_scaled(t, b, tower, c)
+        f = Polynomial(ring, t)
+        if not f.is_zero():
+            out.append(f)
+    return out
+
+
+# P1xP1 over the towers of each representation: discrete logs (GF(3^2),
+# GF(2^4), GF(101^2)), packed ints (GF(101^3)) and residues (GF(5))
+FIELDS = {"GF(3^2)": (3, 2), "GF(2^4)": (2, 4), "GF(101^2)": (101, 2),
+          "GF(101^3)": (101, 3), "GF(5)": (5, 1)}
+# the grading-preserving permutations of x0, x1, y0, y1: none, the factor
+# swap, the coordinate swap, and both
+PERMS = [{}, {"x0": "y0", "x1": "y1", "y0": "x0", "y1": "x1"},
+         {"x0": "x1", "x1": "x0", "y0": "y1", "y1": "y0"},
+         {"x0": "y1", "x1": "y0", "y0": "x1", "y1": "x0"}]
+
+
+@pytest.fixture(scope="module")
+def p1p1_over():
+    return {name: make_product_projective([1, 1], FieldTower(p, d))
+            for name, (p, d) in FIELDS.items()}
+
+
+def element_of(tower, coeffs):
+    return tower.c_from_coeffs([c % tower.p for c in coeffs])
+
+
+def coefficientwise_random_poly(ring, degree, rng):
+    """A random nonzero form of the degree, its coefficients drawn digit by
+    digit, so that no list of the field's elements is made."""
+    tower = ring.tower
+    while True:
+        f = Polynomial(ring, {})
+        for m in monomials_of_degree(ring, degree):
+            c = element_of(tower, [rng.randrange(tower.p) for _ in range(tower.d)])
+            f = f + m * FieldElement(tower, c)
+        if f:
+            return f
+
+
+@st.composite
+def scaled_actions(draw, fields):
+    """(field name, frob power, permutation index into PERMS, one scalar
+    per variable as a coefficient list), a scalar 1 half the time."""
+    name = draw(st.sampled_from(fields))
+    p, d = FIELDS[name]
+    frob = draw(st.integers(0, d - 1))
+    perm = draw(st.sampled_from(range(len(PERMS))))
+    one = [1] + [0] * (d - 1)
+    scalars = draw(st.lists(st.one_of(st.just(one), st.lists(st.integers(0, p - 1),
+                                                             min_size=d, max_size=d)),
+                            min_size=4, max_size=4))
+    return name, frob, perm, scalars
+
+
+def action_images(amb, case, bounded=True):
+    """The frob power and the scaled variable images that a drawn case
+    names; with ``bounded`` each scalar is raised to the power (q - 1) /
+    gcd(q - 1, 120), so that its order divides 120."""
+    name, frob, perm, scalars = case
+    tower = amb.ring.tower
+    q1 = tower.p ** tower.d - 1
+    images = {}
+    for v, cs in zip(amb.ring.variables, scalars):
+        c = element_of(tower, cs) or tower.c_one
+        if bounded:
+            c = tower.c_pow(c, q1 // math.gcd(q1, 120))
+        images[v] = (PERMS[perm].get(v, v), c)
+    return frob, images
+
+
+def make_action(amb, case, bounded=True):
+    ring = amb.ring
+    frob, images = action_images(amb, case, bounded)
+    return SemilinearAction(ring, frob, {v: ring.parse(w) * FieldElement(ring.tower, c)
+                                         for v, (w, c) in images.items()})
+
+
+class TestFixedSpaceAgainstReference:
+    """The one-image-per-vector fixed space against d images per vector
+    and a rank test: the same vectors in the same order, and the same
+    error on a span that is not closed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scaled_actions(["GF(3^2)", "GF(2^4)", "GF(101^2)", "GF(101^3)"]),
+           st.data())
+    def test_property(self, p1p1_over, case, data):
+        amb = p1p1_over[case[0]]
+        ring = amb.ring
+        action = make_action(amb, case)
+        k = data.draw(st.sampled_from([k for k in range(1, action.order + 1)
+                                       if action.order % k == 0]), label="subgroup index")
+        degree = data.draw(st.sampled_from([(1, 0), (1, 1), (2, 1)]), label="degree")
+        rng = seeded(data.draw(st.integers(0, 2 ** 16), label="seed"))
+        vectors = [coefficientwise_random_poly(ring, Multidegree(degree), rng)
+                   for _ in range(data.draw(st.integers(1, 3), label="count"))]
+        if data.draw(st.booleans(), label="close the span"):
+            # the span of v, a^k v, a^2k v, ... stops growing once one of
+            # them lies in the span of those before: a semilinear map takes
+            # spans to spans
+            for v in list(vectors):
+                while True:
+                    v = apply_action(action, v, k)
+                    if len(D._echelon(ring.tower, [f._t for f in vectors + [v]])) == len(
+                            D._echelon(ring.tower, [f._t for f in vectors])):
+                        break
+                    vectors.append(v)
+        images = [apply_action(action, v, k) for v in vectors]
+        closed = len(D._echelon(ring.tower, [f._t for f in vectors + images])) == len(
+            D._echelon(ring.tower, [f._t for f in vectors]))
+        got = outcome(fixed_space, action, vectors, k)
+        event("closed" if closed else "not closed")
+        event("%s, k %s the order" % (case[0], "is" if k == action.order else "below"))
+        assert got == outcome(reference_fixed_space, action, vectors, k)
+        if not closed:
+            assert got == "ActionError: space is not closed under the subgroup action"
+        else:
+            assert [list(f._t.items()) for f in got] == [
+                list(f._t.items()) for f in reference_fixed_space(action, vectors, k)]
+            for f in got:
+                assert apply_action(action, f, k) == f
+
+
 class TestDescend:
     def test_scaled_orbit_pair(self, p1p1_gf9, swap):
         ring = p1p1_gf9.ring
@@ -409,6 +566,19 @@ class TestDescend:
         with pytest.raises(DescentPreconditionError) as exc:
             descend(p1p1_gf9, swap, fs)
         assert exc.value.reason == "NOT_STRICT"
+
+    def test_linear_stabilizer_without_fixed_generator(self):
+        # t has order 3 in this GF(101^2), so x0 -> t*x0 is an action of
+        # order 3 that fixes no nonzero multiple of x0: no generator of the
+        # class can be made fixed
+        amb = make_product_projective([1, 1], FieldTower(101, 2))
+        ring = amb.ring
+        action = SemilinearAction(ring, 0, {"x0": "t*x0"})
+        assert action.order == 3
+        assert fixed_space(action, [ring.parse("x0")], 1) == []
+        with pytest.raises(DescentPreconditionError) as exc:
+            descend(amb, action, [ring.parse("x0"), ring.parse("t*y0")])
+        assert exc.value.reason == "NO_FIXED_GENERATOR"
 
     def test_not_strict_rejection_takes_no_bayer_step(self, p1p1_gf9, swap, monkeypatch):
         # descent reads only the verdict's status: ht(I + (x0, x1)) = 2 =
@@ -484,7 +654,106 @@ class TestDescend:
             assert frozenset(frozenset(g._t.items()) for g in others) not in seen
 
 
+def walked_order(amb, case, bounded):
+    """The order of a drawn action the direct way: the least k with a^k
+    the identity, walking a, a^2, ... up to the bound; None past it.
+    States are (frob, perm, scalars), composed here independently of the
+    package."""
+    ring = amb.ring
+    tower = ring.tower
+    frob, images = action_images(amb, case, bounded)
+    perm = tuple(ring.variables.index(w) for w, _ in images.values())
+    a = state = (frob % tower.d, perm, tuple(c for _, c in images.values()))
+    identity = (0, tuple(range(ring.nvars)), (tower.c_one,) * ring.nvars)
+    for k in range(1, D._MAX_ORDER + 1):
+        if state == identity:
+            return k
+        e, p, s = state
+        # a after the state: x_i -> s_i x_p(i) -> frob^f(s_i) a_p(i) x_perm(p(i))
+        state = ((e + frob) % tower.d, tuple(perm[j] for j in p),
+                 tuple(tower.c_mul(tower.c_frob(c, frob), a[2][j]) for c, j in zip(s, p)))
+    return None
+
+
+def assert_descent_contract(action, polys, res):
+    """What descend promises: the same ideal, the input's degrees position
+    by position in its order, orbit blocks closed under the action up to
+    scalars, and every generator fixed by the stabilizer of its class."""
+    ring = action.ring
+    assert sorted(res.input_order) == list(range(len(polys)))
+    degrees = [polys[i].multidegree() for i in res.input_order]
+    assert [g.multidegree() for g in res.new_gens] == degrees
+    assert res.degree_log == list(zip(degrees, degrees))
+    assert ideal_equal(IdealHandle(ring, res.new_gens), IdealHandle(ring, polys))
+    for a, b in res.orbit_blocks:
+        block = {str(g.monic()) for g in res.new_gens[a:b]}
+        assert {str(apply_action(action, g).monic()) for g in res.new_gens[a:b]} == block
+    for g in res.new_gens:
+        beta = len(action.degree_orbit(g.multidegree()))
+        assert apply_action(action, g, beta) == g
+
+
+class TestDescendFuzz:
+    """descend on random swap and scaling actions of P1xP1 and generators
+    made of the conjugates of one or two monomials or binomials: either
+    the contract holds or a DescentPreconditionError names what failed,
+    never an untyped exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_actions(["GF(3^2)", "GF(2^4)", "GF(101^2)", "GF(5)"]), st.booleans(),
+           st.lists(st.tuples(st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+                              st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
+                              st.integers(0, 2 ** 16)),
+                    min_size=1, max_size=2))
+    @example(("GF(101^2)", 0, 0, [[0, 1], [1, 0], [1, 0], [1, 0]]), False,
+             [((1, 0), [0], 0), ((0, 1), [0], 0)])
+    def test_contract_or_precondition_error(self, p1p1_over, case, bounded, seeds):
+        amb = p1p1_over[case[0]]
+        ring = amb.ring
+        tower = ring.tower
+        try:
+            action = make_action(amb, case, bounded)
+        except ActionError:
+            event("order past the bound")
+            return
+        polys = []
+        for degree, support, seed in seeds:
+            rng = seeded(seed)
+            monos = monomials_of_degree(ring, Multidegree(degree))
+            f = sum((monos[i % len(monos)] * FieldElement(tower, element_of(
+                tower, [rng.randrange(tower.p) for _ in range(tower.d)]) or tower.c_one)
+                for i in support), ring.zero())
+            if not f:
+                continue
+            # the conjugates of f, one per class of its degree's orbit
+            for j in range(len(action.degree_orbit(f.multidegree()))):
+                polys.append(apply_action(action, f, j))
+        if not polys:
+            return
+        try:
+            res = descend(amb, action, polys)
+        except DescentPreconditionError as exc:
+            event(exc.reason)
+            return
+        event("descended")
+        assert_descent_contract(action, polys, res)
+
+
 class TestOrderBound:
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_actions(list(FIELDS)), st.booleans())
+    def test_order_against_the_walk(self, p1p1_over, case, bounded):
+        # unbounded scalars over GF(101^2) and GF(101^3) pass the bound
+        # often, bounded ones never
+        amb = p1p1_over[case[0]]
+        expected = walked_order(amb, case, bounded)
+        event("past the bound" if expected is None else "within the bound")
+        if expected is None:
+            with pytest.raises(ActionError, match="^action order exceeds 10000$"):
+                make_action(amb, case, bounded)
+        else:
+            assert make_action(amb, case, bounded).order == expected
+
     def test_order_past_the_bound_rejected(self):
         # disjoint cycles of lengths 2, 3, 5, 7, 11, 13 on the 41 variables
         # of P^40: order 30030
@@ -496,6 +765,24 @@ class TestOrderBound:
             start += length
         with pytest.raises(ActionError, match="order exceeds"):
             SemilinearAction(amb.ring, 0, var_map)
+
+    @pytest.mark.parametrize("p, d, images", [
+        (101, 2, {"x0": "(t+4)*x0", "x1": "(t+9)*x1"}),  # orders 5100 and 3400
+        (101, 3, {"x0": "(t+1)*x0"}),
+        # p = 2q + 1 with q prime: p - 1 is trial-divided only up to the bound
+        (2305843009213699919, 1, {"x0": "3*x0"})])
+    def test_order_past_the_bound_rejected_within_time_budget(self, p, d, images):
+        # walking the powers took about 50 ms on GF(101^2) and 90 ms on
+        # GF(101^3) to reach the bound; the order is now read off the
+        # cycles and the scalars' orders
+        ring = make_product_projective([1, 1], FieldTower(p, d)).ring
+        best = float("inf")
+        for _ in range(3):
+            began = time.perf_counter()
+            with pytest.raises(ActionError, match="^action order exceeds 10000$"):
+                SemilinearAction(ring, 0, images)
+            best = min(best, time.perf_counter() - began)
+        assert best < 0.01
 
     def test_large_order_within_time_and_memory_budget(self):
         # cycles 3, 5, 7, 8, 11 on the 34 variables of P^33 over GF(3^2), with
